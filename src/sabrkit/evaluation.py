@@ -296,7 +296,9 @@ def latency_bench(bundle: ModelBundle, n_points: int = 10_000,
     """Per-call latency of single-point prediction, and speed-up against one
     Monte Carlo pricing at the reference path budget.
 
-    The first ``warmup`` calls are excluded from the statistics.
+    The strike's grid index is drawn uniformly, so one point in eleven
+    takes the at-the-money shortcut. The first ``warmup`` calls are
+    excluded from the statistics.
     """
     if n_points <= warmup:
         raise ValueError("n_points must exceed the warmup count")
@@ -306,9 +308,8 @@ def latency_bench(bundle: ModelBundle, n_points: int = 10_000,
     points = []
     for _ in range(n_points):
         T, F0, alpha, beta, rho, nu = sample_config(rng)
-        k_mid = float(strike_grid(F0, alpha, T)[5])
-        points.append(SabrPoint(T=T, F0=F0, K=k_mid, alpha=alpha, beta=beta,
-                                rho=rho, nu=nu))
+        K = float(strike_grid(F0, alpha, T)[rng.integers(0, len(GRID_INDICES))])
+        points.append(SabrPoint(T=T, F0=F0, K=K, alpha=alpha, beta=beta, rho=rho, nu=nu))
     timings = np.empty(n_points)
     for i, p in enumerate(points):
         t0 = time.perf_counter()

@@ -4,12 +4,17 @@ Two variants of the log-moneyness bracket are supported: ``"numerator"``
 multiplies by {1 + (1-b)^2/24 ln^2 + (1-b)^4/1920 ln^4} and
 ``"denominator"`` divides by it. Both appear in the literature; the
 numerator form is the package default.
+
+:func:`hagan_vol` prices one :class:`SabrPoint`; :func:`hagan_vols` prices
+columns of them at once and agrees with it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, NegativeVol
 
@@ -19,6 +24,7 @@ __all__ = [
     "SabrPoint",
     "hagan_atm",
     "hagan_vol",
+    "hagan_vols",
     "zx_ratio",
 ]
 
@@ -34,6 +40,24 @@ _Z_SERIES_THRESHOLD = 1e-6
 # Powers of (1 - beta) are treated as exactly zero beyond this point, so the
 # lognormal edge case never sees spurious (F0*K)^eps factors.
 _BETA_ONE_THRESHOLD = 1e-9
+
+# numpy's SIMD log and pow differ from the C library's by about an ulp, and
+# cancellations such as (K^(1-b) - F0^(1-b))/(1-b) amplify that to 2e-13.
+# The array forms therefore call math.log/math.pow element by element, like
+# the scalar forms, and keep all other arithmetic in numpy, in the scalar
+# forms' operation order, so both agree bit for bit.
+_log = np.frompyfunc(math.log, 1, 1)
+_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def libm_log(x: np.ndarray) -> np.ndarray:
+    """Element-wise ``math.log``."""
+    return _log(x).astype(float)
+
+
+def libm_pow(x: np.ndarray, y) -> np.ndarray:
+    """Element-wise ``math.pow``."""
+    return _pow(x, y).astype(float)
 
 
 @dataclass(frozen=True)
@@ -160,3 +184,54 @@ def hagan_eval(p: SabrPoint, bracket: str = "numerator") -> HaganEval:
     if sigma <= 0.0:
         raise NegativeVol(f"smile formula returned nonpositive vol {sigma!r}")
     return HaganEval(z=z, x_of_z=x_of_z, ratio=ratio, sigma=sigma)
+
+
+def hagan_vols(T, F0, K, alpha, beta, rho, nu, bracket: str = "numerator") -> np.ndarray:
+    """Array form of :func:`hagan_vol` over parameter columns.
+
+    The 1-d columns hold the fields of valid :class:`SabrPoint` values. Each
+    result equals the scalar call's bit for bit; the ATM dispatch, the
+    z-series and the beta ~ 1 branches are masks. When points leave the
+    formula's domain, raises what the scalar call raises on the first one.
+    """
+    if bracket not in BRACKET_MODES:
+        raise ValueError(f"bracket must be one of {BRACKET_MODES}, got {bracket!r}")
+    T, F0, K, alpha, beta, rho, nu = (np.asarray(c, dtype=float)
+                                      for c in (T, F0, K, alpha, beta, rho, nu))
+    log_fk = libm_log(F0 / K)
+    atm = np.abs(log_fk) < ATM_LOG_THRESHOLD
+    omb = 1.0 - beta
+    omb = np.where(omb < _BETA_ONE_THRESHOLD, 0.0, omb)
+    # pow(x, 0) == 1 exactly, which is the beta ~ 1 branch's value.
+    f_pow_1mb = libm_pow(F0, omb)
+    fk = F0 * K
+    fk_pow_half = np.where(atm, f_pow_1mb, libm_pow(fk, 0.5 * omb))
+    fk_pow_1mb = np.where(atm, f_pow_1mb * f_pow_1mb, libm_pow(fk, omb))
+    term1 = omb * omb * alpha * alpha / (24.0 * fk_pow_1mb)
+    term2 = rho * beta * nu * alpha / (4.0 * fk_pow_half)
+    term3 = (2.0 - 3.0 * rho * rho) * nu * nu / 24.0
+    maturity = 1.0 + T * (term1 + term2 + term3)
+
+    z = nu / alpha * fk_pow_half * log_fk
+    ratio = 1.0 - 0.5 * rho * z
+    disc = 1.0 - 2.0 * rho * z + z * z
+    closed = ~atm & (np.abs(z) >= _Z_SERIES_THRESHOLD)
+    domain = closed & (disc < 0.0)
+    closed &= ~domain
+    zc, rc = z[closed], rho[closed]
+    ratio[closed] = zc / libm_log((np.sqrt(disc[closed]) + zc - rc) / (1.0 - rc))
+
+    log2 = log_fk * log_fk
+    money = 1.0 + omb * omb / 24.0 * log2 + libm_pow(omb, 4.0) / 1920.0 * log2 * log2
+    core = alpha / fk_pow_half
+    core = core * money if bracket == "numerator" else core / money
+    sigma = np.where(atm, alpha / f_pow_1mb * maturity, core * ratio * maturity)
+
+    failed = np.flatnonzero(domain | (sigma <= 0.0))
+    if failed.size:
+        i = failed[0]
+        if domain[i]:
+            raise DomainError(f"1 - 2*rho*z + z^2 = {disc[i]!r} < 0 at z={z[i]!r}, "
+                              f"rho={rho[i]!r} (point {i})")
+        raise NegativeVol(f"smile formula returned nonpositive vol {sigma[i]!r} (point {i})")
+    return sigma

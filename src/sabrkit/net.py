@@ -13,6 +13,11 @@ layer followed by batch norm and ReLU, scalar output):
 Residual architectures return sigma_hagan * (1 + output) from
 :func:`predict_vol`, so an untrained zero network reproduces the closed
 form exactly.
+
+Training runs batch norm explicitly. Inference runs the network as plain
+affine layers (:func:`fold_layers`): standardization folds into the first
+layer and each eval-mode batch norm into its dense layer. :func:`load_model`
+folds once and keeps the result on the bundle.
 """
 
 from __future__ import annotations
@@ -21,13 +26,14 @@ import copy
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, Diverged, NonFinite, ShapeMismatch
-from .geometry import features
-from .hagan import SabrPoint, hagan_vol
+from .geometry import features, features_array
+from .hagan import BRACKET_MODES, SabrPoint, hagan_vol, hagan_vols
 
 __all__ = [
     "ARCHS",
@@ -39,6 +45,7 @@ __all__ = [
     "TrainConfig",
     "adam_step",
     "design_matrix",
+    "fold_layers",
     "forward",
     "init_bundle",
     "load_model",
@@ -115,6 +122,10 @@ class ModelBundle:
     x_std: np.ndarray
     hagan_bracket: str = "numerator"
     manifest: dict = field(default_factory=dict)
+    # The eval-mode network as affine layers, set by load_model and dropped
+    # by training; None means forward folds on every call.
+    folded: list[tuple[np.ndarray, np.ndarray]] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -172,12 +183,36 @@ def init_bundle(
     )
 
 
+def fold_layers(bundle: ModelBundle) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The eval-mode network as affine layers ``(w, b)``, each hidden one
+    followed by ReLU.
+
+    Standardization folds into the first layer and each batch norm, at its
+    running statistics, into its dense layer (Ioffe & Szegedy 2015).
+    """
+    stack = []
+    for i, layer in enumerate(bundle.layers):
+        w, b = layer.w, layer.b
+        if i == 0:
+            b = b - (bundle.x_mean / bundle.x_std) @ w
+            w = w / bundle.x_std[:, None]
+        bn = layer.bn
+        if bn is not None:
+            s = bn.scale * (1.0 / np.sqrt(bn.running_var + bn.eps))
+            w = w * s
+            b = (b - bn.running_mean) * s + bn.shift
+        stack.append((w, b))
+    return stack
+
+
 def forward(bundle: ModelBundle, x: np.ndarray, training: bool = False):
     """Network output for a batch of raw (unstandardized) feature rows.
 
-    Returns ``(outputs, caches)``; the caches hold the intermediates needed
-    by :func:`backward` and are None-free only in training mode. Training
-    mode normalizes with batch statistics and updates the running ones.
+    Returns ``(outputs, caches)``. Training mode normalizes with batch
+    statistics, updates the running ones, drops the bundle's folded stack
+    and returns the intermediates :func:`backward` needs. Eval mode runs
+    the folded stack (:func:`fold_layers`), the bundle's stored one when
+    it has one, and returns None for the caches.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -187,21 +222,27 @@ def forward(bundle: ModelBundle, x: np.ndarray, training: bool = False):
             f"arch {bundle.arch!r} expects {len(bundle.feature_names)} features, "
             f"got {x.shape[1]}"
         )
+    if not training:
+        stack = bundle.folded if bundle.folded is not None else fold_layers(bundle)
+        a = x
+        for w, b in stack[:-1]:
+            a = a @ w
+            a += b
+            np.maximum(a, 0.0, out=a)
+        w, b = stack[-1]
+        return (a @ w + b)[:, 0], None
+    bundle.folded = None
     a = (x - bundle.x_mean) / bundle.x_std
     caches = []
     for layer in bundle.layers[:-1]:
         z = a @ layer.w + layer.b
         bn = layer.bn
-        if training:
-            mu = z.mean(axis=0)
-            var = z.var(axis=0)
-            n = z.shape[0]
-            unbiased = var * n / (n - 1) if n > 1 else var
-            bn.running_mean = (1.0 - bn.momentum) * bn.running_mean + bn.momentum * mu
-            bn.running_var = (1.0 - bn.momentum) * bn.running_var + bn.momentum * unbiased
-        else:
-            mu = bn.running_mean
-            var = bn.running_var
+        mu = z.mean(axis=0)
+        var = z.var(axis=0)
+        n = z.shape[0]
+        unbiased = var * n / (n - 1) if n > 1 else var
+        bn.running_mean = (1.0 - bn.momentum) * bn.running_mean + bn.momentum * mu
+        bn.running_var = (1.0 - bn.momentum) * bn.running_var + bn.momentum * unbiased
         inv_std = 1.0 / np.sqrt(var + bn.eps)
         z_hat = (z - mu) * inv_std
         pre_act = bn.scale * z_hat + bn.shift
@@ -445,34 +486,40 @@ def train(
     return bundle, history
 
 
-def _feature_rows(bundle: ModelBundle, points: Sequence[SabrPoint]) -> np.ndarray:
-    use_geometry = len(bundle.feature_names) == 11
-    rows = np.empty((len(points), len(bundle.feature_names)))
-    for i, p in enumerate(points):
-        rows[i, :7] = (p.T, p.F0, p.K, p.alpha, p.beta, p.rho, p.nu)
-        if use_geometry:
-            f = features(p)
-            rows[i, 7:] = (f.q, f.sigma_min, f.d_h, f.sigma0)
-    return rows
+_point_params = attrgetter(*RAW_FEATURES)
 
 
 def predict_vols(bundle: ModelBundle, points: Sequence[SabrPoint]) -> np.ndarray:
     """Corrected implied vols for a batch of pricing configurations.
 
     Residual modes return sigma_hagan * (1 + network output); direct modes
-    return the raw output. Geometry features are computed here for the
-    architectures that use them.
+    return the raw output. The points become one block of parameter
+    columns, which the array formulas (:func:`~sabrkit.hagan.hagan_vols`,
+    :func:`~sabrkit.geometry.features_array`) and one :func:`forward` take
+    whole.
     """
-    x = _feature_rows(bundle, points)
+    x = np.array([_point_params(p) for p in points], dtype=float).reshape(-1, len(RAW_FEATURES))
+    cols = x.T
+    if len(bundle.feature_names) > len(RAW_FEATURES):
+        x = np.hstack((x, features_array(*cols)))
     out, _ = forward(bundle, x, training=False)
     if bundle.target_mode == "residual_ratio":
-        hag = np.array([hagan_vol(p, bundle.hagan_bracket) for p in points])
-        return hag * (1.0 + out)
+        return hagan_vols(*cols, bracket=bundle.hagan_bracket) * (1.0 + out)
     return out
 
 
 def predict_vol(bundle: ModelBundle, p: SabrPoint) -> float:
-    return float(predict_vols(bundle, [p])[0])
+    """Corrected implied vol for one pricing configuration, through the
+    scalar formulas and a one-row :func:`forward`; equals
+    :func:`predict_vols` on ``[p]`` to rounding."""
+    row = [p.T, p.F0, p.K, p.alpha, p.beta, p.rho, p.nu]
+    if len(bundle.feature_names) > len(RAW_FEATURES):
+        f = features(p)
+        row += (f.q, f.sigma_min, f.d_h, f.sigma0)
+    out = forward(bundle, np.array([row]), training=False)[0][0]
+    if bundle.target_mode == "residual_ratio":
+        return float(hagan_vol(p, bundle.hagan_bracket) * (1.0 + out))
+    return float(out)
 
 
 def predict_from_rows(bundle: ModelBundle, samples) -> np.ndarray:
@@ -485,10 +532,16 @@ def predict_from_rows(bundle: ModelBundle, samples) -> np.ndarray:
     return out
 
 
+MODEL_FORMAT = "sabrkit-model-v1"
+_MODEL_KEYS = ("arch", "target_mode", "feature_names", "layer_sizes", "hagan_bracket",
+               "x_mean", "x_std", "layers", "manifest")
+_BN_ARRAYS = ("scale", "shift", "running_mean", "running_var")
+
+
 def save_model(bundle: ModelBundle, path) -> None:
     """Serialize a bundle to JSON with full float precision."""
     payload = {
-        "format": "sabrkit-model-v1",
+        "format": MODEL_FORMAT,
         "arch": bundle.arch,
         "target_mode": bundle.target_mode,
         "feature_names": list(bundle.feature_names),
@@ -518,32 +571,109 @@ def save_model(bundle: ModelBundle, path) -> None:
         fh.write("\n")
 
 
-def load_model(path) -> ModelBundle:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "sabrkit-model-v1":
-        raise ConfigError(f"unrecognized model file format in {path!r}")
+def _finite_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} is not a numeric array") from None
+    if arr.shape != shape:
+        raise ConfigError(f"{what} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{what} holds a non-finite value")
+    return arr
+
+
+def _finite_number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return value
+
+
+def _bundle_from_payload(payload) -> ModelBundle:
+    """A bundle from a parsed model file, checked so that it can be folded
+    and run: keys, the layer-shape chain, the names against the arch, batch
+    norm on exactly the hidden layers, finite arrays and positive scales."""
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
+        raise ConfigError(f"not a {MODEL_FORMAT} model file")
+    missing = [key for key in _MODEL_KEYS if key not in payload]
+    if missing:
+        raise ConfigError(f"model file lacks {', '.join(missing)}")
+    arch = payload["arch"]
+    if not isinstance(arch, str) or arch not in ARCHS:
+        raise ConfigError(f"unknown arch {arch!r}; expected one of {sorted(ARCHS)}")
+    if payload["target_mode"] != ARCHS[arch][0]:
+        raise ConfigError(f"target_mode {payload['target_mode']!r} does not match arch {arch!r}")
+    names = feature_names_for(arch)
+    if payload["feature_names"] != list(names):
+        raise ConfigError(f"feature_names do not match arch {arch!r}")
+    if payload["hagan_bracket"] not in BRACKET_MODES:
+        raise ConfigError(f"hagan_bracket must be one of {BRACKET_MODES}")
+    if not isinstance(payload["manifest"], dict):
+        raise ConfigError("manifest must be an object")
+    items, sizes = payload["layers"], payload["layer_sizes"]
+    if (not isinstance(items, list) or not items or not isinstance(sizes, list)
+            or len(sizes) != len(items) + 1
+            or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in sizes)
+            or sizes[0] != len(names) or sizes[-1] != 1):
+        raise ConfigError(f"layer_sizes must run from {len(names)} inputs to 1 output, "
+                          "one step per layer")
     layers = []
-    for item in payload["layers"]:
+    for i, item in enumerate(items):
+        where = f"layer {i}"
+        if not isinstance(item, dict) or not {"w", "b", "bn"} <= item.keys():
+            raise ConfigError(f"{where} needs w, b and bn")
+        width = sizes[i + 1]
+        w = _finite_array(item["w"], (sizes[i], width), f"{where} w")
+        b = _finite_array(item["b"], (width,), f"{where} b")
+        raw = item["bn"]
+        hidden = i < len(items) - 1
+        if (raw is None) == hidden:
+            raise ConfigError(f"{where}: batch norm belongs on every hidden layer "
+                              "and not on the output layer")
         bn = None
-        if item["bn"] is not None:
-            raw = item["bn"]
-            bn = BatchNorm(
-                scale=np.array(raw["scale"]),
-                shift=np.array(raw["shift"]),
-                running_mean=np.array(raw["running_mean"]),
-                running_var=np.array(raw["running_var"]),
-                momentum=raw["momentum"],
-                eps=raw["eps"],
-            )
-        layers.append(DenseLayer(w=np.array(item["w"]), b=np.array(item["b"]), bn=bn))
+        if hidden:
+            if not isinstance(raw, dict) or not {*_BN_ARRAYS, "momentum", "eps"} <= raw.keys():
+                raise ConfigError(f"{where} bn needs {', '.join(_BN_ARRAYS)}, momentum and eps")
+            arrays = {key: _finite_array(raw[key], (width,), f"{where} bn {key}")
+                      for key in _BN_ARRAYS}
+            eps = _finite_number(raw["eps"], f"{where} bn eps")
+            if eps <= 0.0 or np.any(arrays["running_var"] < 0.0):
+                raise ConfigError(f"{where} bn needs eps > 0 and running_var >= 0")
+            bn = BatchNorm(**arrays, momentum=_finite_number(raw["momentum"], f"{where} bn momentum"),
+                           eps=eps)
+        layers.append(DenseLayer(w=w, b=b, bn=bn))
+    x_mean = _finite_array(payload["x_mean"], (len(names),), "x_mean")
+    x_std = _finite_array(payload["x_std"], (len(names),), "x_std")
+    if np.any(x_std <= 0.0):
+        raise ConfigError("x_std must be positive")
     return ModelBundle(
-        arch=payload["arch"],
+        arch=arch,
         target_mode=payload["target_mode"],
-        feature_names=tuple(payload["feature_names"]),
+        feature_names=names,
         layers=layers,
-        x_mean=np.array(payload["x_mean"]),
-        x_std=np.array(payload["x_std"]),
+        x_mean=x_mean,
+        x_std=x_std,
         hagan_bracket=payload["hagan_bracket"],
         manifest=payload["manifest"],
     )
+
+
+def load_model(path) -> ModelBundle:
+    """Read a model file written by :func:`save_model`.
+
+    The file is checked first (ConfigError, naming the file, on any fault);
+    the bundle then carries its folded eval-mode stack, so in-place edits
+    of its arrays are not seen by prediction until it is retrained or
+    reloaded.
+    """
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not a JSON file ({exc})") from None
+    try:
+        bundle = _bundle_from_payload(payload)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    bundle.folded = fold_layers(bundle)
+    return bundle

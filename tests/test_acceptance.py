@@ -2,7 +2,7 @@
 independent gates). Each prints a PASS/FAIL line so the suite run doubles
 as the acceptance report.
 
-Two gates fail by design and are documented in the project notes: the
+Two gates fail by design and are documented in their tests' docstrings: the
 published wide-smile Monte Carlo column cannot be reproduced by a faithful
 simulation of the stated dynamics (criterion 7), and a correctly trained
 direct network scores far too high for the required R^2 separation to
@@ -236,8 +236,7 @@ def test_criterion_7_published_mc_column(desk_smile):
     Simulations converged in the step count (50 vs 800 steps agree within
     0.005) and consistent across schemes sit ~0.1 vol away from the
     published right wing; the published column fits an effective
-    correlation near -0.17 rather than the stated -0.8. See
-    notes/decisions.md for the full analysis.
+    correlation near -0.17 rather than the stated -0.8.
     """
     mc_vols, _ = desk_smile
     errors = {k: mc_vols[k] - PUBLISHED_SMILE[k][1] for k in mc_vols}
@@ -330,7 +329,7 @@ def test_criterion_9_runtime(desk_experiment):
 def test_criterion_9a_georesnn_is_best(desk_experiment):
     """Documented red: at desk scale the residual architectures are
     statistically tied (R^2 differences ~1e-4 across training seeds), so
-    no strict maximum holds. See notes/decisions.md."""
+    no strict maximum holds."""
     results, _, _ = desk_experiment
     scores = {arch: results[arch]["r2"] for arch in results}
     best = max(scores, key=scores.get)
@@ -342,7 +341,7 @@ def test_criterion_9a_georesnn_is_best(desk_experiment):
 def test_criterion_9b_margin_over_direct_network(desk_experiment):
     """Documented red: a correctly trained direct network reaches
     R^2 ~ 0.99 here (the published 0.73 baseline is not reproducible), so
-    no 0.05 separation can exist. See notes/decisions.md."""
+    no 0.05 separation can exist."""
     results, _, _ = desk_experiment
     gap = results["georesnn"]["r2"] - results["ndn"]["r2"]
     _gate("9b", gap >= 0.05, f"gap {gap:.4f} vs required 0.05; "

@@ -134,6 +134,20 @@ class TestPrice:
         assert main(["price", "--model", str(model), "--K", "1.0",
                      "--rho", "2.0"]) == 2
 
+    @pytest.mark.parametrize("fault", ["no layers", "shape chain"])
+    def test_broken_model_exit_2_one_line(self, tmp_path, capsys, fault):
+        model = zero_model(tmp_path)
+        payload = json.loads(model.read_text())
+        if fault == "no layers":
+            del payload["layers"]
+        else:
+            payload["layers"][1]["w"] = payload["layers"][1]["w"][:-1]
+        model.write_text(json.dumps(payload))
+        assert main(["price", "--model", str(model), "--K", "1.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("invalid input:")
+        assert str(model) in err
+
     def test_missing_required_flag_exit_2(self, tmp_path):
         assert main(["price", "--model", "nowhere.json"]) == 2
 

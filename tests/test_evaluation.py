@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sabrkit import evaluation
 from sabrkit.datagen import Sample
 from sabrkit.errors import DegenerateReference, EmptyRegion
 from sabrkit.evaluation import (
@@ -157,6 +158,16 @@ class TestLatency:
         assert stats.median_us > 0
         assert stats.p99_us >= stats.median_us
         assert stats.speedup_vs_mc > 0
+
+    def test_timed_strikes_span_the_grid(self, monkeypatch):
+        # A fixed mid-grid index would put every timed point at K == F0 and
+        # time only the at-the-money shortcut.
+        timed = []
+        monkeypatch.setattr(evaluation, "predict_vol", lambda bundle, p: timed.append(p))
+        latency_bench(init_bundle("ndn", seed=9), n_points=440,
+                      mc_cfg=McConfig(paths=2000), warmup=0)
+        assert len(timed) == 440
+        assert sum(p.K == p.F0 for p in timed) <= 0.2 * len(timed)
 
     def test_warmup_must_leave_samples(self):
         bundle = init_bundle("ndn", seed=10)

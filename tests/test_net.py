@@ -17,6 +17,7 @@ from sabrkit.net import (
     adam_step,
     backward,
     design_matrix,
+    fold_layers,
     forward,
     init_bundle,
     load_model,
@@ -106,6 +107,73 @@ class TestForward:
         assert len(init_bundle("geonn").feature_names) == 11
         assert len(init_bundle("georesnn").feature_names) == 11
         assert init_bundle("georesnn").layer_sizes == [11, 64, 64, 32, 1]
+
+
+def explicit_eval_forward(bundle, x):
+    """Eval-mode forward running standardization and batch norm explicitly,
+    at the running statistics: the oracle for the folded stack."""
+    a = (x - bundle.x_mean) / bundle.x_std
+    for layer in bundle.layers[:-1]:
+        z = a @ layer.w + layer.b
+        bn = layer.bn
+        inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
+        a = np.maximum(bn.scale * ((z - bn.running_mean) * inv_std) + bn.shift, 0.0)
+    last = bundle.layers[-1]
+    return (a @ last.w + last.b)[:, 0]
+
+
+@pytest.fixture(scope="module")
+def trained_rows():
+    rows = synthetic_rows(300, seed=51)
+    bundles = {}
+    for arch in ("ndn", "georesnn"):
+        bundles[arch], _ = train(init_bundle(arch, seed=51), rows[:220], rows[220:],
+                                 TrainConfig(epochs=3, seed=51))
+    return bundles, rows
+
+
+class TestFoldedForward:
+    @pytest.mark.parametrize("arch", ["ndn", "georesnn"])
+    def test_matches_explicit_batch_norm(self, trained_rows, arch):
+        bundles, rows = trained_rows
+        bundle = bundles[arch]
+        x = design_matrix(rows, arch)
+        folded, caches = forward(bundle, x, training=False)
+        oracle = explicit_eval_forward(bundle, x)
+        assert caches is None
+        # Relative to the largest output: an output that crosses zero has
+        # no relative precision of its own.
+        assert np.max(np.abs(folded - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    def test_load_stores_the_fold(self, trained_rows, tmp_path):
+        bundles, rows = trained_rows
+        save_model(bundles["georesnn"], tmp_path / "m.json")
+        loaded = load_model(tmp_path / "m.json")
+        assert loaded.folded is not None
+        x = design_matrix(rows, "georesnn")
+        stored, _ = forward(loaded, x)
+        loaded.folded = None
+        np.testing.assert_array_equal(stored, forward(loaded, x)[0])
+
+    def test_retrained_bundle_predicts_its_new_weights(self, trained_rows, tmp_path):
+        bundles, rows = trained_rows
+        save_model(bundles["georesnn"], tmp_path / "m.json")
+        bundle = load_model(tmp_path / "m.json")
+        points = [s.point for s in rows[220:]]
+        before = predict_vols(bundle, points)
+        bundle, _ = train(bundle, rows[:220], rows[220:], TrainConfig(epochs=1, seed=52))
+        after = predict_vols(bundle, points)
+        assert not np.array_equal(after, before)
+        fresh = copy.copy(bundle)
+        fresh.folded = fold_layers(bundle)
+        np.testing.assert_array_equal(after, predict_vols(fresh, points))
+
+    def test_training_forward_drops_the_fold(self, trained_rows, tmp_path):
+        bundles, rows = trained_rows
+        save_model(bundles["ndn"], tmp_path / "m.json")
+        bundle = load_model(tmp_path / "m.json")
+        forward(bundle, design_matrix(rows[:8], "ndn"), training=True)
+        assert bundle.folded is None
 
 
 class TestLoss:
@@ -383,6 +451,12 @@ class TestSerialization:
         p = rows[0].point
         assert predict_vol(bundle, p) == predict_vol(loaded, p)
 
+    def test_save_of_loaded_model_is_byte_identical(self, trained_rows, tmp_path):
+        bundles, _ = trained_rows
+        save_model(bundles["georesnn"], tmp_path / "a.json")
+        save_model(load_model(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
     def test_saved_twice_byte_identical(self, tmp_path):
         bundle = init_bundle("resnn", seed=42)
         save_model(bundle, tmp_path / "a.json")
@@ -396,3 +470,61 @@ class TestSerialization:
         assert payload["arch"] == "ndn"
         assert payload["target_mode"] == "direct"
         assert payload["manifest"]["init_seed"] == 43
+
+
+
+def _edit(path, value=None, drop=False):
+    def edit(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        if drop:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+    return edit
+
+
+# One fault per model file; load_model must refuse each with ConfigError.
+BROKEN_MODELS = {
+    "no layers": _edit(["layers"], drop=True),
+    "no manifest": _edit(["manifest"], drop=True),
+    "wrong format": _edit(["format"], "sabrkit-model-v0"),
+    "unknown arch": _edit(["arch"], "mlp"),
+    "target mode against arch": _edit(["target_mode"], "direct"),
+    "feature names against arch": _edit(["feature_names"], ["T", "F0", "K", "alpha", "beta", "rho", "nu"]),
+    "unknown bracket": _edit(["hagan_bracket"], "banana"),
+    "shape chain": _edit(["layers", 1, "w"], [[0.0] * 64] * 63),
+    "bias width": _edit(["layers", 0, "b"], [0.0] * 63),
+    "layer sizes": _edit(["layer_sizes"], [11, 64, 64, 1]),
+    "ragged weights": _edit(["layers", 0, "w", 3], [0.0]),
+    "text weight": _edit(["layers", 3, "w", 0], ["x"]),
+    "non-finite weight": _edit(["layers", 2, "w", 0, 0], float("nan")),
+    "batch norm on output": _edit(["layers", 3, "bn"], {"scale": [1.0]}),
+    "hidden layer without batch norm": _edit(["layers", 1, "bn"], None),
+    "batch norm without running_var": _edit(["layers", 2, "bn", "running_var"], drop=True),
+    "negative eps": _edit(["layers", 0, "bn", "eps"], -1e-5),
+    "zero x_std": _edit(["x_std", 4], 0.0),
+    "short x_mean": _edit(["x_mean"], [0.0] * 7),
+}
+
+
+class TestLoadValidation:
+    @pytest.mark.parametrize("fault", sorted(BROKEN_MODELS))
+    def test_broken_model_rejected(self, tmp_path, fault):
+        save_model(init_bundle("georesnn", seed=61), tmp_path / "m.json")
+        payload = json.loads((tmp_path / "m.json").read_text())
+        BROKEN_MODELS[fault](payload)
+        (tmp_path / "m.json").write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="m.json"):
+            load_model(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{not json", "null"])
+    def test_non_model_json_rejected(self, tmp_path, text):
+        (tmp_path / "m.json").write_text(text)
+        with pytest.raises(ConfigError):
+            load_model(tmp_path / "m.json")
+
+    def test_untouched_model_loads(self, tmp_path):
+        save_model(init_bundle("georesnn", seed=61), tmp_path / "m.json")
+        assert load_model(tmp_path / "m.json").arch == "georesnn"
