@@ -47,6 +47,7 @@ __all__ = [
 
 SPLIT_WEIGHTS = (110, 55, 22)
 SPLIT_NAMES = ("train", "val", "test")
+_SPLIT_LABELS = ("none", *SPLIT_NAMES)
 
 CSV_HEADER = [
     "T", "F0", "K", "alpha", "beta", "rho", "nu",
@@ -350,24 +351,56 @@ def save_dataset(
 
 
 def load_dataset(csv_path) -> Dataset:
-    """Read a dataset CSV written by :func:`save_dataset`."""
+    """Read a dataset CSV written by :func:`save_dataset`.
+
+    Each row is checked as it is read: the field count, the numeric fields,
+    the split label, the valid flag, the SABR parameters, and finite values
+    in valid rows. A fault raises a one-line ConfigError naming the file and
+    the line.
+    """
     dataset = Dataset()
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != CSV_HEADER:
-            raise ConfigError(f"unexpected dataset header {header!r}")
+            raise ConfigError(f"{csv_path}: unexpected dataset header {header!r}")
         for i, row in enumerate(reader):
-            vals = [float(x) for x in row[:14]]
-            point = SabrPoint(T=vals[0], F0=vals[1], K=vals[2], alpha=vals[3],
-                              beta=vals[4], rho=vals[5], nu=vals[6])
-            feats = GeomFeatures(q=vals[9], sigma_min=vals[10], d_h=vals[11], sigma0=vals[12])
-            dataset.samples.append(Sample(
-                point=point, sigma_hagan=vals[7], sigma_mc=vals[8], feats=feats,
-                grid_index=vals[13], split=row[14], valid=row[15] == "true",
-                config_index=i // len(GRID_INDICES),
-            ))
+            try:
+                dataset.samples.append(_sample_from_row(row, i))
+            except ConfigError as exc:
+                raise ConfigError(f"{csv_path}: line {reader.line_num}: {exc}") from None
     return dataset
+
+
+def _sample_from_row(row: list[str], i: int) -> Sample:
+    if len(row) != len(CSV_HEADER):
+        raise ConfigError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+    try:
+        vals = [float(x) for x in row[:14]]
+    except ValueError:
+        for name, text in zip(CSV_HEADER, row[:14]):
+            try:
+                float(text)
+            except ValueError:
+                raise ConfigError(f"field {name} is not a number: {text!r}") from None
+    split, valid = row[14], row[15]
+    if split not in _SPLIT_LABELS:
+        raise ConfigError(f"split must be one of {', '.join(_SPLIT_LABELS)}; got {split!r}")
+    if valid not in ("true", "false"):
+        raise ConfigError(f"valid must be true or false, got {valid!r}")
+    if valid == "true" and not all(map(math.isfinite, vals)):
+        raise ConfigError("valid row holds a non-finite value")
+    try:
+        point = SabrPoint(T=vals[0], F0=vals[1], K=vals[2], alpha=vals[3],
+                          beta=vals[4], rho=vals[5], nu=vals[6])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    feats = GeomFeatures(q=vals[9], sigma_min=vals[10], d_h=vals[11], sigma0=vals[12])
+    return Sample(
+        point=point, sigma_hagan=vals[7], sigma_mc=vals[8], feats=feats,
+        grid_index=vals[13], split=split, valid=valid == "true",
+        config_index=i // len(GRID_INDICES),
+    )
 
 
 def generate_dataset(

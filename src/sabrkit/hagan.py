@@ -214,7 +214,10 @@ def hagan_vols(T, F0, K, alpha, beta, rho, nu, bracket: str = "numerator") -> np
 
     z = nu / alpha * fk_pow_half * log_fk
     ratio = 1.0 - 0.5 * rho * z
-    disc = 1.0 - 2.0 * rho * z + z * z
+    # A vanishing alpha can send z*z to inf; the scalar form overflows
+    # silently there too, and both forms give the same result.
+    with np.errstate(over="ignore"):
+        disc = 1.0 - 2.0 * rho * z + z * z
     closed = ~atm & (np.abs(z) >= _Z_SERIES_THRESHOLD)
     domain = closed & (disc < 0.0)
     closed &= ~domain

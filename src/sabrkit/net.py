@@ -14,10 +14,12 @@ Residual architectures return sigma_hagan * (1 + output) from
 :func:`predict_vol`, so an untrained zero network reproduces the closed
 form exactly.
 
-Training runs batch norm explicitly. Inference runs the network as plain
-affine layers (:func:`fold_layers`): standardization folds into the first
-layer and each eval-mode batch norm into its dense layer. :func:`load_model`
-folds once and keeps the result on the bundle.
+Training runs batch norm explicitly and keeps every trainable array as a
+view of one parameter vector, so each optimizer step is a single Adam
+update of that vector. Inference runs the network as plain affine layers
+(:func:`fold_layers`): standardization folds into the first layer and each
+eval-mode batch norm into its dense layer. :func:`load_model` and
+:func:`train` fold once and keep the result on the bundle.
 """
 
 from __future__ import annotations
@@ -122,8 +124,9 @@ class ModelBundle:
     x_std: np.ndarray
     hagan_bracket: str = "numerator"
     manifest: dict = field(default_factory=dict)
-    # The eval-mode network as affine layers, set by load_model and dropped
-    # by training; None means forward folds on every call.
+    # The eval-mode network as affine layers, set by load_model and train and
+    # dropped by a training-mode forward; None means forward folds on every
+    # call.
     folded: list[tuple[np.ndarray, np.ndarray]] | None = field(
         default=None, repr=False, compare=False)
 
@@ -237,14 +240,16 @@ def forward(bundle: ModelBundle, x: np.ndarray, training: bool = False):
     for layer in bundle.layers[:-1]:
         z = a @ layer.w + layer.b
         bn = layer.bn
-        mu = z.mean(axis=0)
-        var = z.var(axis=0)
         n = z.shape[0]
+        mu = z.mean(axis=0)
+        # The arithmetic of z.var(axis=0), with z - mu kept for z_hat.
+        d = z - mu
+        var = (d * d).sum(axis=0) / n
         unbiased = var * n / (n - 1) if n > 1 else var
         bn.running_mean = (1.0 - bn.momentum) * bn.running_mean + bn.momentum * mu
         bn.running_var = (1.0 - bn.momentum) * bn.running_var + bn.momentum * unbiased
         inv_std = 1.0 / np.sqrt(var + bn.eps)
-        z_hat = (z - mu) * inv_std
+        z_hat = d * inv_std
         pre_act = bn.scale * z_hat + bn.shift
         out = np.maximum(pre_act, 0.0)
         caches.append({"x": a, "z_hat": z_hat, "inv_std": inv_std, "mask": pre_act > 0.0})
@@ -259,31 +264,32 @@ def backward(bundle: ModelBundle, caches: list, d_out: np.ndarray) -> list[np.nd
     """Gradients of a scalar objective wrt every trainable array.
 
     ``d_out`` is the objective's gradient per output row. The returned list
-    matches :func:`trainable_params` element by element.
+    matches :func:`trainable_params` element by element. The gradient wrt
+    the network's input is not formed.
     """
     grads: list[np.ndarray] = []
-    last = bundle.layers[-1]
-    cache = caches[-1]
-    d_z = d_out[:, None]
-    grads_last = [cache["x"].T @ d_z, d_z.sum(axis=0)]
-    d_a = d_z @ last.w.T
-    per_layer = [grads_last]
-    for layer, cache in zip(reversed(bundle.layers[:-1]), reversed(caches[:-1])):
+    d_a = d_out[:, None]
+    for i in range(len(bundle.layers) - 1, -1, -1):
+        layer, cache = bundle.layers[i], caches[i]
         bn = layer.bn
-        d_pre = d_a * cache["mask"]
-        d_scale = (d_pre * cache["z_hat"]).sum(axis=0)
-        d_shift = d_pre.sum(axis=0)
-        d_zhat = d_pre * bn.scale
-        n = d_zhat.shape[0]
-        d_z = (cache["inv_std"] / n) * (
-            n * d_zhat
-            - d_zhat.sum(axis=0)
-            - cache["z_hat"] * (d_zhat * cache["z_hat"]).sum(axis=0)
-        )
-        per_layer.append([cache["x"].T @ d_z, d_z.sum(axis=0), d_scale, d_shift])
-        d_a = d_z @ layer.w.T
-    for layer_grads in reversed(per_layer):
-        grads.extend(layer_grads)
+        if bn is None:
+            d_z = d_a
+            layer_grads = [cache["x"].T @ d_z, d_z.sum(axis=0)]
+        else:
+            d_pre = d_a * cache["mask"]
+            d_scale = (d_pre * cache["z_hat"]).sum(axis=0)
+            d_shift = d_pre.sum(axis=0)
+            d_zhat = d_pre * bn.scale
+            n = d_zhat.shape[0]
+            d_z = (cache["inv_std"] / n) * (
+                n * d_zhat
+                - d_zhat.sum(axis=0)
+                - cache["z_hat"] * (d_zhat * cache["z_hat"]).sum(axis=0)
+            )
+            layer_grads = [cache["x"].T @ d_z, d_z.sum(axis=0), d_scale, d_shift]
+        grads[:0] = layer_grads
+        if i:
+            d_a = d_z @ layer.w.T
     return grads
 
 
@@ -295,6 +301,26 @@ def trainable_params(bundle: ModelBundle) -> list[np.ndarray]:
         if layer.bn is not None:
             params.extend([layer.bn.scale, layer.bn.shift])
     return params
+
+
+def _flatten_params(bundle: ModelBundle) -> np.ndarray:
+    """Copy the trainable arrays into one vector, in :func:`trainable_params`
+    order, and rebind each as a reshaped view of it, so that one Adam update
+    of the vector updates them all."""
+    theta = np.concatenate([p.reshape(-1) for p in trainable_params(bundle)])
+    offset = 0
+
+    def view(arr: np.ndarray) -> np.ndarray:
+        nonlocal offset
+        out = theta[offset:offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+        return out
+
+    for layer in bundle.layers:
+        layer.w, layer.b = view(layer.w), view(layer.b)
+        if layer.bn is not None:
+            layer.bn.scale, layer.bn.shift = view(layer.bn.scale), view(layer.bn.shift)
+    return theta
 
 
 def targets(samples, target_mode: str) -> np.ndarray:
@@ -355,7 +381,11 @@ class AdamState:
 
 def adam_step(state: AdamState, params: list[np.ndarray],
               grads: list[np.ndarray], lr: float) -> AdamState:
-    """One bias-corrected Adam update, applied to ``params`` in place."""
+    """One bias-corrected Adam update, applied to ``params`` in place.
+
+    The update is element-wise, so :func:`train` passes its one parameter
+    vector and the gradients concatenated in the same order.
+    """
     state.t += 1
     correct1 = 1.0 - state.beta1**state.t
     correct2 = 1.0 - state.beta2**state.t
@@ -416,11 +446,13 @@ def train(
     val_samples,
     cfg: TrainConfig,
 ) -> tuple[ModelBundle, list[EpochRecord]]:
-    """Fit the bundle; returns it carrying the best-validation weights.
+    """Fit the bundle; returns it carrying the best-validation weights and
+    their folded eval-mode stack.
 
-    Standardization is fitted on the training split only. Batches are
-    reshuffled each epoch from a dedicated seeded generator and the last
-    partial batch is kept, so runs are reproducible given the config seed.
+    Standardization is fitted on the training split only; a feature constant
+    there keeps a unit scale. Batches are reshuffled each epoch from a
+    dedicated seeded generator and the last partial batch is kept, so runs
+    are reproducible given the config seed.
     """
     if not train_samples or not val_samples:
         raise ConfigError("train and validation splits must be non-empty")
@@ -430,10 +462,12 @@ def train(
     y_val = targets(val_samples, bundle.target_mode)
 
     bundle.x_mean = x_train.mean(axis=0)
-    # Constant features (single-tenor toy sets) keep a unit scale.
-    bundle.x_std = np.maximum(x_train.std(axis=0), 1e-12)
+    # Constant features (single-tenor sets) keep a unit scale, so a point
+    # off the constant is not scaled by 1/std.
+    x_std = x_train.std(axis=0)
+    bundle.x_std = np.where(x_std > 1e-12, x_std, 1.0)
 
-    params = trainable_params(bundle)
+    params = [_flatten_params(bundle)]
     adam = AdamState.for_params(params, cfg)
     scheduler = PlateauScheduler(
         lr=cfg.lr0, factor=cfg.plateau_factor, patience=cfg.plateau_patience,
@@ -456,7 +490,7 @@ def train(
             err = pred - y_train[idx]
             sq_sum += float(err @ err)
             grads = backward(bundle, caches, 2.0 * err / err.size)
-            adam_step(adam, params, grads, lr)
+            adam_step(adam, params, [np.concatenate([g.reshape(-1) for g in grads])], lr)
         train_loss = sq_sum / n
         val_pred, _ = forward(bundle, x_val, training=False)
         # Overflow to inf is the divergence signal, not a numerics bug.
@@ -483,6 +517,7 @@ def train(
         "train_rows": len(train_samples),
         "val_rows": len(val_samples),
     })
+    bundle.folded = fold_layers(bundle)
     return bundle, history
 
 

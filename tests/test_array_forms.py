@@ -3,6 +3,7 @@ scalar forms, which are their reference: equal bit for bit on every point,
 and the same exception class when a point leaves the formulas' domain."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,19 @@ def test_failing_points_fail_in_scalar_form():
         hagan_vol(NEGATIVE_WING)
     with pytest.raises(DomainError):
         features(ZERO_GEODESIC)
+
+
+def test_vanishing_alpha_overflows_silently():
+    # z ~ 1e290 beside the money, so z*z overflows to inf as in the scalar form.
+    near = [SabrPoint(T=1.0, F0=1.0, K=K, alpha=1e-300, beta=0.5, rho=0.0, nu=0.1)
+            for K in (1.0, math.exp(5e-9))]
+    off = SabrPoint(T=1.0, F0=1.0, K=0.9, alpha=1e-300, beta=0.5, rho=0.0, nu=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(hagan_vols(*columns(near)), [hagan_vol(p) for p in near])
+        for fn in (hagan_vol, lambda p: hagan_vols(*columns([p]))):
+            with pytest.raises(NegativeVol):
+                fn(off)
 
 
 def test_unknown_bracket_rejected():

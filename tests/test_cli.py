@@ -117,6 +117,30 @@ class TestTrainEvaluate:
         assert reports[0].read_bytes() == first
 
 
+# One fault in the first data row of a dataset CSV; train must exit 2.
+BROKEN_ROWS = {
+    "short row": lambda row: row[:13],
+    "non-numeric field": lambda row: row[:3] + ["abc"] + row[4:],
+    "bad split label": lambda row: row[:14] + ["training", row[15]],
+    "bad valid flag": lambda row: row[:15] + ["yes"],
+    "non-finite valid row": lambda row: row[:8] + ["nan"] + row[9:15] + ["true"],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BROKEN_ROWS))
+def test_broken_dataset_exit_2_one_line(small_dataset, tmp_path, capsys, fault):
+    rows = read_csv(small_dataset)
+    rows[1] = BROKEN_ROWS[fault](rows[1])
+    bad = tmp_path / "dataset.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    assert main(["train", "--dataset", str(bad), "--arch", "ndn", "--epochs", "1",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("invalid input:")
+    assert f"{bad}: line 2:" in err
+
+
 class TestPrice:
     def test_zero_residual_model_prints_hagan(self, tmp_path, capsys):
         model = zero_model(tmp_path)

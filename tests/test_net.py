@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sabrkit.datagen import Sample, sample_config, strike_grid
 from sabrkit.errors import ConfigError, Diverged, NonFinite, ShapeMismatch
@@ -26,6 +28,7 @@ from sabrkit.net import (
     predict_vol,
     predict_vols,
     save_model,
+    targets,
     train,
     trainable_params,
 )
@@ -38,13 +41,15 @@ def zero_weights(bundle):
     return bundle
 
 
-def synthetic_rows(n, seed=0, residual_fn=None):
-    """Rows drawn from the generator domain with a controllable residual."""
+def synthetic_rows(n, seed=0, residual_fn=None, tenor=None):
+    """Rows drawn from the generator domain with a controllable residual,
+    at the drawn maturities or all at ``tenor``."""
     rng = np.random.default_rng(seed)
     rows = []
     i = 0
     while len(rows) < n:
         T, F0, alpha, beta, rho, nu = sample_config(rng)
+        T = T if tenor is None else tenor
         for k in strike_grid(F0, alpha, T)[2:9:3]:
             point = SabrPoint(T=T, F0=F0, K=float(k), alpha=alpha, beta=beta,
                               rho=rho, nu=nu)
@@ -387,6 +392,30 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(weight_decay=1e-4)
 
+    def test_single_tenor_predicts_off_it(self):
+        # T is constant in the training split, so it keeps a unit scale and
+        # a point a hundredth of a year off is not scaled by 1/std.
+        rows = synthetic_rows(300, seed=29, tenor=0.25)
+        bundle, _ = train(init_bundle("resnn", seed=29), rows[:220], rows[220:],
+                          TrainConfig(epochs=20, batch_size=32, seed=29))
+        assert bundle.x_std[0] == 1.0
+        off = [SabrPoint(T=0.26, F0=p.F0, K=p.K, alpha=p.alpha, beta=p.beta, rho=p.rho, nu=p.nu)
+               for p in (s.point for s in rows[220:])]
+        ratio = predict_vols(bundle, off) / np.array([hagan_vol(p) for p in off])
+        assert np.all(np.isfinite(ratio))
+        # The fit is loose at 220 rows; unit scale keeps it near the closed
+        # form, where a 1e-12 scale put the vols near 1e8.
+        assert np.median(np.abs(ratio - 1.0)) <= 0.1
+
+    def test_returns_folded_bundle(self, trained_rows):
+        bundles, rows = trained_rows
+        bundle = bundles["georesnn"]
+        assert bundle.folded is not None
+        unfolded = copy.copy(bundle)
+        unfolded.folded = None
+        points = [s.point for s in rows]
+        np.testing.assert_array_equal(predict_vols(bundle, points), predict_vols(unfolded, points))
+
     def test_non_finite_validation_loss_diverges(self):
         rows = synthetic_rows(84, seed=27)
         val = synthetic_rows(12, seed=28)
@@ -394,6 +423,116 @@ class TestTrain:
             s.sigma_mc = 1e200  # squared error overflows to inf
         with pytest.raises(Diverged):
             train(init_bundle("ndn", seed=27), rows, val, TrainConfig(epochs=1, seed=27))
+
+
+def oracle_forward(bundle, x):
+    """Training-mode forward pass with the batch variance from ``z.var``."""
+    bundle.folded = None
+    a = (x - bundle.x_mean) / bundle.x_std
+    caches = []
+    for layer in bundle.layers[:-1]:
+        z = a @ layer.w + layer.b
+        bn = layer.bn
+        mu = z.mean(axis=0)
+        var = z.var(axis=0)
+        n = z.shape[0]
+        unbiased = var * n / (n - 1) if n > 1 else var
+        bn.running_mean = (1.0 - bn.momentum) * bn.running_mean + bn.momentum * mu
+        bn.running_var = (1.0 - bn.momentum) * bn.running_var + bn.momentum * unbiased
+        inv_std = 1.0 / np.sqrt(var + bn.eps)
+        z_hat = (z - mu) * inv_std
+        pre_act = bn.scale * z_hat + bn.shift
+        caches.append((a, z_hat, inv_std, pre_act > 0.0))
+        a = np.maximum(pre_act, 0.0)
+    last = bundle.layers[-1]
+    return (a @ last.w + last.b)[:, 0], caches + [a]
+
+
+def oracle_backward(bundle, caches, d_out):
+    """Gradients per array, in trainable_params order, carrying the input
+    gradient down through every layer."""
+    d_z = d_out[:, None]
+    per_layer = [[caches[-1].T @ d_z, d_z.sum(axis=0)]]
+    d_a = d_z @ bundle.layers[-1].w.T
+    for layer, (x, z_hat, inv_std, mask) in zip(reversed(bundle.layers[:-1]),
+                                                 reversed(caches[:-1])):
+        d_pre = d_a * mask
+        d_zhat = d_pre * layer.bn.scale
+        n = d_zhat.shape[0]
+        d_z = (inv_std / n) * (n * d_zhat - d_zhat.sum(axis=0)
+                               - z_hat * (d_zhat * z_hat).sum(axis=0))
+        per_layer.append([x.T @ d_z, d_z.sum(axis=0), (d_pre * z_hat).sum(axis=0),
+                          d_pre.sum(axis=0)])
+        d_a = d_z @ layer.w.T
+    return [g for layer_grads in reversed(per_layer) for g in layer_grads]
+
+
+def oracle_train(bundle, train_rows, val_rows, cfg):
+    """The training loop with one Adam update per array: the reference for
+    train's single update of its parameter vector."""
+    x_train, y_train = design_matrix(train_rows, bundle.arch), targets(train_rows, bundle.target_mode)
+    x_val, y_val = design_matrix(val_rows, bundle.arch), targets(val_rows, bundle.target_mode)
+    bundle.x_mean = x_train.mean(axis=0)
+    x_std = x_train.std(axis=0)
+    bundle.x_std = np.where(x_std > 1e-12, x_std, 1.0)
+    params = trainable_params(bundle)
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    scheduler = PlateauScheduler(lr=cfg.lr0, factor=cfg.plateau_factor,
+                                 patience=cfg.plateau_patience, rel_threshold=cfg.improve_rtol)
+    shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    best_val, best_epoch, best_layers = math.inf, 0, copy.deepcopy(bundle.layers)
+    lr, t, n = cfg.lr0, 0, len(train_rows)
+    for epoch in range(1, cfg.epochs + 1):
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            pred, caches = oracle_forward(bundle, x_train[idx])
+            err = pred - y_train[idx]
+            grads = oracle_backward(bundle, caches, 2.0 * err / err.size)
+            t += 1
+            correct1, correct2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+            for p, g, m_p, v_p in zip(params, grads, m, v):
+                m_p *= cfg.beta1
+                m_p += (1.0 - cfg.beta1) * g
+                v_p *= cfg.beta2
+                v_p += (1.0 - cfg.beta2) * g * g
+                p -= lr * (m_p / correct1) / (np.sqrt(v_p / correct2) + cfg.eps)
+        val_loss = float(np.mean((forward(bundle, x_val)[0] - y_val) ** 2))
+        lr = scheduler.step(val_loss)
+        if val_loss < best_val:
+            best_val, best_epoch, best_layers = val_loss, epoch, copy.deepcopy(bundle.layers)
+    bundle.layers = best_layers
+    bundle.manifest.update({
+        "train_seed": cfg.seed, "best_epoch": best_epoch, "best_val_loss": best_val,
+        "epochs_run": cfg.epochs, "lr0": cfg.lr0, "batch_size": cfg.batch_size,
+        "train_rows": n, "val_rows": len(val_rows),
+    })
+    return bundle
+
+
+class TestTrainOracle:
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_model_bytes_match_per_array_training(self, arch, tmp_path):
+        rows = synthetic_rows(400, seed=71)
+        cfg = TrainConfig(epochs=3, seed=72)
+        bundle, _ = train(init_bundle(arch, seed=71), rows[:300], rows[300:], cfg)
+        save_model(bundle, tmp_path / "flat.json")
+        save_model(oracle_train(init_bundle(arch, seed=71), rows[:300], rows[300:], cfg),
+                   tmp_path / "oracle.json")
+        assert (tmp_path / "flat.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 64), st.integers(0, 2**32 - 1),
+           st.sampled_from((1e-3, 1.0, 1e3)), st.sampled_from((0.0, 1.0, 1e6)))
+    def test_batch_norm_statistics_match_var(self, rows, width, seed, scale, offset):
+        bundle = init_bundle("ndn", seed=seed, hidden_sizes=(width,))
+        x = offset + scale * np.random.default_rng(seed).normal(size=(rows, 7))
+        _, caches = forward(bundle, x, training=True)
+        _, oracle = oracle_forward(init_bundle("ndn", seed=seed, hidden_sizes=(width,)), x)
+        _, z_hat, inv_std, _ = oracle[0]
+        assert np.array_equal(caches[0]["inv_std"], inv_std)
+        assert np.array_equal(caches[0]["z_hat"], z_hat)
 
 
 class TestPredict:
