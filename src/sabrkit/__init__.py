@@ -19,9 +19,9 @@ from .errors import (
     SabrkitError,
     ShapeMismatch,
 )
-from .geometry import GeomFeatures, HalfPlanePoint, features, geodesic_distance, q_transform, sigma0_leading, sigma_min, to_halfplane
-from .hagan import HaganEval, SabrPoint, hagan_atm, hagan_vol, zx_ratio
+from .geometry import GeomFeatures, features, geodesic_distance, q_transform, sigma0_leading, sigma_min
+from .hagan import SabrPoint, check_params, hagan_atm, hagan_vol, zx_ratio
 from .mc import McConfig, McImpliedVol, PriceEstimate, Terminals, cv_price, mc_implied_vol, simulate_terminals
-from .pricing import BlackInputs, black_price, black_vega, implied_vol, norm_cdf, norm_pdf
+from .pricing import black_price, black_vega, implied_vol, norm_cdf, norm_pdf
 
 __version__ = "0.1.0"

@@ -11,8 +11,10 @@ Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -139,14 +141,29 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
     if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"{args.config}: config file must hold a JSON object")
         explicit = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
+        keys, tokens = [], []
         for key, value in overrides.items():
             flag = "--" + key.replace("_", "-")
-            if flag in explicit:
-                continue
             if not hasattr(args, key):
                 raise ConfigError(f"config file sets unknown option {key!r}")
-            setattr(args, key, value)
+            if flag in explicit or value is None or value is False:
+                continue
+            keys.append(key)
+            tokens += ([flag] if value is True else [flag, *map(str, value)]
+                       if isinstance(value, list) else [f"{flag}={value}"])
+        # The file's values go through each flag's own type and choices.
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                from_file = _build_parser().parse_args([args.command, *tokens])
+        except SystemExit:
+            reason = err.getvalue().split("error: ")[-1].strip()
+            raise ConfigError(f"{args.config}: {reason}") from None
+        for key in keys:
+            setattr(args, key, getattr(from_file, key))
     missing = [name for name in getattr(args, "required", ()) if getattr(args, name) is None]
     if missing:
         flags = ", ".join("--" + m.replace("_", "-") for m in missing)
@@ -161,7 +178,6 @@ def cmd_smile(args) -> int:
     if args.n_strikes < 1 or k_min <= 0 or k_max <= k_min:
         raise ConfigError("need n_strikes >= 1 and 0 < k_min < k_max")
     strikes = np.linspace(k_min, k_max, args.n_strikes)
-    SabrPoint(K=strikes[0], **point_args)  # validates the parameters early
 
     cfg = _mc_config(args, args.seed)
     terminals = simulate_terminals(args.T, args.F0, args.alpha, args.beta,

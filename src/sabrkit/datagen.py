@@ -390,11 +390,8 @@ def _sample_from_row(row: list[str], i: int) -> Sample:
         raise ConfigError(f"valid must be true or false, got {valid!r}")
     if valid == "true" and not all(map(math.isfinite, vals)):
         raise ConfigError("valid row holds a non-finite value")
-    try:
-        point = SabrPoint(T=vals[0], F0=vals[1], K=vals[2], alpha=vals[3],
-                          beta=vals[4], rho=vals[5], nu=vals[6])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    point = SabrPoint(T=vals[0], F0=vals[1], K=vals[2], alpha=vals[3],
+                      beta=vals[4], rho=vals[5], nu=vals[6])
     feats = GeomFeatures(q=vals[9], sigma_min=vals[10], d_h=vals[11], sigma0=vals[12])
     return Sample(
         point=point, sigma_hagan=vals[7], sigma_mc=vals[8], feats=feats,

@@ -108,12 +108,9 @@ def _region_of(sample, mode: str) -> str:
     return "atm"
 
 
-def regional_metrics(test_samples, bundle: ModelBundle, region_mode: str = "grid") -> dict[str, RegionMetrics]:
-    """Accuracy per strike region; raises EmptyRegion when a region has no rows."""
+def _regions(predictions, reference, test_samples, region_mode: str) -> dict[str, RegionMetrics]:
     if region_mode not in ("grid", "moneyness"):
         raise ValueError(f"region_mode must be 'grid' or 'moneyness', got {region_mode!r}")
-    predictions = predict_from_rows(bundle, test_samples)
-    reference = np.array([s.sigma_mc for s in test_samples])
     keys = np.array([_region_of(s, region_mode) for s in test_samples])
     out: dict[str, RegionMetrics] = {}
     for name in REGION_NAMES:
@@ -128,6 +125,12 @@ def regional_metrics(test_samples, bundle: ModelBundle, region_mode: str = "grid
     return out
 
 
+def regional_metrics(test_samples, bundle: ModelBundle, region_mode: str = "grid") -> dict[str, RegionMetrics]:
+    """Accuracy per strike region; raises EmptyRegion when a region has no rows."""
+    reference = np.array([s.sigma_mc for s in test_samples])
+    return _regions(predict_from_rows(bundle, test_samples), reference, test_samples, region_mode)
+
+
 def evaluate_model(bundle: ModelBundle, test_samples, region_mode: str = "grid") -> ModelMetrics:
     """Global and regional metrics for one trained bundle on a test split."""
     predictions = predict_from_rows(bundle, test_samples)
@@ -136,7 +139,7 @@ def evaluate_model(bundle: ModelBundle, test_samples, region_mode: str = "grid")
         arch=bundle.arch,
         r2_global=r2(predictions, reference),
         rmse_rel=rmse_rel(predictions, reference),
-        regions=regional_metrics(test_samples, bundle, region_mode),
+        regions=_regions(predictions, reference, test_samples, region_mode),
         val_loss_final=bundle.manifest.get("best_val_loss"),
         test_rows=len(test_samples),
     )
@@ -200,8 +203,7 @@ def _smile_on_strikes(bundle, mc_cfg, T, F0, alpha, beta, rho, nu, strikes, conf
     failed = 0
     points = [SabrPoint(T=T, F0=F0, K=k, alpha=alpha, beta=beta, rho=rho, nu=nu)
               for k in strikes]
-    predicted = predict_vols(bundle, points) if bundle is not None else [float("nan")] * len(points)
-    for point, model_vol in zip(points, predicted):
+    for point, model_vol in zip(points, predict_vols(bundle, points)):
         try:
             estimate = price_from_terminals(terminals, point.K)
             mc_vol = implied_vol_from_estimate(estimate, T, F0, point.K).sigma
@@ -209,7 +211,7 @@ def _smile_on_strikes(bundle, mc_cfg, T, F0, alpha, beta, rho, nu, strikes, conf
             mc_vol = float("nan")
             failed += 1
         mc_vols.append(mc_vol)
-        hagan_vols.append(hagan_vol(point, bundle.hagan_bracket if bundle else "numerator"))
+        hagan_vols.append(hagan_vol(point, bundle.hagan_bracket))
         model_vols.append(float(model_vol))
     return mc_vols, hagan_vols, model_vols, failed
 

@@ -9,7 +9,8 @@ per strike and is used as an enriched network input.
 
 All quantities are evaluated on the strike manifold, i.e. at F = K.
 :func:`features` takes one point; :func:`features_array` takes columns of
-them and agrees with it bit for bit.
+them and agrees with it bit for bit. The helpers take the values of a
+valid :class:`SabrPoint`, whose construction checks the parameter domain.
 """
 
 from __future__ import annotations
@@ -20,23 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .hagan import ATM_LOG_THRESHOLD, SabrPoint, libm_log, libm_pow
+from .hagan import ATM_LOG_THRESHOLD, BETA_ONE_THRESHOLD, SabrPoint, libm_log, libm_pow
 
 __all__ = [
     "GeomFeatures",
-    "HalfPlanePoint",
     "features",
     "features_array",
     "geodesic_distance",
     "q_transform",
     "sigma0_leading",
     "sigma_min",
-    "to_halfplane",
 ]
-
-# Same switch point as the CEV integral's closed form: below this the
-# power form loses ~1/(1-beta) digits to cancellation.
-_BETA_ONE_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,26 +49,10 @@ class GeomFeatures:
     sigma0: float
 
 
-@dataclass(frozen=True)
-class HalfPlanePoint:
-    """Poincare upper half-plane coordinates (u, v), v > 0."""
-
-    u: float
-    v: float
-
-    def __post_init__(self) -> None:
-        if not self.v > 0.0:
-            raise ValueError(f"v must be positive, got {self.v!r}")
-
-
 def q_transform(F0: float, K: float, beta: float) -> float:
     """CEV-flattened strike coordinate, the integral of f^(-beta) from F0 to K."""
-    if F0 <= 0.0 or K <= 0.0:
-        raise ValueError("F0 and K must be positive")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
     omb = 1.0 - beta
-    if omb < _BETA_ONE_THRESHOLD:
+    if omb < BETA_ONE_THRESHOLD:
         return math.log(K / F0)
     return (K**omb - F0**omb) / omb
 
@@ -84,10 +63,6 @@ def sigma_min(alpha: float, rho: float, q: float) -> float:
     Closed form sqrt(alpha^2 + 2*rho*alpha*q + q^2); bounded below by
     alpha*sqrt(1-rho^2).
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    if abs(rho) > 0.95:
-        raise ValueError(f"rho must lie in [-0.95, 0.95], got {rho!r}")
     return math.sqrt(alpha * alpha + 2.0 * rho * alpha * q + q * q)
 
 
@@ -144,7 +119,7 @@ def features_array(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
     log_kf = libm_log(K / F0)
     atm = np.abs(log_kf) < ATM_LOG_THRESHOLD
     omb = 1.0 - beta
-    lognormal = omb < _BETA_ONE_THRESHOLD
+    lognormal = omb < BETA_ONE_THRESHOLD
     power = np.where(lognormal, 1.0, omb)
     q = np.where(lognormal, log_kf, (libm_pow(K, power) - libm_pow(F0, power)) / power)
     smin = np.sqrt(alpha * alpha + 2.0 * rho * alpha * q + q * q)
@@ -162,12 +137,3 @@ def features_array(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
     sigma0[off] = log_kf[off] / d_h[off]
     sigma0[atm] = alpha[atm] * libm_pow(F0[atm], beta[atm] - 1.0)
     return np.column_stack((q, smin, d_h, sigma0))
-
-
-def to_halfplane(q: float, sigma: float, rho: float) -> HalfPlanePoint:
-    """Rotate flattened coordinates (q, sigma) into half-plane coordinates."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    if abs(rho) > 0.95:
-        raise ValueError(f"rho must lie in [-0.95, 0.95], got {rho!r}")
-    return HalfPlanePoint(u=(q - rho * sigma) / math.sqrt(1.0 - rho * rho), v=sigma)

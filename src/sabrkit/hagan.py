@@ -5,8 +5,10 @@ multiplies by {1 + (1-b)^2/24 ln^2 + (1-b)^4/1920 ln^4} and
 ``"denominator"`` divides by it. Both appear in the literature; the
 numerator form is the package default.
 
-:func:`hagan_vol` prices one :class:`SabrPoint`; :func:`hagan_vols` prices
-columns of them at once and agrees with it bit for bit.
+:func:`check_params` is the one check of the SABR parameter domain; the
+other functions take the values of a valid :class:`SabrPoint`.
+:func:`hagan_vol` prices one point; :func:`hagan_vols` prices columns of
+them at once and agrees with it bit for bit.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NegativeVol
+from .errors import ConfigError, DomainError, NegativeVol
 
 __all__ = [
     "BRACKET_MODES",
-    "HaganEval",
     "SabrPoint",
+    "check_params",
     "hagan_atm",
     "hagan_vol",
     "hagan_vols",
@@ -38,8 +40,10 @@ ATM_LOG_THRESHOLD = 1e-8
 _Z_SERIES_THRESHOLD = 1e-6
 
 # Powers of (1 - beta) are treated as exactly zero beyond this point, so the
-# lognormal edge case never sees spurious (F0*K)^eps factors.
-_BETA_ONE_THRESHOLD = 1e-9
+# lognormal edge case never sees spurious (F0*K)^eps factors; the CEV
+# integral in geometry takes its log form here, as the power form loses
+# ~1/(1-beta) digits to cancellation.
+BETA_ONE_THRESHOLD = 1e-9
 
 # numpy's SIMD log and pow differ from the C library's by about an ulp, and
 # cancellations such as (K^(1-b) - F0^(1-b))/(1-b) amplify that to 2e-13.
@@ -60,6 +64,21 @@ def libm_pow(x: np.ndarray, y) -> np.ndarray:
     return _pow(x, y).astype(float)
 
 
+def check_params(T, F0, alpha, beta, rho, nu, K=None) -> None:
+    """Raise ConfigError outside the SABR domain (Hagan et al. 2002): T, F0,
+    alpha and K (if given) finite and > 0, 0 <= beta <= 1, |rho| <= 0.95,
+    nu finite and >= 0. NaN fails every bound."""
+    for name, v in (("T", T), ("F0", F0), ("alpha", alpha), ("K", 1.0 if K is None else K)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ConfigError(f"{name} must be finite and positive, got {v!r}")
+    if not 0.0 <= beta <= 1.0:
+        raise ConfigError(f"beta must lie in [0, 1], got {beta!r}")
+    if not abs(rho) <= 0.95:
+        raise ConfigError(f"rho must lie in [-0.95, 0.95], got {rho!r}")
+    if not (math.isfinite(nu) and nu >= 0.0):
+        raise ConfigError(f"nu must be finite and >= 0, got {nu!r}")
+
+
 @dataclass(frozen=True)
 class SabrPoint:
     """One SABR pricing configuration (T, F0, K, alpha, beta, rho, nu)."""
@@ -73,28 +92,7 @@ class SabrPoint:
     nu: float
 
     def __post_init__(self) -> None:
-        for name in ("T", "F0", "K", "alpha", "beta", "rho", "nu"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-        if self.T <= 0 or self.F0 <= 0 or self.K <= 0 or self.alpha <= 0:
-            raise ValueError("T, F0, K and alpha must be positive")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta!r}")
-        if abs(self.rho) > 0.95:
-            raise ValueError(f"rho must lie in [-0.95, 0.95], got {self.rho!r}")
-        if self.nu < 0.0:
-            raise ValueError(f"nu must be >= 0, got {self.nu!r}")
-
-
-@dataclass(frozen=True)
-class HaganEval:
-    """Intermediate quantities of one smile evaluation, kept for diagnostics."""
-
-    z: float
-    x_of_z: float
-    ratio: float
-    sigma: float
+        check_params(self.T, self.F0, self.alpha, self.beta, self.rho, self.nu, K=self.K)
 
 
 def zx_ratio(z: float, rho: float) -> float:
@@ -104,8 +102,6 @@ def zx_ratio(z: float, rho: float) -> float:
     cancels catastrophically, so the first-order expansion
     z/x(z) = 1 - rho*z/2 + O(z^2) is used there.
     """
-    if abs(rho) > 0.95:
-        raise ValueError(f"rho must lie in [-0.95, 0.95], got {rho!r}")
     if abs(z) < _Z_SERIES_THRESHOLD:
         return 1.0 - 0.5 * rho * z
     disc = 1.0 - 2.0 * rho * z + z * z
@@ -117,7 +113,7 @@ def zx_ratio(z: float, rho: float) -> float:
 
 def _one_minus_beta(beta: float) -> float:
     omb = 1.0 - beta
-    return 0.0 if omb < _BETA_ONE_THRESHOLD else omb
+    return 0.0 if omb < BETA_ONE_THRESHOLD else omb
 
 
 def _maturity_bracket(p: SabrPoint, fk_pow_1mb: float, fk_pow_half: float) -> float:
@@ -149,16 +145,11 @@ def hagan_vol(p: SabrPoint, bracket: str = "numerator") -> float:
     Dispatches to :func:`hagan_atm` when |ln(F0/K)| < 1e-8 so the ATM point
     is evaluated with the exact reduced formula rather than a 0/0 limit.
     """
-    return hagan_eval(p, bracket).sigma
-
-
-def hagan_eval(p: SabrPoint, bracket: str = "numerator") -> HaganEval:
-    """Like :func:`hagan_vol` but also returns z, x(z) and z/x(z)."""
     if bracket not in BRACKET_MODES:
         raise ValueError(f"bracket must be one of {BRACKET_MODES}, got {bracket!r}")
     log_fk = math.log(p.F0 / p.K)
     if abs(log_fk) < ATM_LOG_THRESHOLD:
-        return HaganEval(z=0.0, x_of_z=0.0, ratio=1.0, sigma=hagan_atm(p))
+        return hagan_atm(p)
 
     omb = _one_minus_beta(p.beta)
     if omb > 0.0:
@@ -170,7 +161,6 @@ def hagan_eval(p: SabrPoint, bracket: str = "numerator") -> HaganEval:
 
     z = p.nu / p.alpha * fk_pow_half * log_fk
     ratio = zx_ratio(z, p.rho)
-    x_of_z = z / ratio if ratio != 0.0 else 0.0
 
     log2 = log_fk * log_fk
     moneyness_bracket = 1.0 + omb * omb / 24.0 * log2 + omb**4 / 1920.0 * log2 * log2
@@ -183,7 +173,7 @@ def hagan_eval(p: SabrPoint, bracket: str = "numerator") -> HaganEval:
     sigma = core * ratio * _maturity_bracket(p, fk_pow_1mb, fk_pow_half)
     if sigma <= 0.0:
         raise NegativeVol(f"smile formula returned nonpositive vol {sigma!r}")
-    return HaganEval(z=z, x_of_z=x_of_z, ratio=ratio, sigma=sigma)
+    return sigma
 
 
 def hagan_vols(T, F0, K, alpha, beta, rho, nu, bracket: str = "numerator") -> np.ndarray:
@@ -201,7 +191,7 @@ def hagan_vols(T, F0, K, alpha, beta, rho, nu, bracket: str = "numerator") -> np
     log_fk = libm_log(F0 / K)
     atm = np.abs(log_fk) < ATM_LOG_THRESHOLD
     omb = 1.0 - beta
-    omb = np.where(omb < _BETA_ONE_THRESHOLD, 0.0, omb)
+    omb = np.where(omb < BETA_ONE_THRESHOLD, 0.0, omb)
     # pow(x, 0) == 1 exactly, which is the beta ~ 1 branch's value.
     f_pow_1mb = libm_pow(F0, omb)
     fk = F0 * K

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonFinite
-from .hagan import SabrPoint
+from .hagan import SabrPoint, check_params
 from .pricing import black_price, black_vega, implied_vol
 
 __all__ = [
@@ -113,18 +113,6 @@ class Terminals:
     f_black: np.ndarray
 
 
-def _validate_params(T, F0, alpha, beta, rho, nu) -> None:
-    for name, v in (("T", T), ("F0", F0), ("alpha", alpha)):
-        if not math.isfinite(v) or v <= 0.0:
-            raise ConfigError(f"{name} must be finite and positive, got {v!r}")
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError(f"beta must lie in [0, 1], got {beta!r}")
-    if abs(rho) > 0.95:
-        raise ConfigError(f"rho must lie in [-0.95, 0.95], got {rho!r}")
-    if not math.isfinite(nu) or nu < 0.0:
-        raise ConfigError(f"nu must be finite and >= 0, got {nu!r}")
-
-
 def simulate_terminals(
     T: float,
     F0: float,
@@ -140,9 +128,10 @@ def simulate_terminals(
     Euler steps with full truncation for the SABR forward (F^beta taken on
     max(F, 0), absorption at zero for beta < 1); the volatility factor is
     either stepped in log space, which is exact in distribution for the
-    lognormal vol, or with the plain Euler recursion.
+    lognormal vol, or with the plain Euler recursion. Parameters outside
+    the SABR domain raise ConfigError from :func:`check_params`.
     """
-    _validate_params(T, F0, alpha, beta, rho, nu)
+    check_params(T, F0, alpha, beta, rho, nu)
     n_steps = cfg.n_steps(T)
     dt = T / n_steps
     sqrt_dt = math.sqrt(dt)

@@ -80,7 +80,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    weight_decay: float = 0.0
     batch_size: int = 128
     epochs: int = 100
     plateau_factor: float = 0.5
@@ -93,8 +92,6 @@ class TrainConfig:
             raise ConfigError("lr0, batch_size and epochs must be positive")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ConfigError("Adam betas must lie in (0, 1)")
-        if self.weight_decay != 0.0:
-            raise ConfigError("weight decay is not part of the training protocol")
 
 
 @dataclass
@@ -363,40 +360,37 @@ def design_matrix(samples, arch: str) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     beta1: float
     beta2: float
     eps: float
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], cfg: TrainConfig) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
-        )
+    def for_params(cls, theta: np.ndarray, cfg: TrainConfig) -> "AdamState":
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta),
+                   beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
 
 
-def adam_step(state: AdamState, params: list[np.ndarray],
-              grads: list[np.ndarray], lr: float) -> AdamState:
-    """One bias-corrected Adam update, applied to ``params`` in place.
+def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray,
+              lr: float) -> AdamState:
+    """One bias-corrected Adam update, applied to ``theta`` in place.
 
-    The update is element-wise, so :func:`train` passes its one parameter
-    vector and the gradients concatenated in the same order.
+    :func:`train` passes its one parameter vector and the gradients
+    concatenated in the same order.
     """
+    if not np.all(np.isfinite(grad)):
+        raise NonFinite("non-finite gradient")
     state.t += 1
     correct1 = 1.0 - state.beta1**state.t
     correct2 = 1.0 - state.beta2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if not np.all(np.isfinite(g)):
-            raise NonFinite("non-finite gradient")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grad * grad
+    theta -= lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
     return state
 
 
@@ -467,8 +461,8 @@ def train(
     x_std = x_train.std(axis=0)
     bundle.x_std = np.where(x_std > 1e-12, x_std, 1.0)
 
-    params = [_flatten_params(bundle)]
-    adam = AdamState.for_params(params, cfg)
+    theta = _flatten_params(bundle)
+    adam = AdamState.for_params(theta, cfg)
     scheduler = PlateauScheduler(
         lr=cfg.lr0, factor=cfg.plateau_factor, patience=cfg.plateau_patience,
         rel_threshold=cfg.improve_rtol,
@@ -490,7 +484,7 @@ def train(
             err = pred - y_train[idx]
             sq_sum += float(err @ err)
             grads = backward(bundle, caches, 2.0 * err / err.size)
-            adam_step(adam, params, [np.concatenate([g.reshape(-1) for g in grads])], lr)
+            adam_step(adam, theta, np.concatenate([g.reshape(-1) for g in grads]), lr)
         train_loss = sq_sum / n
         val_pred, _ = forward(bundle, x_val, training=False)
         # Overflow to inf is the divergence signal, not a numerics bug.

@@ -8,14 +8,12 @@ quadratic convergence of Newton while never leaving a valid bracket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoConvergence, PriceOutOfBounds
 
 __all__ = [
-    "BlackInputs",
     "black_price",
     "black_vega",
     "implied_vol",
@@ -61,24 +59,6 @@ def _validate_tfk(T: float, F0: float, K: float) -> None:
     for name, v in (("T", T), ("F0", F0), ("K", K)):
         if not math.isfinite(v) or v <= 0.0:
             raise ValueError(f"{name} must be finite and positive, got {v!r}")
-
-
-@dataclass(frozen=True)
-class BlackInputs:
-    """One Black pricing configuration (undiscounted forward call)."""
-
-    T: float
-    F0: float
-    K: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        _validate_tfk(self.T, self.F0, self.K)
-        if not math.isfinite(self.sigma) or self.sigma < 0.0:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
-
-    def price(self) -> float:
-        return black_price(self.T, self.F0, self.K, self.sigma)
 
 
 def black_price(T: float, F0: float, K: float, sigma: float) -> float:

@@ -18,7 +18,7 @@ import pytest
 
 from sabrkit.datagen import build_dataset, filter_outliers, sample_config, split_dataset, strike_grid
 from sabrkit.evaluation import latency_bench, r2
-from sabrkit.geometry import features, geodesic_distance, q_transform, sigma_min, to_halfplane
+from sabrkit.geometry import features, geodesic_distance, q_transform, sigma_min
 from sabrkit.hagan import SabrPoint, hagan_atm, hagan_vol
 from sabrkit.mc import (
     McConfig,
@@ -41,6 +41,8 @@ from sabrkit.net import (
     trainable_params,
 )
 from sabrkit.pricing import black_price, black_vega, implied_vol
+
+from halfplane import to_halfplane
 
 WIDE = dict(T=1.0, F0=1.0, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
 

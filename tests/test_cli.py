@@ -124,6 +124,7 @@ BROKEN_ROWS = {
     "bad split label": lambda row: row[:14] + ["training", row[15]],
     "bad valid flag": lambda row: row[:15] + ["yes"],
     "non-finite valid row": lambda row: row[:8] + ["nan"] + row[9:15] + ["true"],
+    "rho out of domain": lambda row: row[:5] + ["0.99"] + row[6:],
 }
 
 
@@ -187,6 +188,21 @@ class TestConfigOverlay:
         assert manifest["rows"] == 55
         assert manifest["sample_seed"] == 10  # flag beats config file
         assert manifest["mc_config"]["paths"] == 2000
+
+    @pytest.mark.parametrize("payload, argv", [
+        ([5, 2000], ["generate", "--out", "OUT"]),
+        ({"paths": "abc"}, ["generate", "--configs", "2", "--out", "OUT"]),
+        ({"epochs": "x"}, ["train", "--dataset", "d.csv", "--arch", "ndn", "--out", "OUT"]),
+        ({"cv_vol": "paper_alpha"}, ["generate", "--configs", "2", "--out", "OUT"]),
+    ], ids=["top-level list", "wrong-typed paths", "wrong-typed epochs", "bad choice"])
+    def test_bad_config_file_exit_2_one_line(self, tmp_path, capsys, payload, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), *[str(out) if a == "OUT" else a for a in argv]]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("invalid input:")
+        assert not out.exists()
 
 
 class TestBench:

@@ -10,9 +10,10 @@ from sabrkit.geometry import (
     q_transform,
     sigma0_leading,
     sigma_min,
-    to_halfplane,
 )
 from sabrkit.hagan import SabrPoint
+
+from halfplane import to_halfplane
 
 
 def hyp_dist(u1, v1, u2, v2):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sabrkit.datagen import sample_config, strike_grid
 from sabrkit.errors import ConfigError, NonFinite, PriceOutOfBounds
@@ -51,6 +53,34 @@ class TestConfig:
             simulate_terminals(1.0, 1.0, 0.2, 1.5, 0.0, 0.0, cfg)
         with pytest.raises(ConfigError):
             simulate_terminals(1.0, 1.0, 0.2, 0.5, 0.0, -0.1, cfg)
+
+    def test_nan_rho_rejected(self):
+        with pytest.raises(ConfigError):
+            simulate_terminals(1.0, 1.0, 0.2, 0.5, float("nan"), 0.3, McConfig(paths=1000))
+
+
+def param(lo, hi, *edges):
+    """Finite values in [lo, hi], the domain's edges, and non-finite ones."""
+    return st.one_of(st.floats(lo, hi),
+                     st.sampled_from((math.nan, math.inf, -math.inf, 0.0, *edges)))
+
+
+def rejects(fn) -> bool:
+    try:
+        with np.errstate(all="ignore"):
+            fn()
+    except ConfigError:
+        return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(param(-1.0, 2.0), param(-1.0, 5.0), param(-1.0, 1.0), param(-0.5, 1.5, 1.0),
+       param(-1.5, 1.5, 0.95, -0.95), param(-1.0, 3.0))
+def test_point_and_simulation_share_one_domain(T, F0, alpha, beta, rho, nu):
+    cfg = McConfig(paths=1000)
+    assert (rejects(lambda: SabrPoint(T=T, F0=F0, K=1.0, alpha=alpha, beta=beta, rho=rho, nu=nu))
+            == rejects(lambda: simulate_terminals(T, F0, alpha, beta, rho, nu, cfg)))
 
 
 class TestDegenerate:

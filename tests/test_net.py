@@ -215,32 +215,32 @@ class TestLoss:
 
 class TestAdam:
     def test_first_step_magnitude(self):
-        params = [np.zeros(3)]
-        state = AdamState.for_params(params, TrainConfig())
-        adam_step(state, params, [np.ones(3)], lr=0.004)
-        assert np.allclose(params[0], -0.004, atol=1e-8)
+        theta = np.zeros(3)
+        state = AdamState.for_params(theta, TrainConfig())
+        adam_step(state, theta, np.ones(3), lr=0.004)
+        assert np.allclose(theta, -0.004, atol=1e-8)
 
     def test_zero_gradient_no_change(self):
-        params = [np.full(4, 1.5)]
-        state = AdamState.for_params(params, TrainConfig())
-        adam_step(state, params, [np.zeros(4)], lr=0.004)
-        np.testing.assert_array_equal(params[0], np.full(4, 1.5))
+        theta = np.full(4, 1.5)
+        state = AdamState.for_params(theta, TrainConfig())
+        adam_step(state, theta, np.zeros(4), lr=0.004)
+        np.testing.assert_array_equal(theta, np.full(4, 1.5))
 
     def test_repeated_gradient_stable_step(self):
-        params = [np.zeros(1)]
-        state = AdamState.for_params(params, TrainConfig())
-        adam_step(state, params, [np.ones(1)], lr=0.004)
-        first = abs(params[0][0] - 0.0)
-        before = params[0][0]
-        adam_step(state, params, [np.ones(1)], lr=0.004)
-        second = abs(params[0][0] - before)
+        theta = np.zeros(1)
+        state = AdamState.for_params(theta, TrainConfig())
+        adam_step(state, theta, np.ones(1), lr=0.004)
+        first = abs(theta[0] - 0.0)
+        before = theta[0]
+        adam_step(state, theta, np.ones(1), lr=0.004)
+        second = abs(theta[0] - before)
         assert second <= first * 1.05
 
     def test_non_finite_gradient_raises(self):
-        params = [np.zeros(2)]
-        state = AdamState.for_params(params, TrainConfig())
+        theta = np.zeros(2)
+        state = AdamState.for_params(theta, TrainConfig())
         with pytest.raises(NonFinite):
-            adam_step(state, params, [np.array([1.0, np.nan])], lr=0.004)
+            adam_step(state, theta, np.array([1.0, np.nan]), lr=0.004)
 
 
 class TestScheduler:
@@ -387,10 +387,6 @@ class TestTrain:
         rows = synthetic_rows(20, seed=26)
         with pytest.raises(ConfigError):
             train(init_bundle("ndn"), rows, [], TrainConfig(epochs=1))
-
-    def test_weight_decay_unsupported(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(weight_decay=1e-4)
 
     def test_single_tenor_predicts_off_it(self):
         # T is constant in the training split, so it keeps a unit scale and

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from sabrkit.errors import PriceOutOfBounds
 from sabrkit.pricing import (
-    BlackInputs,
     black_price,
     black_vega,
     implied_vol,
@@ -142,12 +141,6 @@ class TestBlackPrice:
         kwargs.update(bad)
         with pytest.raises(ValueError):
             black_price(**kwargs)
-
-    def test_inputs_dataclass_validates_and_prices(self):
-        inp = BlackInputs(T=1.0, F0=1.0, K=1.0, sigma=0.2)
-        assert inp.price() == black_price(1.0, 1.0, 1.0, 0.2)
-        with pytest.raises(ValueError):
-            BlackInputs(T=1.0, F0=-1.0, K=1.0, sigma=0.2)
 
 
 class TestImpliedVol:
