@@ -3,7 +3,8 @@
 Subcommands: smile, generate, train, evaluate, price, bench. Every run is
 reproducible from its flags; artifacts carry the seeds and configuration
 used to produce them. A JSON config file can pre-set any long flag
-(--config file); explicitly passed flags win over file values.
+(--config file); explicitly passed flags win over file values. Flags are
+spelled in full; argparse's prefix matching is off.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 """
@@ -70,12 +71,15 @@ def _mc_config(args: argparse.Namespace, seed: int) -> McConfig:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sabrkit")
+    # No abbreviated flags: the config-file overlay finds the explicit ones
+    # by their full spelling.
+    parser = argparse.ArgumentParser(prog="sabrkit", allow_abbrev=False)
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file of flag defaults; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("smile", help="analytic vs Monte Carlo smile for one configuration")
+    p = sub.add_parser("smile", allow_abbrev=False,
+                       help="analytic vs Monte Carlo smile for one configuration")
     _add_sabr_flags(p)
     _add_mc_flags(p, default_paths=1_000_000)
     p.add_argument("--k-min", type=float, default=None, help="default 0.5*F0")
@@ -88,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # Options marked required are validated after the config-file overlay,
     # so a config file may supply them too.
-    p = sub.add_parser("generate", help="build a supervised dataset")
+    p = sub.add_parser("generate", allow_abbrev=False, help="build a supervised dataset")
     _add_mc_flags(p, default_paths=100_000)
     p.add_argument("--configs", type=int, default=None)
     p.add_argument("--seed", type=int, default=42)
@@ -99,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_generate, required=("configs", "out"))
 
-    p = sub.add_parser("train", help="train one architecture on a dataset")
+    p = sub.add_parser("train", allow_abbrev=False, help="train one architecture on a dataset")
     p.add_argument("--dataset", type=str, default=None)
     p.add_argument("--arch", choices=sorted(net.ARCHS), default=None)
     p.add_argument("--epochs", type=int, default=100)
@@ -110,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_train, required=("dataset", "arch", "out"))
 
-    p = sub.add_parser("evaluate", help="metrics report for trained models")
+    p = sub.add_parser("evaluate", allow_abbrev=False, help="metrics report for trained models")
     p.add_argument("--models", type=str, nargs="+", default=None)
     p.add_argument("--dataset", type=str, default=None)
     _add_mc_flags(p, default_paths=200_000)
@@ -122,13 +126,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_evaluate, required=("models", "dataset", "out"))
 
-    p = sub.add_parser("price", help="one corrected implied vol to stdout")
+    p = sub.add_parser("price", allow_abbrev=False, help="one corrected implied vol to stdout")
     p.add_argument("--model", type=str, default=None)
     _add_sabr_flags(p)
     p.add_argument("--K", type=float, default=None)
     p.set_defaults(func=cmd_price, required=("model", "K"))
 
-    p = sub.add_parser("bench", help="inference latency and speed-up vs Monte Carlo")
+    p = sub.add_parser("bench", allow_abbrev=False,
+                       help="inference latency and speed-up vs Monte Carlo")
     p.add_argument("--model", type=str, default=None)
     p.add_argument("--points", type=int, default=10_000)
     _add_mc_flags(p, default_paths=100_000)

@@ -338,7 +338,8 @@ def save_dataset(
         "sample_seed": sample_seed,
         "split_seed": split_seed,
         "hagan_bracket": hagan_bracket,
-        "mc_config": asdict(mc_cfg) if mc_cfg is not None else None,
+        "mc_config": None if mc_cfg is None else {
+            **asdict(mc_cfg), "min_steps": mc_cfg.min_steps, "block_size": mc_cfg.block_size},
         "buckets": [asdict(b) for b in BUCKETS],
         "tenor_year_fractions": {t: year_fraction(t) for t in DEFAULT_MATS},
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

@@ -32,7 +32,6 @@ __all__ = [
     "latency_bench",
     "maturity_sweep",
     "r2",
-    "regional_metrics",
     "rmse_rel",
     "stress_suite",
 ]
@@ -125,14 +124,9 @@ def _regions(predictions, reference, test_samples, region_mode: str) -> dict[str
     return out
 
 
-def regional_metrics(test_samples, bundle: ModelBundle, region_mode: str = "grid") -> dict[str, RegionMetrics]:
-    """Accuracy per strike region; raises EmptyRegion when a region has no rows."""
-    reference = np.array([s.sigma_mc for s in test_samples])
-    return _regions(predict_from_rows(bundle, test_samples), reference, test_samples, region_mode)
-
-
 def evaluate_model(bundle: ModelBundle, test_samples, region_mode: str = "grid") -> ModelMetrics:
-    """Global and regional metrics for one trained bundle on a test split."""
+    """Global and per-region metrics for one trained bundle on a test split;
+    raises EmptyRegion when a strike region has no rows."""
     predictions = predict_from_rows(bundle, test_samples)
     reference = np.array([s.sigma_mc for s in test_samples])
     return ModelMetrics(

@@ -73,16 +73,22 @@ def geodesic_distance(alpha: float, rho: float, q: float) -> float:
     q = 0, negative for q < 0. The magnitude equals the half-plane
     distance between (0, alpha) and (q, sigma_min).
     """
-    smin = sigma_min(alpha, rho, q)
+    return _distance(alpha, rho, q, sigma_min(alpha, rho, q))
+
+
+def _distance(alpha: float, rho: float, q: float, smin: float) -> float:
     arg = (smin + rho * alpha + q) / ((1.0 + rho) * alpha)
     if arg <= 0.0:
         raise DomainError(f"geodesic log argument {arg!r} <= 0 at q={q!r}")
     return math.log(arg)
 
 
-def sigma0_leading(p: SabrPoint, q: float, d_h: float) -> float:
+def sigma0_leading(p: SabrPoint, d_h: float) -> float:
     """Leading-order implied vol ln(K/F0)/d_h, with ATM limit alpha*F0^(beta-1)."""
-    log_kf = math.log(p.K / p.F0)
+    return _sigma0(p, math.log(p.K / p.F0), d_h)
+
+
+def _sigma0(p: SabrPoint, log_kf: float, d_h: float) -> float:
     if abs(log_kf) < ATM_LOG_THRESHOLD:
         return p.alpha * p.F0 ** (p.beta - 1.0)
     if d_h == 0.0:
@@ -91,19 +97,14 @@ def sigma0_leading(p: SabrPoint, q: float, d_h: float) -> float:
 
 
 def features(p: SabrPoint) -> GeomFeatures:
-    """Full feature quadruple for one pricing configuration."""
+    """Full feature quadruple for one pricing configuration; sigma_min and
+    ln(K/F0) are evaluated once each."""
     q = q_transform(p.F0, p.K, p.beta)
     smin = sigma_min(p.alpha, p.rho, q)
-    if abs(math.log(p.K / p.F0)) < ATM_LOG_THRESHOLD:
-        # Exact ATM values; the generic path would divide 0 by 0.
-        return GeomFeatures(
-            q=q,
-            sigma_min=smin,
-            d_h=0.0,
-            sigma0=p.alpha * p.F0 ** (p.beta - 1.0),
-        )
-    d_h = geodesic_distance(p.alpha, p.rho, q)
-    return GeomFeatures(q=q, sigma_min=smin, d_h=d_h, sigma0=sigma0_leading(p, q, d_h))
+    log_kf = math.log(p.K / p.F0)
+    # At the money d_h is exactly 0; the generic path would divide 0 by 0.
+    d_h = 0.0 if abs(log_kf) < ATM_LOG_THRESHOLD else _distance(p.alpha, p.rho, q, smin)
+    return GeomFeatures(q=q, sigma_min=smin, d_h=d_h, sigma0=_sigma0(p, log_kf, d_h))
 
 
 def features_array(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:

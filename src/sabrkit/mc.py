@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,7 +36,6 @@ __all__ = [
     "Terminals",
     "cv_price",
     "mc_implied_vol",
-    "plain_price_from_terminals",
     "price_from_terminals",
     "simulate_terminals",
 ]
@@ -50,28 +50,29 @@ class McConfig:
 
     ``sigma_bar`` is derived from ``cv_vol_mode``: the initial vol alpha, or
     alpha*F0^(beta-1) which matches the at-the-money lognormal level and
-    couples better when beta < 1 and F0 is far from 1.
+    couples better when beta < 1 and F0 is far from 1. Every maturity gets
+    at least ``min_steps`` steps, and paths are drawn in blocks of
+    ``block_size``, each block from its own stream.
     """
+
+    min_steps: ClassVar[int] = 10
+    block_size: ClassVar[int] = 4096
 
     paths: int = 100_000
     steps_per_year: int = 50
-    min_steps: int = 10
     cv_vol_mode: str = "paper_alpha"
     sigma_scheme: str = "log_exact"
     base_seed: int = 42
-    block_size: int = 4096
 
     def __post_init__(self) -> None:
         if self.paths < 1000:
             raise ConfigError(f"paths must be >= 1000, got {self.paths!r}")
-        if self.steps_per_year < 1 or self.min_steps < 1:
-            raise ConfigError("steps_per_year and min_steps must be >= 1")
+        if self.steps_per_year < 1:
+            raise ConfigError("steps_per_year must be >= 1")
         if self.cv_vol_mode not in CV_VOL_MODES:
             raise ConfigError(f"cv_vol_mode must be one of {CV_VOL_MODES}")
         if self.sigma_scheme not in SIGMA_SCHEMES:
             raise ConfigError(f"sigma_scheme must be one of {SIGMA_SCHEMES}")
-        if self.block_size < 1:
-            raise ConfigError("block_size must be >= 1")
 
     def n_steps(self, T: float) -> int:
         return max(self.min_steps, math.ceil(self.steps_per_year * T))
@@ -186,16 +187,6 @@ def price_from_terminals(terminals: Terminals, K: float) -> PriceEstimate:
     price = float(diffs.mean()) + anchor
     std_error = float(diffs.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
     return PriceEstimate(price=price, std_error=std_error, paths_used=n)
-
-
-def plain_price_from_terminals(terminals: Terminals, K: float) -> PriceEstimate:
-    """Plain Monte Carlo call price, no variance reduction (for comparisons)."""
-    payoff = np.maximum(terminals.f_sabr - K, 0.0)
-    if not np.all(np.isfinite(payoff)):
-        raise NonFinite("non-finite payoff encountered")
-    n = payoff.size
-    std_error = float(payoff.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return PriceEstimate(price=float(payoff.mean()), std_error=std_error, paths_used=n)
 
 
 def cv_price(p: SabrPoint, cfg: McConfig, config_index: int = 0) -> PriceEstimate:

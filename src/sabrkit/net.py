@@ -51,7 +51,6 @@ __all__ = [
     "forward",
     "init_bundle",
     "load_model",
-    "loss",
     "predict_from_rows",
     "predict_vol",
     "predict_vols",
@@ -73,25 +72,28 @@ ARCHS = {
     "georesnn": ("residual_ratio", True),
 }
 
+# Adam at the defaults of Kingma & Ba (2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+# The learning rate halves after 5 epochs without a 1e-6 relative
+# improvement of the validation loss.
+PLATEAU_FACTOR = 0.5
+PLATEAU_PATIENCE = 5
+PLATEAU_RTOL = 1e-6
+
 
 @dataclass
 class TrainConfig:
     lr0: float = 4e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 128
     epochs: int = 100
-    plateau_factor: float = 0.5
-    plateau_patience: int = 5
-    improve_rtol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.lr0 <= 0 or self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("lr0, batch_size and epochs must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ConfigError("Adam betas must lie in (0, 1)")
 
 
 @dataclass
@@ -333,18 +335,6 @@ def targets(samples, target_mode: str) -> np.ndarray:
     raise ConfigError(f"target_mode must be one of {TARGET_MODES}, got {target_mode!r}")
 
 
-def loss(predictions: np.ndarray, samples, target_mode: str) -> float:
-    """Mean squared error against the mode's targets."""
-    predictions = np.asarray(predictions, dtype=float)
-    y = targets(samples, target_mode)
-    if predictions.shape != y.shape:
-        raise ShapeMismatch(f"{predictions.shape!r} predictions vs {y.shape!r} targets")
-    value = float(np.mean((predictions - y) ** 2))
-    if not math.isfinite(value):
-        raise NonFinite("loss overflowed")
-    return value
-
-
 def design_matrix(samples, arch: str) -> np.ndarray:
     """Raw feature matrix for dataset rows (stored geometry columns reused)."""
     _, use_geometry = _arch_spec(arch)
@@ -362,15 +352,11 @@ def design_matrix(samples, arch: str) -> np.ndarray:
 class AdamState:
     m: np.ndarray
     v: np.ndarray
-    beta1: float
-    beta2: float
-    eps: float
     t: int = 0
 
     @classmethod
-    def for_params(cls, theta: np.ndarray, cfg: TrainConfig) -> "AdamState":
-        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta),
-                   beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    def for_params(cls, theta: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
 def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray,
@@ -383,14 +369,14 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray,
     if not np.all(np.isfinite(grad)):
         raise NonFinite("non-finite gradient")
     state.t += 1
-    correct1 = 1.0 - state.beta1**state.t
-    correct2 = 1.0 - state.beta2**state.t
+    correct1 = 1.0 - ADAM_BETA1**state.t
+    correct2 = 1.0 - ADAM_BETA2**state.t
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grad * grad
-    theta -= lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    theta -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
     return state
 
 
@@ -398,26 +384,24 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray,
 class PlateauScheduler:
     """Halve-on-plateau learning-rate schedule.
 
-    An epoch improves when its validation loss beats the best seen by a
-    relative margin; after ``patience`` consecutive non-improving epochs
-    the rate is multiplied by ``factor`` and the counter restarts.
+    An epoch improves when its validation loss beats the best seen by the
+    relative margin ``PLATEAU_RTOL``; after ``PLATEAU_PATIENCE`` consecutive
+    non-improving epochs the rate is multiplied by ``PLATEAU_FACTOR`` and
+    the counter restarts.
     """
 
     lr: float
-    factor: float = 0.5
-    patience: int = 5
-    rel_threshold: float = 1e-6
     best: float | None = None
     bad_epochs: int = 0
 
     def step(self, val_loss: float) -> float:
-        if self.best is None or val_loss < self.best * (1.0 - self.rel_threshold):
+        if self.best is None or val_loss < self.best * (1.0 - PLATEAU_RTOL):
             self.best = val_loss
             self.bad_epochs = 0
         else:
             self.bad_epochs += 1
-            if self.bad_epochs >= self.patience:
-                self.lr *= self.factor
+            if self.bad_epochs >= PLATEAU_PATIENCE:
+                self.lr *= PLATEAU_FACTOR
                 self.bad_epochs = 0
         return self.lr
 
@@ -462,11 +446,8 @@ def train(
     bundle.x_std = np.where(x_std > 1e-12, x_std, 1.0)
 
     theta = _flatten_params(bundle)
-    adam = AdamState.for_params(theta, cfg)
-    scheduler = PlateauScheduler(
-        lr=cfg.lr0, factor=cfg.plateau_factor, patience=cfg.plateau_patience,
-        rel_threshold=cfg.improve_rtol,
-    )
+    adam = AdamState.for_params(theta)
+    scheduler = PlateauScheduler(lr=cfg.lr0)
     shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
 
     history: list[EpochRecord] = []

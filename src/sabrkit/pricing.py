@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import NoConvergence, PriceOutOfBounds
 
 __all__ = [
@@ -36,23 +34,14 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def norm_cdf(x):
-    """Standard normal CDF, accurate to machine precision in both tails.
-
-    Accepts a scalar or ndarray.
-    """
-    if isinstance(x, np.ndarray):
-        return 0.5 * _erfc_array(-x / _SQRT2)
+def norm_cdf(x: float) -> float:
+    """Standard normal CDF, accurate to machine precision in both tails."""
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-_erfc_array = np.vectorize(math.erfc, otypes=[np.float64])
-
-
-def norm_pdf(x):
+def norm_pdf(x: float) -> float:
     """Standard normal density."""
-    return _INV_SQRT_2PI * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2) \
-        if isinstance(x, np.ndarray) else _INV_SQRT_2PI * math.exp(-0.5 * x * x)
+    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
 def _validate_tfk(T: float, F0: float, K: float) -> None:

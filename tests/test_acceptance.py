@@ -24,7 +24,6 @@ from sabrkit.mc import (
     McConfig,
     implied_vol_from_estimate,
     mc_implied_vol,
-    plain_price_from_terminals,
     price_from_terminals,
     simulate_terminals,
 )
@@ -43,6 +42,7 @@ from sabrkit.net import (
 from sabrkit.pricing import black_price, black_vega, implied_vol
 
 from halfplane import to_halfplane
+from plain_mc import plain_price_from_terminals
 
 WIDE = dict(T=1.0, F0=1.0, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
 

@@ -57,6 +57,12 @@ class TestGenerate:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["rows"] == 110
         assert manifest["sample_seed"] == 7
+        # The fixed Monte Carlo constants stay in the dataset's record.
+        mc_config = manifest["mc_config"]
+        assert set(mc_config) == {"paths", "steps_per_year", "min_steps", "cv_vol_mode",
+                                  "sigma_scheme", "base_seed", "block_size"}
+        assert mc_config["min_steps"] == 10
+        assert mc_config["block_size"] == 4096
 
     def test_same_seed_same_hash(self, tmp_path):
         main(["generate", "--configs", "5", "--paths", "2000", "--seed", "3",
@@ -188,6 +194,19 @@ class TestConfigOverlay:
         assert manifest["rows"] == 55
         assert manifest["sample_seed"] == 10  # flag beats config file
         assert manifest["mc_config"]["paths"] == 2000
+
+    @pytest.mark.parametrize("argv", [
+        ["--config", "CFG", "generate", "--path", "3000", "--configs", "2", "--out", "OUT"],
+        ["--conf", "CFG", "generate", "--paths", "3000", "--configs", "2", "--out", "OUT"],
+    ], ids=["subcommand flag", "top-level flag"])
+    def test_abbreviated_flag_exit_2(self, tmp_path, argv):
+        # Flags are spelled in full: an abbreviated one would not count as
+        # explicit, and the file's value would win over it.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"paths": 2000}))
+        out = tmp_path / "out"
+        assert main([{"CFG": str(cfg), "OUT": str(out)}.get(a, a) for a in argv]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("payload, argv", [
         ([5, 2000], ["generate", "--out", "OUT"]),

@@ -12,7 +12,6 @@ from sabrkit.evaluation import (
     latency_bench,
     maturity_sweep,
     r2,
-    regional_metrics,
     rmse_rel,
     stress_suite,
 )
@@ -75,7 +74,7 @@ class TestRegions:
     def test_perfect_model_scores_one_everywhere(self):
         rows = smile_rows(mc_equals_hagan=True)
         bundle = zero_weights(init_bundle("georesnn", seed=1))
-        metrics = regional_metrics(rows, bundle)
+        metrics = evaluate_model(bundle, rows).regions
         assert set(metrics) == {"itm", "atm", "otm"}
         for m in metrics.values():
             assert m.r2 == pytest.approx(1.0, abs=1e-12)
@@ -84,7 +83,7 @@ class TestRegions:
     def test_counts_partition_rows(self):
         rows = smile_rows(n_configs=4)
         bundle = zero_weights(init_bundle("resnn", seed=2))
-        metrics = regional_metrics(rows, bundle)
+        metrics = evaluate_model(bundle, rows).regions
         assert metrics["itm"].count == 4 * 5
         assert metrics["atm"].count == 4
         assert metrics["otm"].count == 4 * 5
@@ -93,12 +92,12 @@ class TestRegions:
         rows = [s for s in smile_rows() if s.grid_index == 0.0]
         bundle = zero_weights(init_bundle("resnn", seed=3))
         with pytest.raises(EmptyRegion):
-            regional_metrics(rows, bundle)
+            evaluate_model(bundle, rows)
 
     def test_moneyness_mode(self):
         rows = smile_rows(n_configs=5)
         bundle = zero_weights(init_bundle("resnn", seed=4))
-        metrics = regional_metrics(rows, bundle, region_mode="moneyness")
+        metrics = evaluate_model(bundle, rows, region_mode="moneyness").regions
         assert sum(m.count for m in metrics.values()) == len(rows)
 
     def test_evaluate_model_summary(self):

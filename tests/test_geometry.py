@@ -120,15 +120,15 @@ class TestGeodesicDistance:
 class TestSigma0:
     def test_atm_limit(self):
         p = SabrPoint(T=1.0, F0=1.0, K=1.0, alpha=0.23, beta=0.5, rho=-0.5, nu=0.4)
-        assert sigma0_leading(p, 0.0, 0.0) == pytest.approx(0.23, abs=1e-15)
+        assert sigma0_leading(p, 0.0) == pytest.approx(0.23, abs=1e-15)
         p2 = SabrPoint(T=1.0, F0=0.04, K=0.04, alpha=0.02, beta=0.5, rho=0.0, nu=0.4)
-        assert sigma0_leading(p2, 0.0, 0.0) == pytest.approx(0.02 * 0.04**-0.5, rel=1e-14)
+        assert sigma0_leading(p2, 0.0) == pytest.approx(0.02 * 0.04**-0.5, rel=1e-14)
 
     def test_documented_composition(self):
         p = SabrPoint(T=1.0, F0=1.0, K=1.21, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
         q = q_transform(1.0, 1.21, 0.5)
         d = geodesic_distance(0.2, -0.8, q)
-        val = sigma0_leading(p, q, d)
+        val = sigma0_leading(p, d)
         assert val == pytest.approx(math.log(1.21) / d, rel=1e-14)
         assert val == pytest.approx(0.13366901364779517, abs=1e-10)
 

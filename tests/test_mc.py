@@ -13,11 +13,12 @@ from sabrkit.mc import (
     Terminals,
     cv_price,
     mc_implied_vol,
-    plain_price_from_terminals,
     price_from_terminals,
     simulate_terminals,
 )
 from sabrkit.pricing import black_price
+
+from plain_mc import plain_price_from_terminals
 
 WIDE = dict(T=1.0, F0=1.0, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
 
@@ -42,7 +43,7 @@ class TestConfig:
         assert eff.sigma_bar(0.03, 0.02, 0.5) == pytest.approx(0.03 * 0.02**-0.5, rel=1e-14)
 
     @pytest.mark.parametrize("bad", [dict(paths=999), dict(cv_vol_mode="x"),
-                                     dict(sigma_scheme="exact"), dict(block_size=0)])
+                                     dict(sigma_scheme="exact")])
     def test_invalid_config_rejected(self, bad):
         with pytest.raises(ConfigError):
             McConfig(**{"paths": 1000, **bad})

@@ -1,0 +1,31 @@
+"""The example scripts run end to end at a tiny size, each in its own
+interpreter, as a user would start them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          env=env, capture_output=True, text=True, timeout=600)
+
+
+def test_desk_experiment(tmp_path):
+    proc = run_script("desk_experiment.py", "--out", str(tmp_path), "--configs", "40",
+                      "--paths", "2000", "--epochs", "2", "--workers", "1")
+    assert proc.returncode == 0, proc.stderr
+    archs = sorted(path.name.split("_")[1]
+                   for path in (tmp_path / "reports").glob("metrics_*.json"))
+    assert archs == ["geonn", "georesnn", "ndn", "resnn"]
+
+
+def test_smile_comparison(tmp_path):
+    proc = run_script("smile_comparison.py", "--paths", "2000", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "smile.csv").is_file()
