@@ -59,7 +59,8 @@ def main():
     print("\nsummary")
     for path in sorted(os.listdir(report_dir)):
         if path.startswith("metrics_") and path.endswith(".json"):
-            report = json.load(open(os.path.join(report_dir, path)))
+            with open(os.path.join(report_dir, path)) as fh:
+                report = json.load(fh)
             m = report["metrics"]
             print(f"  {m['arch']:9s} r2_global={m['r2_global']:.4f} "
                   f"rmse_rel={m['rmse_rel']:.4f} "

@@ -19,9 +19,9 @@ from .errors import (
     SabrkitError,
     ShapeMismatch,
 )
-from .geometry import GeomFeatures, features, geodesic_distance, q_transform, sigma0_leading, sigma_min
+from .geometry import GeomFeatures, features, q_transform, sigma_min
 from .hagan import SabrPoint, check_params, hagan_atm, hagan_vol, zx_ratio
-from .mc import McConfig, McImpliedVol, PriceEstimate, Terminals, cv_price, mc_implied_vol, simulate_terminals
+from .mc import McConfig, McImpliedVol, PriceEstimate, Terminals, cv_price, simulate_terminals
 from .pricing import black_price, black_vega, implied_vol, norm_cdf, norm_pdf
 
 __version__ = "0.1.0"

@@ -2,9 +2,12 @@
 
 Subcommands: smile, generate, train, evaluate, price, bench. Every run is
 reproducible from its flags; artifacts carry the seeds and configuration
-used to produce them. A JSON config file can pre-set any long flag
-(--config file); explicitly passed flags win over file values. Flags are
-spelled in full; argparse's prefix matching is off.
+used to produce them, the Monte Carlo settings as
+:meth:`~sabrkit.mc.McConfig.record` gives them. Every subcommand uses the
+one Hagan baseline, :func:`~sabrkit.hagan.hagan_vol`, so ``price`` and
+``evaluate`` correct the same closed form. A JSON config file can pre-set
+any long flag (--config file); explicitly passed flags win over file
+values. Flags are spelled in full; argparse's prefix matching is off.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 """
@@ -14,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import os
@@ -34,7 +36,7 @@ from .errors import (
     SabrkitError,
     ShapeMismatch,
 )
-from .hagan import BRACKET_MODES, SabrPoint, hagan_vol
+from .hagan import SabrPoint, hagan_vol
 from .mc import McConfig, implied_vol_from_estimate, price_from_terminals, simulate_terminals
 
 _NUMERICAL_ERRORS = (PriceOutOfBounds, NoConvergence, DomainError, NegativeVol,
@@ -86,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=float, default=None, help="default 2*F0")
     p.add_argument("--n-strikes", type=int, default=16)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--hagan-bracket", choices=BRACKET_MODES, default="numerator")
     p.add_argument("--out", type=str, default=None, help="directory for smile.csv")
     p.set_defaults(func=cmd_smile)
 
@@ -98,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--split-seed", type=int, default=42)
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--hagan-bracket", choices=BRACKET_MODES, default="numerator")
     p.add_argument("--split-by-config", action="store_true")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_generate, required=("configs", "out"))
@@ -110,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--lr0", type=float, default=4e-3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hagan-bracket", choices=BRACKET_MODES, default="numerator")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_train, required=("dataset", "arch", "out"))
 
@@ -119,7 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", type=str, default=None)
     _add_mc_flags(p, default_paths=200_000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--region-mode", choices=("grid", "moneyness"), default="grid")
     p.add_argument("--stress", action="store_true", help="run the stress scenario suite")
     p.add_argument("--sweep", action="store_true", help="run the maturity sweep")
     p.add_argument("--bench", action="store_true", help="run the latency benchmark")
@@ -192,7 +190,7 @@ def cmd_smile(args) -> int:
     print(f"{'strike':>10} {'hagan':>10} {'monte_carlo':>12} {'mc_se':>10}")
     for k in strikes:
         point = SabrPoint(K=float(k), **point_args)
-        hag = hagan_vol(point, args.hagan_bracket)
+        hag = hagan_vol(point)
         try:
             estimate = price_from_terminals(terminals, float(k))
             mc = implied_vol_from_estimate(estimate, args.T, args.F0, float(k))
@@ -224,8 +222,7 @@ def cmd_generate(args) -> int:
     dataset, manifest = datagen.generate_dataset(
         num_configs=args.configs, mc_cfg=cfg, seed=args.seed,
         csv_path=csv_path, manifest_path=manifest_path, workers=args.workers,
-        split_seed=args.split_seed, hagan_bracket=args.hagan_bracket,
-        by_config_split=args.split_by_config,
+        split_seed=args.split_seed, by_config_split=args.split_by_config,
     )
     frac_valid = manifest["valid_rows"] / manifest["rows"]
     print(f"wrote {csv_path}: {manifest['rows']} rows, "
@@ -243,7 +240,7 @@ def cmd_train(args) -> int:
     val_rows = dataset.split_samples("val")
     cfg = net.TrainConfig(lr0=args.lr0, batch_size=args.batch_size,
                           epochs=args.epochs, seed=args.seed)
-    bundle = net.init_bundle(args.arch, seed=args.seed, hagan_bracket=args.hagan_bracket)
+    bundle = net.init_bundle(args.arch, seed=args.seed)
     bundle, history = net.train(bundle, train_rows, val_rows, cfg)
     os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, f"model_{args.arch}.json")
@@ -261,27 +258,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _dataset_hash(path: str) -> str:
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()[:8]
-
-
 def cmd_evaluate(args) -> int:
     dataset = datagen.load_dataset(args.dataset)
     test_rows = dataset.split_samples("test")
     if not test_rows:
         raise ConfigError("dataset has no test rows; generate with splits first")
-    tag = _dataset_hash(args.dataset)
+    tag = datagen.file_sha256(args.dataset)[:8]
     os.makedirs(args.out, exist_ok=True)
     mc_cfg = _mc_config(args, args.seed)
     for model_path in args.models:
         bundle = net.load_model(model_path)
-        metrics = evaluation.evaluate_model(bundle, test_rows, args.region_mode)
+        metrics = evaluation.evaluate_model(bundle, test_rows)
         report = {"dataset": os.path.abspath(args.dataset), "dataset_sha256_12": tag,
                   "metrics": metrics.to_dict(), "mc_config": None,
                   "stress": None, "sweep": None, "latency": None}
         if args.stress or args.sweep or args.bench:
-            report["mc_config"] = {"paths": mc_cfg.paths, "base_seed": mc_cfg.base_seed,
-                                   "steps_per_year": mc_cfg.steps_per_year}
+            report["mc_config"] = mc_cfg.record()
         if args.stress:
             records = evaluation.stress_suite(bundle, mc_cfg)
             report["stress"] = [vars(r) for r in records]

@@ -18,12 +18,13 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NegativeVol, NonFinite, NoConvergence, PriceOutOfBounds
 from .geometry import GeomFeatures, features
-from .hagan import SabrPoint, hagan_vol
+from .hagan import HAGAN_BRACKET, SabrPoint, hagan_vol
 from .mc import McConfig, implied_vol_from_estimate, price_from_terminals, simulate_terminals
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "TenorBucket",
     "build_dataset",
     "bucket_for_tenor",
+    "file_sha256",
     "filter_outliers",
     "generate_dataset",
     "load_dataset",
@@ -170,7 +172,7 @@ _NAN_FEATS = GeomFeatures(q=float("nan"), sigma_min=float("nan"),
 
 
 def _build_config_rows(args) -> list[Sample]:
-    config_index, params, mc_cfg, bracket = args
+    config_index, params, mc_cfg = args
     T, F0, alpha, beta, rho, nu = params
     terminals = simulate_terminals(T, F0, alpha, beta, rho, nu, mc_cfg, config_index)
     strikes = strike_grid(F0, alpha, T)
@@ -182,7 +184,7 @@ def _build_config_rows(args) -> list[Sample]:
         feats = _NAN_FEATS
         sigma_mc = float("nan")
         try:
-            sigma_h = hagan_vol(point, bracket)
+            sigma_h = hagan_vol(point)
             feats = features(point)
         except (NegativeVol, DomainError):
             valid = False
@@ -202,7 +204,6 @@ def build_dataset(
     mc_cfg: McConfig,
     seed: int,
     workers: int = 1,
-    hagan_bracket: str = "numerator",
 ) -> Dataset:
     """Sample configurations and assemble the raw (unfiltered, unsplit) rows.
 
@@ -213,7 +214,7 @@ def build_dataset(
     if num_configs < 1:
         raise ConfigError(f"num_configs must be >= 1, got {num_configs!r}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    jobs = [(i, sample_config(rng), mc_cfg, hagan_bracket) for i in range(num_configs)]
+    jobs = [(i, sample_config(rng), mc_cfg) for i in range(num_configs)]
 
     dataset = Dataset()
     if workers <= 1:
@@ -300,6 +301,11 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def file_sha256(path) -> str:
+    """Hex SHA-256 of a file's bytes, as manifests and reports record it."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def save_dataset(
     dataset: Dataset,
     csv_path,
@@ -307,7 +313,6 @@ def save_dataset(
     mc_cfg: McConfig | None = None,
     sample_seed: int | None = None,
     split_seed: int | None = None,
-    hagan_bracket: str = "numerator",
 ) -> dict:
     """Write the dataset CSV (12 significant digits, LF endings) and its manifest.
 
@@ -326,7 +331,7 @@ def save_dataset(
                 _fmt(s.feats.sigma0), f"{s.grid_index:.1f}", s.split,
                 "true" if s.valid else "false",
             ])
-    digest = hashlib.sha256(open(csv_path, "rb").read()).hexdigest()
+    digest = file_sha256(csv_path)
     n_valid = len(dataset.valid_samples())
     manifest = {
         "csv_sha256": digest,
@@ -337,9 +342,8 @@ def save_dataset(
         },
         "sample_seed": sample_seed,
         "split_seed": split_seed,
-        "hagan_bracket": hagan_bracket,
-        "mc_config": None if mc_cfg is None else {
-            **asdict(mc_cfg), "min_steps": mc_cfg.min_steps, "block_size": mc_cfg.block_size},
+        "hagan_bracket": HAGAN_BRACKET,
+        "mc_config": None if mc_cfg is None else mc_cfg.record(),
         "buckets": [asdict(b) for b in BUCKETS],
         "tenor_year_fractions": {t: year_fraction(t) for t in DEFAULT_MATS},
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -409,15 +413,14 @@ def generate_dataset(
     manifest_path=None,
     workers: int = 1,
     split_seed: int = 42,
-    hagan_bracket: str = "numerator",
     by_config_split: bool = False,
 ) -> tuple[Dataset, dict]:
     """End-to-end generation: build, filter, split, persist."""
-    dataset = build_dataset(num_configs, mc_cfg, seed, workers, hagan_bracket)
+    dataset = build_dataset(num_configs, mc_cfg, seed, workers)
     filter_outliers(dataset)
     split_dataset(dataset, seed=split_seed, by_config=by_config_split)
     manifest = save_dataset(
         dataset, csv_path, manifest_path, mc_cfg=mc_cfg, sample_seed=seed,
-        split_seed=split_seed, hagan_bracket=hagan_bracket,
+        split_seed=split_seed,
     )
     return dataset, manifest

@@ -1,9 +1,8 @@
 """Model diagnostics: global and regional accuracy against Monte Carlo
 references, stress scenarios, maturity sweeps and an inference benchmark.
 
-Regions are keyed off the dataset's strike-grid index by default (ITM
-n < 0, ATM n = 0, OTM n > 0) because generated strikes are maturity
-scaled; a literal moneyness-band mode is available for flat grids.
+Regions are keyed off the dataset's strike-grid index (ITM n < 0, ATM
+n = 0, OTM n > 0), because generated strikes are maturity scaled.
 """
 
 from __future__ import annotations
@@ -37,9 +36,6 @@ __all__ = [
 ]
 
 REGION_NAMES = ("itm", "atm", "otm")
-
-# Moneyness bands for the literal region mode.
-_ATM_BAND = 0.025
 
 
 def r2(predicted, reference) -> float:
@@ -92,25 +88,16 @@ class ModelMetrics:
         }
 
 
-def _region_of(sample, mode: str) -> str:
-    if mode == "grid":
-        if sample.grid_index < 0.0:
-            return "itm"
-        if sample.grid_index > 0.0:
-            return "otm"
-        return "atm"
-    m = sample.point.K / sample.point.F0
-    if m < 1.0 - _ATM_BAND:
+def _region_of(sample) -> str:
+    if sample.grid_index < 0.0:
         return "itm"
-    if m > 1.0 + _ATM_BAND:
+    if sample.grid_index > 0.0:
         return "otm"
     return "atm"
 
 
-def _regions(predictions, reference, test_samples, region_mode: str) -> dict[str, RegionMetrics]:
-    if region_mode not in ("grid", "moneyness"):
-        raise ValueError(f"region_mode must be 'grid' or 'moneyness', got {region_mode!r}")
-    keys = np.array([_region_of(s, region_mode) for s in test_samples])
+def _regions(predictions, reference, test_samples) -> dict[str, RegionMetrics]:
+    keys = np.array([_region_of(s) for s in test_samples])
     out: dict[str, RegionMetrics] = {}
     for name in REGION_NAMES:
         mask = keys == name
@@ -124,7 +111,7 @@ def _regions(predictions, reference, test_samples, region_mode: str) -> dict[str
     return out
 
 
-def evaluate_model(bundle: ModelBundle, test_samples, region_mode: str = "grid") -> ModelMetrics:
+def evaluate_model(bundle: ModelBundle, test_samples) -> ModelMetrics:
     """Global and per-region metrics for one trained bundle on a test split;
     raises EmptyRegion when a strike region has no rows."""
     predictions = predict_from_rows(bundle, test_samples)
@@ -133,7 +120,7 @@ def evaluate_model(bundle: ModelBundle, test_samples, region_mode: str = "grid")
         arch=bundle.arch,
         r2_global=r2(predictions, reference),
         rmse_rel=rmse_rel(predictions, reference),
-        regions=_regions(predictions, reference, test_samples, region_mode),
+        regions=_regions(predictions, reference, test_samples),
         val_loss_final=bundle.manifest.get("best_val_loss"),
         test_rows=len(test_samples),
     )
@@ -205,7 +192,7 @@ def _smile_on_strikes(bundle, mc_cfg, T, F0, alpha, beta, rho, nu, strikes, conf
             mc_vol = float("nan")
             failed += 1
         mc_vols.append(mc_vol)
-        hagan_vols.append(hagan_vol(point, bundle.hagan_bracket))
+        hagan_vols.append(hagan_vol(point))
         model_vols.append(float(model_vol))
     return mc_vols, hagan_vols, model_vols, failed
 

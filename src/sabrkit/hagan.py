@@ -1,9 +1,10 @@
 """Closed-form SABR implied volatility (Hagan-style asymptotic expansion).
 
-Two variants of the log-moneyness bracket are supported: ``"numerator"``
-multiplies by {1 + (1-b)^2/24 ln^2 + (1-b)^4/1920 ln^4} and
-``"denominator"`` divides by it. Both appear in the literature; the
-numerator form is the package default.
+The log-moneyness bracket {1 + (1-b)^2/24 ln^2 + (1-b)^4/1920 ln^4}
+multiplies the leading term alpha/(F0*K)^((1-b)/2): the numerator
+placement, which model files and dataset manifests record as
+``"hagan_bracket": "numerator"`` (:data:`HAGAN_BRACKET`). This is the one
+closed form the residual networks correct.
 
 :func:`check_params` is the one check of the SABR parameter domain; the
 other functions take the values of a valid :class:`SabrPoint`.
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, NegativeVol
 
 __all__ = [
-    "BRACKET_MODES",
+    "HAGAN_BRACKET",
     "SabrPoint",
     "check_params",
     "hagan_atm",
@@ -30,7 +31,9 @@ __all__ = [
     "zx_ratio",
 ]
 
-BRACKET_MODES = ("numerator", "denominator")
+# The placement of the log-moneyness bracket in the formula below, as model
+# files and dataset manifests record it.
+HAGAN_BRACKET = "numerator"
 
 # Strikes with |ln(F0/K)| below this are priced with the ATM formula; the
 # general expression is 0/0 at z = 0 and cancels catastrophically nearby.
@@ -139,14 +142,12 @@ def hagan_atm(p: SabrPoint) -> float:
     return sigma
 
 
-def hagan_vol(p: SabrPoint, bracket: str = "numerator") -> float:
+def hagan_vol(p: SabrPoint) -> float:
     """SABR implied volatility for one strike.
 
     Dispatches to :func:`hagan_atm` when |ln(F0/K)| < 1e-8 so the ATM point
     is evaluated with the exact reduced formula rather than a 0/0 limit.
     """
-    if bracket not in BRACKET_MODES:
-        raise ValueError(f"bracket must be one of {BRACKET_MODES}, got {bracket!r}")
     log_fk = math.log(p.F0 / p.K)
     if abs(log_fk) < ATM_LOG_THRESHOLD:
         return hagan_atm(p)
@@ -163,12 +164,8 @@ def hagan_vol(p: SabrPoint, bracket: str = "numerator") -> float:
     ratio = zx_ratio(z, p.rho)
 
     log2 = log_fk * log_fk
-    moneyness_bracket = 1.0 + omb * omb / 24.0 * log2 + omb**4 / 1920.0 * log2 * log2
-    core = p.alpha / fk_pow_half
-    if bracket == "numerator":
-        core *= moneyness_bracket
-    else:
-        core /= moneyness_bracket
+    money = 1.0 + omb * omb / 24.0 * log2 + omb**4 / 1920.0 * log2 * log2
+    core = p.alpha / fk_pow_half * money
 
     sigma = core * ratio * _maturity_bracket(p, fk_pow_1mb, fk_pow_half)
     if sigma <= 0.0:
@@ -176,7 +173,7 @@ def hagan_vol(p: SabrPoint, bracket: str = "numerator") -> float:
     return sigma
 
 
-def hagan_vols(T, F0, K, alpha, beta, rho, nu, bracket: str = "numerator") -> np.ndarray:
+def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
     """Array form of :func:`hagan_vol` over parameter columns.
 
     The 1-d columns hold the fields of valid :class:`SabrPoint` values. Each
@@ -184,8 +181,6 @@ def hagan_vols(T, F0, K, alpha, beta, rho, nu, bracket: str = "numerator") -> np
     z-series and the beta ~ 1 branches are masks. When points leave the
     formula's domain, raises what the scalar call raises on the first one.
     """
-    if bracket not in BRACKET_MODES:
-        raise ValueError(f"bracket must be one of {BRACKET_MODES}, got {bracket!r}")
     T, F0, K, alpha, beta, rho, nu = (np.asarray(c, dtype=float)
                                       for c in (T, F0, K, alpha, beta, rho, nu))
     log_fk = libm_log(F0 / K)
@@ -216,8 +211,7 @@ def hagan_vols(T, F0, K, alpha, beta, rho, nu, bracket: str = "numerator") -> np
 
     log2 = log_fk * log_fk
     money = 1.0 + omb * omb / 24.0 * log2 + libm_pow(omb, 4.0) / 1920.0 * log2 * log2
-    core = alpha / fk_pow_half
-    core = core * money if bracket == "numerator" else core / money
+    core = alpha / fk_pow_half * money
     sigma = np.where(atm, alpha / f_pow_1mb * maturity, core * ratio * maturity)
 
     failed = np.flatnonzero(domain | (sigma <= 0.0))

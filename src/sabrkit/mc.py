@@ -19,7 +19,7 @@ bit-reproducible regardless of how blocks are scheduled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -35,7 +35,6 @@ __all__ = [
     "PriceEstimate",
     "Terminals",
     "cv_price",
-    "mc_implied_vol",
     "price_from_terminals",
     "simulate_terminals",
 ]
@@ -81,6 +80,11 @@ class McConfig:
         if self.cv_vol_mode == "paper_alpha":
             return alpha
         return alpha * F0 ** (beta - 1.0)
+
+    def record(self) -> dict:
+        """Every setting, the fixed ones included, as dataset manifests and
+        evaluation reports store them."""
+        return {**asdict(self), "min_steps": self.min_steps, "block_size": self.block_size}
 
 
 @dataclass(frozen=True)
@@ -207,8 +211,3 @@ def implied_vol_from_estimate(
     vega = black_vega(T, F0, K, sigma)
     vol_std_error = estimate.std_error / vega if vega > 0.0 else float("inf")
     return McImpliedVol(sigma=sigma, vol_std_error=vol_std_error, estimate=estimate)
-
-
-def mc_implied_vol(p: SabrPoint, cfg: McConfig, config_index: int = 0) -> McImpliedVol:
-    """Reference implied vol for one configuration via the CV estimator."""
-    return implied_vol_from_estimate(cv_price(p, cfg, config_index), p.T, p.F0, p.K)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, Diverged, NonFinite, ShapeMismatch
 from .geometry import features, features_array
-from .hagan import BRACKET_MODES, SabrPoint, hagan_vol, hagan_vols
+from .hagan import HAGAN_BRACKET, SabrPoint, hagan_vol, hagan_vols
 
 __all__ = [
     "ARCHS",
@@ -121,7 +121,6 @@ class ModelBundle:
     layers: list[DenseLayer]
     x_mean: np.ndarray
     x_std: np.ndarray
-    hagan_bracket: str = "numerator"
     manifest: dict = field(default_factory=dict)
     # The eval-mode network as affine layers, set by load_model and train and
     # dropped by a training-mode forward; None means forward folds on every
@@ -150,7 +149,6 @@ def init_bundle(
     arch: str,
     seed: int = 0,
     hidden_sizes: Sequence[int] = HIDDEN_SIZES,
-    hagan_bracket: str = "numerator",
 ) -> ModelBundle:
     """Fresh bundle with He-uniform weights, zero biases and identity
     batch-norm and standardization."""
@@ -180,7 +178,6 @@ def init_bundle(
         layers=layers,
         x_mean=np.zeros(len(names)),
         x_std=np.ones(len(names)),
-        hagan_bracket=hagan_bracket,
         manifest={"init_seed": seed},
     )
 
@@ -514,7 +511,7 @@ def predict_vols(bundle: ModelBundle, points: Sequence[SabrPoint]) -> np.ndarray
         x = np.hstack((x, features_array(*cols)))
     out, _ = forward(bundle, x, training=False)
     if bundle.target_mode == "residual_ratio":
-        return hagan_vols(*cols, bracket=bundle.hagan_bracket) * (1.0 + out)
+        return hagan_vols(*cols) * (1.0 + out)
     return out
 
 
@@ -528,7 +525,7 @@ def predict_vol(bundle: ModelBundle, p: SabrPoint) -> float:
         row += (f.q, f.sigma_min, f.d_h, f.sigma0)
     out = forward(bundle, np.array([row]), training=False)[0][0]
     if bundle.target_mode == "residual_ratio":
-        return float(hagan_vol(p, bundle.hagan_bracket) * (1.0 + out))
+        return float(hagan_vol(p) * (1.0 + out))
     return float(out)
 
 
@@ -556,7 +553,7 @@ def save_model(bundle: ModelBundle, path) -> None:
         "target_mode": bundle.target_mode,
         "feature_names": list(bundle.feature_names),
         "layer_sizes": bundle.layer_sizes,
-        "hagan_bracket": bundle.hagan_bracket,
+        "hagan_bracket": HAGAN_BRACKET,
         "x_mean": bundle.x_mean.tolist(),
         "x_std": bundle.x_std.tolist(),
         "layers": [
@@ -616,8 +613,9 @@ def _bundle_from_payload(payload) -> ModelBundle:
     names = feature_names_for(arch)
     if payload["feature_names"] != list(names):
         raise ConfigError(f"feature_names do not match arch {arch!r}")
-    if payload["hagan_bracket"] not in BRACKET_MODES:
-        raise ConfigError(f"hagan_bracket must be one of {BRACKET_MODES}")
+    if payload["hagan_bracket"] != HAGAN_BRACKET:
+        raise ConfigError(f"hagan_bracket must be {HAGAN_BRACKET!r}, the one Hagan "
+                          f"baseline; got {payload['hagan_bracket']!r}")
     if not isinstance(payload["manifest"], dict):
         raise ConfigError("manifest must be an object")
     items, sizes = payload["layers"], payload["layer_sizes"]
@@ -663,7 +661,6 @@ def _bundle_from_payload(payload) -> ModelBundle:
         layers=layers,
         x_mean=x_mean,
         x_std=x_std,
-        hagan_bracket=payload["hagan_bracket"],
         manifest=payload["manifest"],
     )
 

@@ -1,7 +1,9 @@
 """Plain Monte Carlo pricing, an oracle for the control-variate tests.
 
 The engine prices with its control variate only; the tests compare that
-estimator against the plain payoff average over the same terminals.
+estimator against the plain payoff average over the same terminals. The
+module also holds the one-call reference vol the tests price single points
+with.
 """
 
 import math
@@ -9,7 +11,8 @@ import math
 import numpy as np
 
 from sabrkit.errors import NonFinite
-from sabrkit.mc import PriceEstimate, Terminals
+from sabrkit.hagan import SabrPoint
+from sabrkit.mc import McConfig, McImpliedVol, PriceEstimate, Terminals, cv_price, implied_vol_from_estimate
 
 
 def plain_price_from_terminals(terminals: Terminals, K: float) -> PriceEstimate:
@@ -20,3 +23,8 @@ def plain_price_from_terminals(terminals: Terminals, K: float) -> PriceEstimate:
     n = payoff.size
     std_error = float(payoff.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
     return PriceEstimate(price=float(payoff.mean()), std_error=std_error, paths_used=n)
+
+
+def mc_implied_vol(p: SabrPoint, cfg: McConfig, config_index: int = 0) -> McImpliedVol:
+    """Reference implied vol for one configuration via the CV estimator."""
+    return implied_vol_from_estimate(cv_price(p, cfg, config_index), p.T, p.F0, p.K)

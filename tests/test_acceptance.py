@@ -18,12 +18,11 @@ import pytest
 
 from sabrkit.datagen import build_dataset, filter_outliers, sample_config, split_dataset, strike_grid
 from sabrkit.evaluation import latency_bench, r2
-from sabrkit.geometry import features, geodesic_distance, q_transform, sigma_min
+from sabrkit.geometry import features, q_transform, sigma_min
 from sabrkit.hagan import SabrPoint, hagan_atm, hagan_vol
 from sabrkit.mc import (
     McConfig,
     implied_vol_from_estimate,
-    mc_implied_vol,
     price_from_terminals,
     simulate_terminals,
 )
@@ -41,8 +40,8 @@ from sabrkit.net import (
 )
 from sabrkit.pricing import black_price, black_vega, implied_vol
 
-from halfplane import to_halfplane
-from plain_mc import plain_price_from_terminals
+from halfplane import geodesic_distance, to_halfplane
+from plain_mc import mc_implied_vol, plain_price_from_terminals
 
 WIDE = dict(T=1.0, F0=1.0, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
 

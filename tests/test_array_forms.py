@@ -57,11 +57,10 @@ def generator_points(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(generator_points(), min_size=1, max_size=24),
-       st.sampled_from(("numerator", "denominator")))
-def test_hagan_vols_equal_scalar(points, bracket):
-    scalar = np.array([hagan_vol(p, bracket) for p in points])
-    assert np.array_equal(hagan_vols(*columns(points), bracket=bracket), scalar)
+@given(st.lists(generator_points(), min_size=1, max_size=24))
+def test_hagan_vols_equal_scalar(points):
+    scalar = np.array([hagan_vol(p) for p in points])
+    assert np.array_equal(hagan_vols(*columns(points)), scalar)
 
 
 @settings(max_examples=150, deadline=None)
@@ -128,8 +127,3 @@ def test_vanishing_alpha_overflows_silently():
         for fn in (hagan_vol, lambda p: hagan_vols(*columns([p]))):
             with pytest.raises(NegativeVol):
                 fn(off)
-
-
-def test_unknown_bracket_rejected():
-    with pytest.raises(ValueError):
-        hagan_vols(*columns([NEGATIVE_ATM]), bracket="banana")

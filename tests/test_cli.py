@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from sabrkit.cli import main
+from sabrkit.datagen import load_dataset
 from sabrkit.hagan import SabrPoint, hagan_vol
-from sabrkit.net import init_bundle, save_model
+from sabrkit.net import ARCHS, init_bundle, load_model, predict_from_rows, predict_vol, save_model
 
 
 def read_csv(path):
@@ -122,6 +123,31 @@ class TestTrainEvaluate:
                      "--dataset", str(small_dataset), "--out", str(tmp_path)]) == 0
         assert reports[0].read_bytes() == first
 
+    def test_evaluate_records_full_mc_config(self, small_dataset, tmp_path):
+        model = zero_model(tmp_path)
+        assert main(["evaluate", "--models", str(model), "--dataset", str(small_dataset),
+                     "--cv-vol", "effective-atm", "--sweep", "--paths", "2000",
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads(next(tmp_path.glob("metrics_georesnn_*.json")).read_text())
+        assert report["mc_config"] == {
+            "paths": 2000, "steps_per_year": 50, "min_steps": 10, "cv_vol_mode": "effective_atm",
+            "sigma_scheme": "log_exact", "base_seed": 42, "block_size": 4096}
+
+    def test_price_and_evaluate_agree(self, small_dataset, tmp_path):
+        # price recomputes the Hagan baseline and the features from the point;
+        # evaluate reads them from the dataset, which keeps 12 significant
+        # digits. That rounding moves vols by up to ~1e-10 relative; a
+        # baseline that differed from the dataset's would move them by 1e-6
+        # and more.
+        rows = load_dataset(small_dataset).split_samples("test")
+        for arch in sorted(ARCHS):
+            assert main(["train", "--dataset", str(small_dataset), "--arch", arch,
+                         "--epochs", "3", "--seed", "3", "--out", str(tmp_path)]) == 0
+            bundle = load_model(tmp_path / f"model_{arch}.json")
+            single = [predict_vol(bundle, s.point) for s in rows]
+            np.testing.assert_allclose(single, predict_from_rows(bundle, rows),
+                                       rtol=1e-9, atol=0.0)
+
 
 # One fault in the first data row of a dataset CSV; train must exit 2.
 BROKEN_ROWS = {
@@ -165,14 +191,16 @@ class TestPrice:
         assert main(["price", "--model", str(model), "--K", "1.0",
                      "--rho", "2.0"]) == 2
 
-    @pytest.mark.parametrize("fault", ["no layers", "shape chain"])
+    @pytest.mark.parametrize("fault", ["no layers", "shape chain", "denominator bracket"])
     def test_broken_model_exit_2_one_line(self, tmp_path, capsys, fault):
         model = zero_model(tmp_path)
         payload = json.loads(model.read_text())
         if fault == "no layers":
             del payload["layers"]
-        else:
+        elif fault == "shape chain":
             payload["layers"][1]["w"] = payload["layers"][1]["w"][:-1]
+        else:
+            payload["hagan_bracket"] = "denominator"
         model.write_text(json.dumps(payload))
         assert main(["price", "--model", str(model), "--K", "1.1"]) == 2
         err = capsys.readouterr().err
@@ -181,6 +209,23 @@ class TestPrice:
 
     def test_missing_required_flag_exit_2(self, tmp_path):
         assert main(["price", "--model", "nowhere.json"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["smile", "--paths", "2000", "--n-strikes", "2", "--hagan-bracket", "numerator"],
+    ["generate", "--configs", "2", "--paths", "2000", "--out", "OUT",
+     "--hagan-bracket", "numerator"],
+    ["train", "--dataset", "DATA", "--arch", "ndn", "--epochs", "1", "--out", "OUT",
+     "--hagan-bracket", "numerator"],
+    ["evaluate", "--models", "MODEL", "--dataset", "DATA", "--out", "OUT",
+     "--region-mode", "grid"],
+], ids=["smile bracket", "generate bracket", "train bracket", "evaluate region mode"])
+def test_removed_flag_exit_2(small_dataset, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    names = {"OUT": str(out), "DATA": str(small_dataset), "MODEL": str(zero_model(tmp_path))}
+    assert main([names.get(a, a) for a in argv]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestConfigOverlay:

@@ -139,8 +139,7 @@ class TestBuildDataset:
         assert len(ds) == 77
 
     def test_degenerate_config_rows_hit_alpha(self):
-        rows = _build_config_rows((0, (1.0, 1.0, 0.2, 1.0, 0.0, 0.0),
-                                   McConfig(paths=1000), "numerator"))
+        rows = _build_config_rows((0, (1.0, 1.0, 0.2, 1.0, 0.0, 0.0), McConfig(paths=1000)))
         assert len(rows) == 11
         for s in rows:
             assert s.valid
@@ -254,7 +253,7 @@ class TestPersistence:
             assert b.sigma_mc == pytest.approx(a.sigma_mc, rel=1e-11)
         import hashlib
 
-        digest = hashlib.sha256(open(tmp_path / "d.csv", "rb").read()).hexdigest()
+        digest = hashlib.sha256((tmp_path / "d.csv").read_bytes()).hexdigest()
         assert digest == manifest["csv_sha256"]
         assert manifest["rows"] == 55
 
@@ -271,7 +270,7 @@ class TestPersistence:
         ds = Dataset([make_sample(0.001 * i, idx=i) for i in range(12)])
         split_dataset(ds, seed=42)
         save_dataset(ds, tmp_path / "d.csv")
-        raw = open(tmp_path / "d.csv", "rb").read()
+        raw = (tmp_path / "d.csv").read_bytes()
         assert b"\r" not in raw
         first = raw.split(b"\n", 1)[0].decode()
         assert first == ("T,F0,K,alpha,beta,rho,nu,sigma_hagan,sigma_mc,"
@@ -281,4 +280,4 @@ class TestPersistence:
         cfg = McConfig(paths=1000)
         generate_dataset(3, cfg, seed=5, csv_path=tmp_path / "a.csv")
         generate_dataset(3, cfg, seed=5, csv_path=tmp_path / "b.csv")
-        assert open(tmp_path / "a.csv", "rb").read() == open(tmp_path / "b.csv", "rb").read()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -94,12 +94,6 @@ class TestRegions:
         with pytest.raises(EmptyRegion):
             evaluate_model(bundle, rows)
 
-    def test_moneyness_mode(self):
-        rows = smile_rows(n_configs=5)
-        bundle = zero_weights(init_bundle("resnn", seed=4))
-        metrics = evaluate_model(bundle, rows, region_mode="moneyness").regions
-        assert sum(m.count for m in metrics.values()) == len(rows)
-
     def test_evaluate_model_summary(self):
         rows = smile_rows(mc_equals_hagan=False)
         bundle = zero_weights(init_bundle("georesnn", seed=5))

@@ -12,13 +12,12 @@ from sabrkit.mc import (
     McConfig,
     Terminals,
     cv_price,
-    mc_implied_vol,
     price_from_terminals,
     simulate_terminals,
 )
 from sabrkit.pricing import black_price
 
-from plain_mc import plain_price_from_terminals
+from plain_mc import mc_implied_vol, plain_price_from_terminals
 
 WIDE = dict(T=1.0, F0=1.0, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
 

@@ -631,6 +631,8 @@ BROKEN_MODELS = {
     "target mode against arch": _edit(["target_mode"], "direct"),
     "feature names against arch": _edit(["feature_names"], ["T", "F0", "K", "alpha", "beta", "rho", "nu"]),
     "unknown bracket": _edit(["hagan_bracket"], "banana"),
+    # The formula such a model was trained against is no longer in the package.
+    "denominator bracket": _edit(["hagan_bracket"], "denominator"),
     "shape chain": _edit(["layers", 1, "w"], [[0.0] * 64] * 63),
     "bias width": _edit(["layers", 0, "b"], [0.0] * 63),
     "layer sizes": _edit(["layer_sizes"], [11, 64, 64, 1]),
