@@ -33,11 +33,10 @@ from .errors import (
     NoConvergence,
     NonFinite,
     PriceOutOfBounds,
-    SabrkitError,
     ShapeMismatch,
 )
 from .hagan import SabrPoint, hagan_vol
-from .mc import McConfig, implied_vol_from_estimate, price_from_terminals, simulate_terminals
+from .mc import McConfig
 
 _NUMERICAL_ERRORS = (PriceOutOfBounds, NoConvergence, DomainError, NegativeVol,
                      NonFinite, Diverged)
@@ -49,8 +48,6 @@ def _add_mc_flags(parser: argparse.ArgumentParser, default_paths: int) -> None:
     parser.add_argument("--steps-per-year", type=int, default=50)
     parser.add_argument("--cv-vol", choices=("paper-alpha", "effective-atm"),
                         default="paper-alpha")
-    parser.add_argument("--sigma-scheme", choices=("log-exact", "euler-strict"),
-                        default="log-exact")
 
 
 def _add_sabr_flags(parser: argparse.ArgumentParser) -> None:
@@ -67,7 +64,6 @@ def _mc_config(args: argparse.Namespace, seed: int) -> McConfig:
         paths=args.paths,
         steps_per_year=args.steps_per_year,
         cv_vol_mode=args.cv_vol.replace("-", "_"),
-        sigma_scheme=args.sigma_scheme.replace("-", "_"),
         base_seed=seed,
     )
 
@@ -181,24 +177,14 @@ def cmd_smile(args) -> int:
     if args.n_strikes < 1 or k_min <= 0 or k_max <= k_min:
         raise ConfigError("need n_strikes >= 1 and 0 < k_min < k_max")
     strikes = np.linspace(k_min, k_max, args.n_strikes)
+    # Every strike is checked before the simulation starts.
+    hagan_vols = [hagan_vol(SabrPoint(K=float(k), **point_args)) for k in strikes]
 
-    cfg = _mc_config(args, args.seed)
-    terminals = simulate_terminals(args.T, args.F0, args.alpha, args.beta,
-                                   args.rho, args.nu, cfg)
-    rows = []
-    failures = 0
+    mc_vols, mc_ses = datagen.reference_smile(**point_args, strikes=strikes,
+                                              mc_cfg=_mc_config(args, args.seed))
+    rows = list(zip(strikes.tolist(), hagan_vols, mc_vols.tolist(), mc_ses.tolist()))
     print(f"{'strike':>10} {'hagan':>10} {'monte_carlo':>12} {'mc_se':>10}")
-    for k in strikes:
-        point = SabrPoint(K=float(k), **point_args)
-        hag = hagan_vol(point)
-        try:
-            estimate = price_from_terminals(terminals, float(k))
-            mc = implied_vol_from_estimate(estimate, args.T, args.F0, float(k))
-            mc_vol, mc_se = mc.sigma, mc.vol_std_error
-        except _NUMERICAL_ERRORS:
-            mc_vol, mc_se = float("nan"), float("nan")
-            failures += 1
-        rows.append((float(k), hag, mc_vol, mc_se))
+    for k, hag, mc_vol, mc_se in rows:
         print(f"{k:10.4f} {hag:10.6f} {mc_vol:12.6f} {mc_se:10.2e}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -209,7 +195,7 @@ def cmd_smile(args) -> int:
             for row in rows:
                 writer.writerow([f"{v:.12g}" for v in row])
         print(f"wrote {path}")
-    if failures == len(rows):
+    if np.isnan(mc_vols).all():
         raise NonFinite("every strike failed to invert")
     return 0
 
@@ -263,7 +249,7 @@ def cmd_evaluate(args) -> int:
     test_rows = dataset.split_samples("test")
     if not test_rows:
         raise ConfigError("dataset has no test rows; generate with splits first")
-    tag = datagen.file_sha256(args.dataset)[:8]
+    tag = datagen.file_sha256(args.dataset)[:12]
     os.makedirs(args.out, exist_ok=True)
     mc_cfg = _mc_config(args, args.seed)
     for model_path in args.models:

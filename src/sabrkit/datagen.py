@@ -3,10 +3,10 @@ Monte Carlo reference vols, outlier filtering, splitting and persistence.
 
 Each configuration draws a maturity from a fixed tenor list, takes its
 parameters uniformly from the ranges of the maturity's bucket, then prices
-an 11-strike smile from a single set of simulated terminal values. Rows
-whose reference vol cannot be computed (price outside the invertible
-interval, closed form outside its validity domain) are kept in the file
-but flagged invalid.
+an 11-strike smile with :func:`reference_smile`, from a single set of
+simulated terminal values. Rows whose reference vol cannot be computed
+(price outside the invertible interval, closed form outside its validity
+domain) are kept in the file but flagged invalid.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "filter_outliers",
     "generate_dataset",
     "load_dataset",
+    "reference_smile",
     "sample_config",
     "save_dataset",
     "split_dataset",
@@ -167,6 +168,36 @@ class Dataset:
         return [s for s in self.samples if s.valid and s.split == split]
 
 
+def reference_smile(
+    T: float,
+    F0: float,
+    alpha: float,
+    beta: float,
+    rho: float,
+    nu: float,
+    strikes,
+    mc_cfg: McConfig,
+    config_index: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo reference vols and their standard errors on a strike list.
+
+    One set of terminals is simulated and every strike is priced from it
+    with the control variate, then inverted. A strike whose price is not
+    finite or cannot be inverted gets NaN in both arrays.
+    """
+    terminals = simulate_terminals(T, F0, alpha, beta, rho, nu, mc_cfg, config_index)
+    sigma = np.full(len(strikes), np.nan)
+    se = np.full(len(strikes), np.nan)
+    for i, K in enumerate(strikes):
+        K = float(K)
+        try:
+            mc = implied_vol_from_estimate(price_from_terminals(terminals, K), T, F0, K)
+        except (PriceOutOfBounds, NoConvergence, NonFinite):
+            continue
+        sigma[i], se[i] = mc.sigma, mc.vol_std_error
+    return sigma, se
+
+
 _NAN_FEATS = GeomFeatures(q=float("nan"), sigma_min=float("nan"),
                           d_h=float("nan"), sigma0=float("nan"))
 
@@ -174,26 +205,20 @@ _NAN_FEATS = GeomFeatures(q=float("nan"), sigma_min=float("nan"),
 def _build_config_rows(args) -> list[Sample]:
     config_index, params, mc_cfg = args
     T, F0, alpha, beta, rho, nu = params
-    terminals = simulate_terminals(T, F0, alpha, beta, rho, nu, mc_cfg, config_index)
     strikes = strike_grid(F0, alpha, T)
+    sigma_mc, _ = reference_smile(T, F0, alpha, beta, rho, nu, strikes, mc_cfg, config_index)
     rows = []
-    for n, K in zip(GRID_INDICES, strikes):
+    for n, K, mc_vol in zip(GRID_INDICES, strikes, sigma_mc):
         point = SabrPoint(T=T, F0=F0, K=float(K), alpha=alpha, beta=beta, rho=rho, nu=nu)
-        valid = True
+        valid = math.isfinite(mc_vol)
         sigma_h = float("nan")
         feats = _NAN_FEATS
-        sigma_mc = float("nan")
         try:
             sigma_h = hagan_vol(point)
             feats = features(point)
         except (NegativeVol, DomainError):
             valid = False
-        try:
-            estimate = price_from_terminals(terminals, float(K))
-            sigma_mc = implied_vol_from_estimate(estimate, T, F0, float(K)).sigma
-        except (PriceOutOfBounds, NoConvergence, NonFinite):
-            valid = False
-        rows.append(Sample(point=point, sigma_hagan=sigma_h, sigma_mc=sigma_mc,
+        rows.append(Sample(point=point, sigma_hagan=sigma_h, sigma_mc=float(mc_vol),
                            feats=feats, grid_index=float(n), valid=valid,
                            config_index=config_index))
     return rows

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import GRID_INDICES, sample_config, strike_grid
+from .datagen import GRID_INDICES, reference_smile, sample_config, strike_grid
 from .errors import DegenerateReference, EmptyRegion, SabrkitError
 from .hagan import SabrPoint, hagan_vol
-from .mc import McConfig, cv_price, implied_vol_from_estimate, price_from_terminals, simulate_terminals
+from .mc import McConfig
 from .net import ModelBundle, predict_from_rows, predict_vol, predict_vols
 
 __all__ = [
@@ -179,22 +179,12 @@ class StressRecord:
 
 
 def _smile_on_strikes(bundle, mc_cfg, T, F0, alpha, beta, rho, nu, strikes, config_index=0):
-    terminals = simulate_terminals(T, F0, alpha, beta, rho, nu, mc_cfg, config_index)
-    mc_vols, hagan_vols, model_vols = [], [], []
-    failed = 0
+    mc_vols, _ = reference_smile(T, F0, alpha, beta, rho, nu, strikes, mc_cfg, config_index)
     points = [SabrPoint(T=T, F0=F0, K=k, alpha=alpha, beta=beta, rho=rho, nu=nu)
               for k in strikes]
-    for point, model_vol in zip(points, predict_vols(bundle, points)):
-        try:
-            estimate = price_from_terminals(terminals, point.K)
-            mc_vol = implied_vol_from_estimate(estimate, T, F0, point.K).sigma
-        except SabrkitError:
-            mc_vol = float("nan")
-            failed += 1
-        mc_vols.append(mc_vol)
-        hagan_vols.append(hagan_vol(point))
-        model_vols.append(float(model_vol))
-    return mc_vols, hagan_vols, model_vols, failed
+    hagan_vols = [hagan_vol(point) for point in points]
+    model_vols = predict_vols(bundle, points).tolist()
+    return mc_vols.tolist(), hagan_vols, model_vols, int(np.isnan(mc_vols).sum())
 
 
 def stress_suite(bundle: ModelBundle, mc_cfg: McConfig,
@@ -277,7 +267,8 @@ def latency_bench(bundle: ModelBundle, n_points: int = 10_000,
                   mc_cfg: McConfig | None = None, warmup: int = 100,
                   seed: int = 0) -> LatencyStats:
     """Per-call latency of single-point prediction, and speed-up against one
-    Monte Carlo pricing at the reference path budget.
+    Monte Carlo reference vol (:func:`~sabrkit.datagen.reference_smile` at
+    one strike) at the reference path budget.
 
     The strike's grid index is drawn uniformly, so one point in eleven
     takes the at-the-money shortcut. The first ``warmup`` calls are
@@ -300,9 +291,8 @@ def latency_bench(bundle: ModelBundle, n_points: int = 10_000,
         timings[i] = time.perf_counter() - t0
     kept = timings[warmup:] * 1e6
 
-    bench_point = SabrPoint(T=1.0, F0=1.0, K=1.0, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
     t0 = time.perf_counter()
-    cv_price(bench_point, mc_cfg)
+    reference_smile(1.0, 1.0, 0.2, 0.5, -0.8, 1.2, [1.0], mc_cfg)
     mc_us = (time.perf_counter() - t0) * 1e6
 
     median_us = float(np.median(kept))

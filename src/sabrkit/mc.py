@@ -14,6 +14,9 @@ single option.
 Paths are generated in fixed-size blocks, each with its own stream spawned
 from (base_seed, config_index, block_index). Results are therefore
 bit-reproducible regardless of how blocks are scheduled.
+
+:func:`sabrkit.datagen.reference_smile` turns one simulation into a
+reference vol and its standard error per strike.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigError, NonFinite
-from .hagan import SabrPoint, check_params
+from .hagan import check_params
 from .pricing import black_price, black_vega, implied_vol
 
 __all__ = [
@@ -34,33 +37,33 @@ __all__ = [
     "McImpliedVol",
     "PriceEstimate",
     "Terminals",
-    "cv_price",
     "price_from_terminals",
     "simulate_terminals",
 ]
 
 CV_VOL_MODES = ("paper_alpha", "effective_atm")
-SIGMA_SCHEMES = ("log_exact", "euler_strict")
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Simulation budget and scheme switches.
+    """Simulation budget and control-variate mode.
 
     ``sigma_bar`` is derived from ``cv_vol_mode``: the initial vol alpha, or
     alpha*F0^(beta-1) which matches the at-the-money lognormal level and
     couples better when beta < 1 and F0 is far from 1. Every maturity gets
     at least ``min_steps`` steps, and paths are drawn in blocks of
-    ``block_size``, each block from its own stream.
+    ``block_size``, each block from its own stream. The vol factor is
+    always stepped in log space; ``sigma_scheme`` names that scheme in the
+    record.
     """
 
     min_steps: ClassVar[int] = 10
     block_size: ClassVar[int] = 4096
+    sigma_scheme: ClassVar[str] = "log_exact"
 
     paths: int = 100_000
     steps_per_year: int = 50
     cv_vol_mode: str = "paper_alpha"
-    sigma_scheme: str = "log_exact"
     base_seed: int = 42
 
     def __post_init__(self) -> None:
@@ -70,8 +73,6 @@ class McConfig:
             raise ConfigError("steps_per_year must be >= 1")
         if self.cv_vol_mode not in CV_VOL_MODES:
             raise ConfigError(f"cv_vol_mode must be one of {CV_VOL_MODES}")
-        if self.sigma_scheme not in SIGMA_SCHEMES:
-            raise ConfigError(f"sigma_scheme must be one of {SIGMA_SCHEMES}")
 
     def n_steps(self, T: float) -> int:
         return max(self.min_steps, math.ceil(self.steps_per_year * T))
@@ -84,14 +85,14 @@ class McConfig:
     def record(self) -> dict:
         """Every setting, the fixed ones included, as dataset manifests and
         evaluation reports store them."""
-        return {**asdict(self), "min_steps": self.min_steps, "block_size": self.block_size}
+        return {**asdict(self), "sigma_scheme": self.sigma_scheme,
+                "min_steps": self.min_steps, "block_size": self.block_size}
 
 
 @dataclass(frozen=True)
 class PriceEstimate:
     price: float
     std_error: float
-    paths_used: int
 
 
 @dataclass(frozen=True)
@@ -109,10 +110,6 @@ class Terminals:
 
     T: float
     F0: float
-    alpha: float
-    beta: float
-    rho: float
-    nu: float
     sigma_bar: float
     f_sabr: np.ndarray
     f_black: np.ndarray
@@ -132,9 +129,9 @@ def simulate_terminals(
 
     Euler steps with full truncation for the SABR forward (F^beta taken on
     max(F, 0), absorption at zero for beta < 1); the volatility factor is
-    either stepped in log space, which is exact in distribution for the
-    lognormal vol, or with the plain Euler recursion. Parameters outside
-    the SABR domain raise ConfigError from :func:`check_params`.
+    stepped in log space, which is exact in distribution for the lognormal
+    vol. Parameters outside the SABR domain raise ConfigError from
+    :func:`check_params`.
     """
     check_params(T, F0, alpha, beta, rho, nu)
     n_steps = cfg.n_steps(T)
@@ -142,7 +139,6 @@ def simulate_terminals(
     sqrt_dt = math.sqrt(dt)
     rho_perp = math.sqrt(1.0 - rho * rho)
     sigma_bar = cfg.sigma_bar(alpha, F0, beta)
-    log_exact = cfg.sigma_scheme == "log_exact"
     lognormal_forward = beta >= 1.0
 
     f_sabr = np.empty(cfg.paths)
@@ -166,19 +162,13 @@ def simulate_terminals(
             if not lognormal_forward:
                 np.maximum(f, 0.0, out=f)
             fb += sigma_bar * fb * dw_k
-            if log_exact:
-                sigma *= np.exp(nu * dz_k - 0.5 * nu * nu * dt)
-            else:
-                sigma *= 1.0 + nu * dz_k
+            sigma *= np.exp(nu * dz_k - 0.5 * nu * nu * dt)
         f_sabr[done : done + width] = f
         f_black[done : done + width] = fb
         done += width
         block_index += 1
 
-    return Terminals(
-        T=T, F0=F0, alpha=alpha, beta=beta, rho=rho, nu=nu,
-        sigma_bar=sigma_bar, f_sabr=f_sabr, f_black=f_black,
-    )
+    return Terminals(T=T, F0=F0, sigma_bar=sigma_bar, f_sabr=f_sabr, f_black=f_black)
 
 
 def price_from_terminals(terminals: Terminals, K: float) -> PriceEstimate:
@@ -190,13 +180,7 @@ def price_from_terminals(terminals: Terminals, K: float) -> PriceEstimate:
     anchor = black_price(terminals.T, terminals.F0, K, terminals.sigma_bar)
     price = float(diffs.mean()) + anchor
     std_error = float(diffs.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return PriceEstimate(price=price, std_error=std_error, paths_used=n)
-
-
-def cv_price(p: SabrPoint, cfg: McConfig, config_index: int = 0) -> PriceEstimate:
-    """Simulate and price one configuration at its own strike."""
-    terminals = simulate_terminals(p.T, p.F0, p.alpha, p.beta, p.rho, p.nu, cfg, config_index)
-    return price_from_terminals(terminals, p.K)
+    return PriceEstimate(price=price, std_error=std_error)
 
 
 def implied_vol_from_estimate(
@@ -205,7 +189,7 @@ def implied_vol_from_estimate(
     """Invert a price estimate and propagate its standard error to vol units.
 
     Raises PriceOutOfBounds when the estimate landed outside the invertible
-    interval; callers building datasets mark such rows invalid.
+    interval; :func:`sabrkit.datagen.reference_smile` marks such strikes NaN.
     """
     sigma = implied_vol(estimate.price, T, F0, K)
     vega = black_vega(T, F0, K, sigma)

@@ -2,8 +2,8 @@
 
 The engine prices with its control variate only; the tests compare that
 estimator against the plain payoff average over the same terminals. The
-module also holds the one-call reference vol the tests price single points
-with.
+module also holds the one-call price and reference vol the tests price
+single points with.
 """
 
 import math
@@ -12,7 +12,15 @@ import numpy as np
 
 from sabrkit.errors import NonFinite
 from sabrkit.hagan import SabrPoint
-from sabrkit.mc import McConfig, McImpliedVol, PriceEstimate, Terminals, cv_price, implied_vol_from_estimate
+from sabrkit.mc import (
+    McConfig,
+    McImpliedVol,
+    PriceEstimate,
+    Terminals,
+    implied_vol_from_estimate,
+    price_from_terminals,
+    simulate_terminals,
+)
 
 
 def plain_price_from_terminals(terminals: Terminals, K: float) -> PriceEstimate:
@@ -22,7 +30,13 @@ def plain_price_from_terminals(terminals: Terminals, K: float) -> PriceEstimate:
         raise NonFinite("non-finite payoff encountered")
     n = payoff.size
     std_error = float(payoff.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return PriceEstimate(price=float(payoff.mean()), std_error=std_error, paths_used=n)
+    return PriceEstimate(price=float(payoff.mean()), std_error=std_error)
+
+
+def cv_price(p: SabrPoint, cfg: McConfig, config_index: int = 0) -> PriceEstimate:
+    """Simulate and price one configuration at its own strike."""
+    terminals = simulate_terminals(p.T, p.F0, p.alpha, p.beta, p.rho, p.nu, cfg, config_index)
+    return price_from_terminals(terminals, p.K)
 
 
 def mc_implied_vol(p: SabrPoint, cfg: McConfig, config_index: int = 0) -> McImpliedVol:

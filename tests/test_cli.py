@@ -41,6 +41,14 @@ class TestSmile:
     def test_invalid_params_exit_2(self):
         assert main(["smile", "--beta", "2.0", "--paths", "2000"]) == 2
 
+    def test_bad_strike_rejected_before_simulating(self, capsys):
+        # At the default 1M paths a simulation would take seconds; the
+        # strike is checked first, so nothing reaches stdout.
+        assert main(["smile", "--k-min", "nan"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("invalid input:")
+
     def test_strike_range_default(self, tmp_path):
         main(["smile", "--paths", "2000", "--n-strikes", "4", "--out", str(tmp_path)])
         rows = read_csv(tmp_path / "smile.csv")
@@ -122,6 +130,16 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--models", str(tmp_path / "model_georesnn.json"),
                      "--dataset", str(small_dataset), "--out", str(tmp_path)]) == 0
         assert reports[0].read_bytes() == first
+
+    def test_report_tag_is_manifest_hash_prefix(self, small_dataset, tmp_path):
+        model = zero_model(tmp_path)
+        assert main(["evaluate", "--models", str(model), "--dataset", str(small_dataset),
+                     "--out", str(tmp_path)]) == 0
+        manifest = json.loads((small_dataset.parent / "manifest.json").read_text())
+        tag = manifest["csv_sha256"][:12]
+        report_path = next(tmp_path.glob("metrics_georesnn_*.json"))
+        assert json.loads(report_path.read_text())["dataset_sha256_12"] == tag
+        assert report_path.name == f"metrics_georesnn_{tag}.json"
 
     def test_evaluate_records_full_mc_config(self, small_dataset, tmp_path):
         model = zero_model(tmp_path)
@@ -219,7 +237,16 @@ class TestPrice:
      "--hagan-bracket", "numerator"],
     ["evaluate", "--models", "MODEL", "--dataset", "DATA", "--out", "OUT",
      "--region-mode", "grid"],
-], ids=["smile bracket", "generate bracket", "train bracket", "evaluate region mode"])
+    ["smile", "--paths", "2000", "--n-strikes", "2", "--sigma-scheme", "log-exact"],
+    ["generate", "--configs", "2", "--paths", "2000", "--out", "OUT",
+     "--sigma-scheme", "log-exact"],
+    ["evaluate", "--models", "MODEL", "--dataset", "DATA", "--out", "OUT",
+     "--sigma-scheme", "log-exact"],
+    ["bench", "--model", "MODEL", "--points", "150", "--paths", "2000",
+     "--sigma-scheme", "log-exact"],
+], ids=["smile bracket", "generate bracket", "train bracket", "evaluate region mode",
+        "smile sigma scheme", "generate sigma scheme", "evaluate sigma scheme",
+        "bench sigma scheme"])
 def test_removed_flag_exit_2(small_dataset, tmp_path, capsys, argv):
     out = tmp_path / "out"
     names = {"OUT": str(out), "DATA": str(small_dataset), "MODEL": str(zero_model(tmp_path))}
@@ -258,7 +285,9 @@ class TestConfigOverlay:
         ({"paths": "abc"}, ["generate", "--configs", "2", "--out", "OUT"]),
         ({"epochs": "x"}, ["train", "--dataset", "d.csv", "--arch", "ndn", "--out", "OUT"]),
         ({"cv_vol": "paper_alpha"}, ["generate", "--configs", "2", "--out", "OUT"]),
-    ], ids=["top-level list", "wrong-typed paths", "wrong-typed epochs", "bad choice"])
+        ({"sigma_scheme": "log-exact"}, ["generate", "--configs", "2", "--out", "OUT"]),
+    ], ids=["top-level list", "wrong-typed paths", "wrong-typed epochs", "bad choice",
+            "removed sigma scheme"])
     def test_bad_config_file_exit_2_one_line(self, tmp_path, capsys, payload, argv):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(payload))

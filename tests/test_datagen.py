@@ -14,6 +14,7 @@ from sabrkit.datagen import (
     filter_outliers,
     generate_dataset,
     load_dataset,
+    reference_smile,
     sample_config,
     save_dataset,
     split_dataset,
@@ -21,10 +22,10 @@ from sabrkit.datagen import (
     year_fraction,
 )
 from sabrkit.datagen import _build_config_rows
-from sabrkit.errors import ConfigError
+from sabrkit.errors import ConfigError, NoConvergence, NonFinite, PriceOutOfBounds
 from sabrkit.geometry import GeomFeatures, features
 from sabrkit.hagan import SabrPoint, hagan_vol
-from sabrkit.mc import McConfig
+from sabrkit.mc import McConfig, implied_vol_from_estimate, price_from_terminals, simulate_terminals
 
 
 def make_sample(residual, idx=0, valid=True, split="none"):
@@ -156,6 +157,37 @@ class TestBuildDataset:
         assert len(serial) == len(parallel)
         for a, b in zip(serial.samples, parallel.samples):
             assert a == b
+
+
+class TestReferenceSmile:
+    """reference_smile equals pricing and inverting each strike on its own
+    from the same terminals, with NaN exactly where that raises."""
+
+    @pytest.mark.parametrize("params, strikes, config_index", [
+        ((0.1, 1.0, 0.01, 1.0, 0.0, 0.0), [0.9, 1.0, 10.0], 0),
+        ((1.0, 1.0, 0.2, 0.5, -0.8, 1.2), [0.5 + 0.1 * i for i in range(16)], 3),
+    ], ids=["uninvertible", "wide smile"])
+    def test_matches_per_strike_calls(self, params, strikes, config_index):
+        cfg = McConfig(paths=4000)
+        T, F0 = params[:2]
+        sigma, se = reference_smile(*params, strikes, cfg, config_index=config_index)
+        terminals = simulate_terminals(*params, cfg, config_index)
+        assert sigma.shape == se.shape == (len(strikes),)
+        for i, K in enumerate(strikes):
+            try:
+                mc = implied_vol_from_estimate(price_from_terminals(terminals, K), T, F0, K)
+            except (PriceOutOfBounds, NoConvergence, NonFinite):
+                assert math.isnan(sigma[i]) and math.isnan(se[i])
+                continue
+            assert sigma[i] == mc.sigma
+            assert se[i] == mc.vol_std_error
+
+    def test_uninvertible_strikes_are_nan(self):
+        sigma, se = reference_smile(0.1, 1.0, 0.01, 1.0, 0.0, 0.0, [0.9, 1.0, 10.0],
+                                    McConfig(paths=4000))
+        assert np.isnan(sigma).tolist() == [True, False, True]
+        assert np.isnan(se).tolist() == [True, False, True]
+        assert abs(sigma[1] - 0.01) <= 1e-10
 
 
 class TestFilter:

@@ -11,13 +11,12 @@ from sabrkit.hagan import SabrPoint, hagan_vol
 from sabrkit.mc import (
     McConfig,
     Terminals,
-    cv_price,
     price_from_terminals,
     simulate_terminals,
 )
 from sabrkit.pricing import black_price
 
-from plain_mc import mc_implied_vol, plain_price_from_terminals
+from plain_mc import cv_price, mc_implied_vol, plain_price_from_terminals
 
 WIDE = dict(T=1.0, F0=1.0, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
 
@@ -41,8 +40,7 @@ class TestConfig:
         eff = McConfig(paths=1000, cv_vol_mode="effective_atm")
         assert eff.sigma_bar(0.03, 0.02, 0.5) == pytest.approx(0.03 * 0.02**-0.5, rel=1e-14)
 
-    @pytest.mark.parametrize("bad", [dict(paths=999), dict(cv_vol_mode="x"),
-                                     dict(sigma_scheme="exact")])
+    @pytest.mark.parametrize("bad", [dict(paths=999), dict(cv_vol_mode="x")])
     def test_invalid_config_rejected(self, bad):
         with pytest.raises(ConfigError):
             McConfig(**{"paths": 1000, **bad})
@@ -100,14 +98,6 @@ class TestDegenerate:
         out = mc_implied_vol(p, McConfig(paths=1000))
         assert abs(out.sigma - 0.2) <= 1e-10
         assert out.vol_std_error == 0.0
-
-    def test_no_volofvol_keeps_sigma_constant(self):
-        # With nu = 0 both sigma schemes reduce to a constant path.
-        for scheme in ("log_exact", "euler_strict"):
-            cfg = McConfig(paths=1000, sigma_scheme=scheme)
-            a = simulate_terminals(1.0, 1.0, 0.2, 0.5, 0.0, 0.0, cfg)
-            b = simulate_terminals(1.0, 1.0, 0.2, 0.5, 0.0, 0.0, McConfig(paths=1000))
-            assert np.array_equal(a.f_sabr, b.f_sabr)
 
 
 class TestStatistics:
@@ -181,11 +171,6 @@ def WIDE2():
 
 
 class TestSchemes:
-    def test_sigma_schemes_differ_with_volofvol(self):
-        a = simulate_wide(paths=2000)
-        b = simulate_wide(paths=2000, sigma_scheme="euler_strict")
-        assert not np.array_equal(a.f_sabr, b.f_sabr)
-
     def test_absorption_keeps_forward_nonnegative(self):
         t = simulate_wide(paths=50_000)
         assert np.all(t.f_sabr >= 0.0)
@@ -205,8 +190,7 @@ class TestSchemes:
 
 class TestErrors:
     def test_non_finite_payoff_raises(self):
-        t = Terminals(T=1.0, F0=1.0, alpha=0.2, beta=0.5, rho=0.0, nu=0.0,
-                      sigma_bar=0.2, f_sabr=np.array([1.0, np.inf]),
+        t = Terminals(T=1.0, F0=1.0, sigma_bar=0.2, f_sabr=np.array([1.0, np.inf]),
                       f_black=np.array([1.0, 1.0]))
         with pytest.raises(NonFinite):
             price_from_terminals(t, 1.0)
