@@ -201,8 +201,8 @@ def cmd_smile(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     cfg = _mc_config(args, args.seed)
+    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "dataset.csv")
     manifest_path = os.path.join(args.out, "manifest.json")
     dataset, manifest = datagen.generate_dataset(
@@ -250,8 +250,8 @@ def cmd_evaluate(args) -> int:
     if not test_rows:
         raise ConfigError("dataset has no test rows; generate with splits first")
     tag = datagen.file_sha256(args.dataset)[:12]
-    os.makedirs(args.out, exist_ok=True)
     mc_cfg = _mc_config(args, args.seed)
+    os.makedirs(args.out, exist_ok=True)
     for model_path in args.models:
         bundle = net.load_model(model_path)
         metrics = evaluation.evaluate_model(bundle, test_rows)

@@ -85,6 +85,12 @@ class TestGenerate:
         mb = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert ma["csv_sha256"] == mb["csv_sha256"]
 
+    def test_bad_mc_config_leaves_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["generate", "--configs", "2", "--paths", "500", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: paths must be >= 1000")
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
@@ -150,6 +156,14 @@ class TestTrainEvaluate:
         assert report["mc_config"] == {
             "paths": 2000, "steps_per_year": 50, "min_steps": 10, "cv_vol_mode": "effective_atm",
             "sigma_scheme": "log_exact", "base_seed": 42, "block_size": 4096}
+
+    def test_bad_mc_config_leaves_no_out_dir(self, small_dataset, tmp_path, capsys):
+        model = zero_model(tmp_path)
+        out = tmp_path / "out"
+        assert main(["evaluate", "--models", str(model), "--dataset", str(small_dataset),
+                     "--sweep", "--paths", "500", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: paths must be >= 1000")
+        assert not out.exists()
 
     def test_price_and_evaluate_agree(self, small_dataset, tmp_path):
         # price recomputes the Hagan baseline and the features from the point;

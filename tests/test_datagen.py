@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sabrkit import mc
 from sabrkit.datagen import (
     BUCKETS,
     DEFAULT_MATS,
@@ -151,9 +152,14 @@ class TestBuildDataset:
         for s in ds.valid_samples():
             assert s.sigma_hagan == pytest.approx(hagan_vol(s.point), rel=1e-15)
 
-    def test_workers_do_not_change_output(self):
-        serial = build_dataset(4, McConfig(paths=1000), seed=3, workers=1)
-        parallel = build_dataset(4, McConfig(paths=1000), seed=3, workers=2)
+    def test_workers_do_not_change_output(self, monkeypatch):
+        # Two blocks per config: one process and one thread against two
+        # processes, each simulating its configs' blocks on two threads.
+        cfg = McConfig(paths=McConfig.block_size + 1000)
+        monkeypatch.setattr(mc, "_thread_count", lambda n_blocks, path_steps: 1)
+        serial = build_dataset(4, cfg, seed=3, workers=1)
+        monkeypatch.setattr(mc, "_thread_count", lambda n_blocks, path_steps: 2)
+        parallel = build_dataset(4, cfg, seed=3, workers=2)
         assert len(serial) == len(parallel)
         for a, b in zip(serial.samples, parallel.samples):
             assert a == b

@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sabrkit import mc
 from sabrkit.datagen import sample_config, strike_grid
 from sabrkit.errors import ConfigError, NonFinite, PriceOutOfBounds
 from sabrkit.hagan import SabrPoint, hagan_vol
@@ -16,7 +19,7 @@ from sabrkit.mc import (
 )
 from sabrkit.pricing import black_price
 
-from plain_mc import cv_price, mc_implied_vol, plain_price_from_terminals
+from plain_mc import cv_price, mc_implied_vol, plain_price_from_terminals, serial_terminals
 
 WIDE = dict(T=1.0, F0=1.0, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
 
@@ -168,6 +171,82 @@ class TestDeterminism:
 def WIDE2():
     return dict(T=WIDE["T"], F0=WIDE["F0"], alpha=WIDE["alpha"], beta=WIDE["beta"],
                 rho=WIDE["rho"], nu=WIDE["nu"])
+
+
+def assert_same_terminals(got, want):
+    assert got.f_sabr.tobytes() == want.f_sabr.tobytes()
+    assert got.f_black.tobytes() == want.f_black.tobytes()
+    assert (got.T, got.F0, got.sigma_bar) == (want.T, want.F0, want.sigma_bar)
+
+
+BLOCK = McConfig.block_size
+
+
+class TestThreadedBlocks:
+    """The blocks run on threads; the terminals equal the serial per-step
+    simulation in ``plain_mc`` bit for bit, whatever the thread count."""
+
+    def test_thread_count(self, monkeypatch):
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert mc._thread_count(1, 10**9) == 1  # one block runs inline
+        assert mc._thread_count(5, 10**9) == 4  # one thread per core
+        assert mc._thread_count(3, 10**9) == 3  # one per block
+        assert mc._thread_count(5, 20_000 * 10) == 1  # too little work to share
+        assert mc._thread_count(5, 20_000 * 50) == 2  # 500k path-steps a thread
+
+    @settings(max_examples=80, deadline=None)
+    @given(paths=st.sampled_from([1000, BLOCK, 3 * BLOCK + 17]),
+           threads=st.sampled_from([1, 2, 3]),
+           T=st.floats(0.01, 1.0),
+           F0=st.floats(0.005, 2.0),
+           alpha=st.floats(0.005, 0.8),
+           beta=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+           rho=st.one_of(st.sampled_from([-0.95, 0.95]), st.floats(-0.95, 0.95)),
+           nu=st.floats(0.0, 1.5),
+           cv_vol_mode=st.sampled_from(mc.CV_VOL_MODES),
+           config_index=st.integers(0, 3))
+    def test_equals_serial_oracle(self, paths, threads, T, F0, alpha, beta, rho, nu,
+                                  cv_vol_mode, config_index):
+        cfg = McConfig(paths=paths, cv_vol_mode=cv_vol_mode, base_seed=9)
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(mc, "_thread_count", lambda n_blocks, path_steps: min(threads, n_blocks))
+            got = simulate_terminals(T, F0, alpha, beta, rho, nu, cfg, config_index)
+            want = serial_terminals(T, F0, alpha, beta, rho, nu, cfg, config_index)
+        assert_same_terminals(got, want)
+
+    def test_more_threads_than_cores_with_short_switch_interval(self, monkeypatch):
+        # Seven blocks on three threads, switching as often as the
+        # interpreter allows: each thread must keep to its own rows.
+        monkeypatch.setattr(mc, "_thread_count", lambda n_blocks, path_steps: 3)
+        cfg = McConfig(paths=7 * BLOCK - 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate_terminals(cfg=cfg, **WIDE)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_terminals(got, serial_terminals(cfg=cfg, **WIDE))
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_block_exception_reaches_caller(self, monkeypatch, threads):
+        class BlockFailed(Exception):
+            pass
+
+        real = np.random.SeedSequence
+
+        # Block 1 runs on the calling thread with one thread, and on a
+        # pool thread with two or three.
+        def failing_block_1(entropy, spawn_key=()):
+            if spawn_key == (0, 1):
+                raise BlockFailed("block 1")
+            return real(entropy, spawn_key=spawn_key)
+
+        monkeypatch.setattr(mc, "_thread_count", lambda n_blocks, path_steps: threads)
+        monkeypatch.setattr(np.random, "SeedSequence", failing_block_1)
+        before = threading.active_count()
+        with pytest.raises(BlockFailed, match="block 1"):
+            simulate_terminals(cfg=McConfig(paths=4 * BLOCK), **WIDE)
+        assert threading.active_count() == before
 
 
 class TestSchemes:
