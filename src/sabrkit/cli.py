@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -202,7 +203,6 @@ def cmd_smile(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = _mc_config(args, args.seed)
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "dataset.csv")
     manifest_path = os.path.join(args.out, "manifest.json")
     dataset, manifest = datagen.generate_dataset(
@@ -256,7 +256,7 @@ def cmd_evaluate(args) -> int:
         bundle = net.load_model(model_path)
         metrics = evaluation.evaluate_model(bundle, test_rows)
         report = {"dataset": os.path.abspath(args.dataset), "dataset_sha256_12": tag,
-                  "metrics": metrics.to_dict(), "mc_config": None,
+                  "metrics": dataclasses.asdict(metrics), "mc_config": None,
                   "stress": None, "sweep": None, "latency": None}
         if args.stress or args.sweep or args.bench:
             report["mc_config"] = mc_cfg.record()

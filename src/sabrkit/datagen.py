@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, NegativeVol, NonFinite, NoConvergence, PriceOutOfBounds
-from .geometry import GeomFeatures, features
-from .hagan import HAGAN_BRACKET, SabrPoint, hagan_vol
+from .geometry import GEOM_FIELDS, GeomFeatures, features, geom_values
+from .hagan import HAGAN_BRACKET, SABR_FIELDS, SabrPoint, hagan_vol, sabr_values
 from .mc import McConfig, implied_vol_from_estimate, price_from_terminals, simulate_terminals
 
 __all__ = [
@@ -52,11 +52,10 @@ SPLIT_WEIGHTS = (110, 55, 22)
 SPLIT_NAMES = ("train", "val", "test")
 _SPLIT_LABELS = ("none", *SPLIT_NAMES)
 
-CSV_HEADER = [
-    "T", "F0", "K", "alpha", "beta", "rho", "nu",
-    "sigma_hagan", "sigma_mc", "q", "sigma_min", "d_h", "sigma0",
-    "n", "split", "valid",
-]
+CSV_HEADER = [*SABR_FIELDS, "sigma_hagan", "sigma_mc", *GEOM_FIELDS, "n", "split", "valid"]
+# Field positions in a row; the fields before "split" are numeric.
+_HAGAN, _MC, _GEOM, _GRID, _SPLIT, _VALID = map(
+    CSV_HEADER.index, ("sigma_hagan", "sigma_mc", GEOM_FIELDS[0], "n", "split", "valid"))
 
 GRID_INDICES = tuple(i * 0.5 for i in range(-5, 6))
 
@@ -299,31 +298,16 @@ def split_dataset(dataset: Dataset, seed: int = 42, by_config: bool = False) -> 
     if len(valid) < 10:
         raise ConfigError(f"need at least 10 valid rows to split, got {len(valid)}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    if by_config:
-        config_ids = sorted({s.config_index for s in valid})
-        order = [config_ids[i] for i in rng.permutation(len(config_ids))]
-        counts = _largest_remainder(len(order), SPLIT_WEIGHTS)
-        tag_by_config = {}
-        start = 0
-        for name, count in zip(SPLIT_NAMES, counts):
-            for cid in order[start : start + count]:
-                tag_by_config[cid] = name
-            start += count
-        for s in valid:
-            s.split = tag_by_config[s.config_index]
-        return dataset
-    order = rng.permutation(len(valid))
-    counts = _largest_remainder(len(valid), SPLIT_WEIGHTS)
-    start = 0
-    for name, count in zip(SPLIT_NAMES, counts):
-        for idx in order[start : start + count]:
-            valid[idx].split = name
-        start += count
+    # A group is a configuration or a row; the sorted groups are shuffled
+    # and dealt out in split order.
+    keys = [s.config_index for s in valid] if by_config else np.arange(len(valid))
+    groups, group_of = np.unique(keys, return_inverse=True)
+    counts = _largest_remainder(len(groups), SPLIT_WEIGHTS)
+    tags = np.empty(len(groups), dtype=object)
+    tags[rng.permutation(len(groups))] = np.repeat(np.array(SPLIT_NAMES, dtype=object), counts)
+    for s, tag in zip(valid, tags[group_of]):
+        s.split = tag
     return dataset
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def file_sha256(path) -> str:
@@ -348,14 +332,9 @@ def save_dataset(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for s in dataset.samples:
-            p = s.point
-            writer.writerow([
-                _fmt(p.T), _fmt(p.F0), _fmt(p.K), _fmt(p.alpha), _fmt(p.beta),
-                _fmt(p.rho), _fmt(p.nu), _fmt(s.sigma_hagan), _fmt(s.sigma_mc),
-                _fmt(s.feats.q), _fmt(s.feats.sigma_min), _fmt(s.feats.d_h),
-                _fmt(s.feats.sigma0), f"{s.grid_index:.1f}", s.split,
-                "true" if s.valid else "false",
-            ])
+            numbers = (*sabr_values(s.point), s.sigma_hagan, s.sigma_mc, *geom_values(s.feats))
+            writer.writerow([f"{x:.12g}" for x in numbers]
+                            + [f"{s.grid_index:.1f}", s.split, "true" if s.valid else "false"])
     digest = file_sha256(csv_path)
     n_valid = len(dataset.valid_samples())
     manifest = {
@@ -406,26 +385,24 @@ def _sample_from_row(row: list[str], i: int) -> Sample:
     if len(row) != len(CSV_HEADER):
         raise ConfigError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
     try:
-        vals = [float(x) for x in row[:14]]
+        vals = [float(x) for x in row[:_SPLIT]]
     except ValueError:
-        for name, text in zip(CSV_HEADER, row[:14]):
+        for name, text in zip(CSV_HEADER, row[:_SPLIT]):
             try:
                 float(text)
             except ValueError:
                 raise ConfigError(f"field {name} is not a number: {text!r}") from None
-    split, valid = row[14], row[15]
+    split, valid = row[_SPLIT], row[_VALID]
     if split not in _SPLIT_LABELS:
         raise ConfigError(f"split must be one of {', '.join(_SPLIT_LABELS)}; got {split!r}")
     if valid not in ("true", "false"):
         raise ConfigError(f"valid must be true or false, got {valid!r}")
     if valid == "true" and not all(map(math.isfinite, vals)):
         raise ConfigError("valid row holds a non-finite value")
-    point = SabrPoint(T=vals[0], F0=vals[1], K=vals[2], alpha=vals[3],
-                      beta=vals[4], rho=vals[5], nu=vals[6])
-    feats = GeomFeatures(q=vals[9], sigma_min=vals[10], d_h=vals[11], sigma0=vals[12])
     return Sample(
-        point=point, sigma_hagan=vals[7], sigma_mc=vals[8], feats=feats,
-        grid_index=vals[13], split=split, valid=valid == "true",
+        point=SabrPoint(*vals[:len(SABR_FIELDS)]), sigma_hagan=vals[_HAGAN], sigma_mc=vals[_MC],
+        feats=GeomFeatures(*vals[_GEOM:_GEOM + len(GEOM_FIELDS)]),
+        grid_index=vals[_GRID], split=split, valid=valid == "true",
         config_index=i // len(GRID_INDICES),
     )
 
@@ -440,10 +417,12 @@ def generate_dataset(
     split_seed: int = 42,
     by_config_split: bool = False,
 ) -> tuple[Dataset, dict]:
-    """End-to-end generation: build, filter, split, persist."""
+    """End-to-end generation: build, filter, split, persist. The CSV's
+    directory is created only once the rows are split."""
     dataset = build_dataset(num_configs, mc_cfg, seed, workers)
     filter_outliers(dataset)
     split_dataset(dataset, seed=split_seed, by_config=by_config_split)
+    Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
     manifest = save_dataset(
         dataset, csv_path, manifest_path, mc_cfg=mc_cfg, sample_seed=seed,
         split_seed=split_seed,

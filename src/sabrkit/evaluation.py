@@ -74,33 +74,11 @@ class ModelMetrics:
     val_loss_final: float | None
     test_rows: int
 
-    def to_dict(self) -> dict:
-        return {
-            "arch": self.arch,
-            "r2_global": self.r2_global,
-            "rmse_rel": self.rmse_rel,
-            "val_loss_final": self.val_loss_final,
-            "test_rows": self.test_rows,
-            "regions": {
-                name: {"r2": m.r2, "rmse_rel": m.rmse_rel, "count": m.count}
-                for name, m in self.regions.items()
-            },
-        }
-
-
-def _region_of(sample) -> str:
-    if sample.grid_index < 0.0:
-        return "itm"
-    if sample.grid_index > 0.0:
-        return "otm"
-    return "atm"
-
 
 def _regions(predictions, reference, test_samples) -> dict[str, RegionMetrics]:
-    keys = np.array([_region_of(s) for s in test_samples])
+    grid = np.array([s.grid_index for s in test_samples])
     out: dict[str, RegionMetrics] = {}
-    for name in REGION_NAMES:
-        mask = keys == name
+    for name, mask in zip(REGION_NAMES, (grid < 0.0, grid == 0.0, grid > 0.0)):
         if not mask.any():
             raise EmptyRegion(f"region {name!r} has no test rows")
         out[name] = RegionMetrics(

@@ -16,7 +16,8 @@ valid :class:`SabrPoint`, whose construction checks the parameter domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -24,9 +25,11 @@ from .errors import DomainError
 from .hagan import ATM_LOG_THRESHOLD, BETA_ONE_THRESHOLD, SabrPoint, libm_log, libm_pow
 
 __all__ = [
+    "GEOM_FIELDS",
     "GeomFeatures",
     "features",
     "features_array",
+    "geom_values",
     "q_transform",
     "sigma_min",
 ]
@@ -45,6 +48,11 @@ class GeomFeatures:
     sigma_min: float
     d_h: float
     sigma0: float
+
+
+# The one column order of the geometry inputs (network rows, dataset CSV).
+GEOM_FIELDS = tuple(f.name for f in fields(GeomFeatures))
+geom_values = attrgetter(*GEOM_FIELDS)
 
 
 def q_transform(F0: float, K: float, beta: float) -> float:

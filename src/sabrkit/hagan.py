@@ -15,7 +15,8 @@ them at once and agrees with it bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -23,11 +24,13 @@ from .errors import ConfigError, DomainError, NegativeVol
 
 __all__ = [
     "HAGAN_BRACKET",
+    "SABR_FIELDS",
     "SabrPoint",
     "check_params",
     "hagan_atm",
     "hagan_vol",
     "hagan_vols",
+    "sabr_values",
     "zx_ratio",
 ]
 
@@ -96,6 +99,11 @@ class SabrPoint:
 
     def __post_init__(self) -> None:
         check_params(self.T, self.F0, self.alpha, self.beta, self.rho, self.nu, K=self.K)
+
+
+# The one column order of the SABR inputs (network rows, dataset CSV).
+SABR_FIELDS = tuple(f.name for f in fields(SabrPoint))
+sabr_values = attrgetter(*SABR_FIELDS)
 
 
 def zx_ratio(z: float, rho: float) -> float:

@@ -14,6 +14,11 @@ Residual architectures return sigma_hagan * (1 + output) from
 :func:`predict_vol`, so an untrained zero network reproduces the closed
 form exactly.
 
+The raw and geometry inputs are the fields of ``SabrPoint`` and
+``GeomFeatures`` in declared order. An arch fixes its target mode and inputs
+(:data:`ARCHS`), so a :class:`ModelBundle` is an arch and its weights; batch
+norm runs at the fixed :data:`BN_MOMENTUM` and :data:`BN_EPS`.
+
 Training runs batch norm explicitly and keeps every trainable array as a
 view of one parameter vector, so each optimizer step is a single Adam
 update of that vector. Inference runs the network as plain affine layers
@@ -28,17 +33,18 @@ import copy
 import json
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, Diverged, NonFinite, ShapeMismatch
-from .geometry import features, features_array
-from .hagan import HAGAN_BRACKET, SabrPoint, hagan_vol, hagan_vols
+from .geometry import GEOM_FIELDS, features, features_array, geom_values
+from .hagan import HAGAN_BRACKET, SABR_FIELDS, SabrPoint, hagan_vol, hagan_vols, sabr_values
 
 __all__ = [
     "ARCHS",
+    "BN_EPS",
+    "BN_MOMENTUM",
     "AdamState",
     "BatchNorm",
     "DenseLayer",
@@ -58,19 +64,19 @@ __all__ = [
     "train",
 ]
 
-RAW_FEATURES = ("T", "F0", "K", "alpha", "beta", "rho", "nu")
-GEOM_FEATURES = ("q", "sigma_min", "d_h", "sigma0")
 HIDDEN_SIZES = (64, 64, 32)
 
-TARGET_MODES = ("direct", "residual_ratio")
-
-# arch name -> (target mode, uses geometry features)
+# arch name -> (target mode, input columns)
 ARCHS = {
-    "ndn": ("direct", False),
-    "geonn": ("direct", True),
-    "resnn": ("residual_ratio", False),
-    "georesnn": ("residual_ratio", True),
+    "ndn": ("direct", SABR_FIELDS),
+    "geonn": ("direct", SABR_FIELDS + GEOM_FIELDS),
+    "resnn": ("residual_ratio", SABR_FIELDS),
+    "georesnn": ("residual_ratio", SABR_FIELDS + GEOM_FIELDS),
 }
+
+# Batch-norm running-statistics momentum and variance floor.
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 # Adam at the defaults of Kingma & Ba (2015).
 ADAM_BETA1 = 0.9
@@ -102,8 +108,6 @@ class BatchNorm:
     shift: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
 
 
 @dataclass
@@ -116,8 +120,6 @@ class DenseLayer:
 @dataclass
 class ModelBundle:
     arch: str
-    target_mode: str
-    feature_names: tuple[str, ...]
     layers: list[DenseLayer]
     x_mean: np.ndarray
     x_std: np.ndarray
@@ -129,20 +131,16 @@ class ModelBundle:
         default=None, repr=False, compare=False)
 
     @property
+    def target_mode(self) -> str:
+        return ARCHS[self.arch][0]
+
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        return ARCHS[self.arch][1]
+
+    @property
     def layer_sizes(self) -> list[int]:
         return [self.layers[0].w.shape[0]] + [lay.w.shape[1] for lay in self.layers]
-
-
-def feature_names_for(arch: str) -> tuple[str, ...]:
-    target_mode, use_geometry = _arch_spec(arch)
-    return RAW_FEATURES + GEOM_FEATURES if use_geometry else RAW_FEATURES
-
-
-def _arch_spec(arch: str) -> tuple[str, bool]:
-    try:
-        return ARCHS[arch]
-    except KeyError:
-        raise ConfigError(f"unknown arch {arch!r}; expected one of {sorted(ARCHS)}") from None
 
 
 def init_bundle(
@@ -152,9 +150,10 @@ def init_bundle(
 ) -> ModelBundle:
     """Fresh bundle with He-uniform weights, zero biases and identity
     batch-norm and standardization."""
-    target_mode, use_geometry = _arch_spec(arch)
-    names = RAW_FEATURES + GEOM_FEATURES if use_geometry else RAW_FEATURES
-    sizes = [len(names), *hidden_sizes, 1]
+    if arch not in ARCHS:
+        raise ConfigError(f"unknown arch {arch!r}; expected one of {sorted(ARCHS)}")
+    n_inputs = len(ARCHS[arch][1])
+    sizes = [n_inputs, *hidden_sizes, 1]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     layers = []
     for i in range(len(sizes) - 1):
@@ -173,11 +172,9 @@ def init_bundle(
         layers.append(DenseLayer(w=w, b=b, bn=bn))
     return ModelBundle(
         arch=arch,
-        target_mode=target_mode,
-        feature_names=names,
         layers=layers,
-        x_mean=np.zeros(len(names)),
-        x_std=np.ones(len(names)),
+        x_mean=np.zeros(n_inputs),
+        x_std=np.ones(n_inputs),
         manifest={"init_seed": seed},
     )
 
@@ -197,7 +194,7 @@ def fold_layers(bundle: ModelBundle) -> list[tuple[np.ndarray, np.ndarray]]:
             w = w / bundle.x_std[:, None]
         bn = layer.bn
         if bn is not None:
-            s = bn.scale * (1.0 / np.sqrt(bn.running_var + bn.eps))
+            s = bn.scale * (1.0 / np.sqrt(bn.running_var + BN_EPS))
             w = w * s
             b = (b - bn.running_mean) * s + bn.shift
         stack.append((w, b))
@@ -216,11 +213,9 @@ def forward(bundle: ModelBundle, x: np.ndarray, training: bool = False):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ShapeMismatch(f"expected a (batch, features) matrix, got {x.shape!r}")
-    if x.shape[1] != len(bundle.feature_names):
-        raise ShapeMismatch(
-            f"arch {bundle.arch!r} expects {len(bundle.feature_names)} features, "
-            f"got {x.shape[1]}"
-        )
+    n_inputs = bundle.layers[0].w.shape[0]
+    if x.shape[1] != n_inputs:
+        raise ShapeMismatch(f"arch {bundle.arch!r} expects {n_inputs} features, got {x.shape[1]}")
     if not training:
         stack = bundle.folded if bundle.folded is not None else fold_layers(bundle)
         a = x
@@ -242,9 +237,9 @@ def forward(bundle: ModelBundle, x: np.ndarray, training: bool = False):
         d = z - mu
         var = (d * d).sum(axis=0) / n
         unbiased = var * n / (n - 1) if n > 1 else var
-        bn.running_mean = (1.0 - bn.momentum) * bn.running_mean + bn.momentum * mu
-        bn.running_var = (1.0 - bn.momentum) * bn.running_var + bn.momentum * unbiased
-        inv_std = 1.0 / np.sqrt(var + bn.eps)
+        bn.running_mean = (1.0 - BN_MOMENTUM) * bn.running_mean + BN_MOMENTUM * mu
+        bn.running_var = (1.0 - BN_MOMENTUM) * bn.running_var + BN_MOMENTUM * unbiased
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         z_hat = d * inv_std
         pre_act = bn.scale * z_hat + bn.shift
         out = np.maximum(pre_act, 0.0)
@@ -321,28 +316,21 @@ def _flatten_params(bundle: ModelBundle) -> np.ndarray:
 
 def targets(samples, target_mode: str) -> np.ndarray:
     """Training targets for a list of dataset rows."""
+    mc = np.array([s.sigma_mc for s in samples])
     if target_mode == "direct":
-        return np.array([s.sigma_mc for s in samples])
-    if target_mode == "residual_ratio":
-        hag = np.array([s.sigma_hagan for s in samples])
-        if np.any(hag <= 0.0):
-            raise ConfigError("residual targets need sigma_hagan > 0 on every row")
-        mc = np.array([s.sigma_mc for s in samples])
-        return mc / hag - 1.0
-    raise ConfigError(f"target_mode must be one of {TARGET_MODES}, got {target_mode!r}")
+        return mc
+    hag = np.array([s.sigma_hagan for s in samples])
+    if np.any(hag <= 0.0):
+        raise ConfigError("residual targets need sigma_hagan > 0 on every row")
+    return mc / hag - 1.0
 
 
 def design_matrix(samples, arch: str) -> np.ndarray:
     """Raw feature matrix for dataset rows (stored geometry columns reused)."""
-    _, use_geometry = _arch_spec(arch)
-    rows = np.empty((len(samples), 11 if use_geometry else 7))
-    for i, s in enumerate(samples):
-        p = s.point
-        rows[i, :7] = (p.T, p.F0, p.K, p.alpha, p.beta, p.rho, p.nu)
-        if use_geometry:
-            f = s.feats
-            rows[i, 7:] = (f.q, f.sigma_min, f.d_h, f.sigma0)
-    return rows
+    if len(ARCHS[arch][1]) > len(SABR_FIELDS):
+        return np.array([sabr_values(s.point) + geom_values(s.feats) for s in samples],
+                        dtype=float)
+    return np.array([sabr_values(s.point) for s in samples], dtype=float)
 
 
 @dataclass
@@ -493,9 +481,6 @@ def train(
     return bundle, history
 
 
-_point_params = attrgetter(*RAW_FEATURES)
-
-
 def predict_vols(bundle: ModelBundle, points: Sequence[SabrPoint]) -> np.ndarray:
     """Corrected implied vols for a batch of pricing configurations.
 
@@ -505,12 +490,13 @@ def predict_vols(bundle: ModelBundle, points: Sequence[SabrPoint]) -> np.ndarray
     :func:`~sabrkit.geometry.features_array`) and one :func:`forward` take
     whole.
     """
-    x = np.array([_point_params(p) for p in points], dtype=float).reshape(-1, len(RAW_FEATURES))
+    target_mode, names = ARCHS[bundle.arch]
+    x = np.array([sabr_values(p) for p in points], dtype=float).reshape(-1, len(SABR_FIELDS))
     cols = x.T
-    if len(bundle.feature_names) > len(RAW_FEATURES):
+    if len(names) > len(SABR_FIELDS):
         x = np.hstack((x, features_array(*cols)))
     out, _ = forward(bundle, x, training=False)
-    if bundle.target_mode == "residual_ratio":
+    if target_mode == "residual_ratio":
         return hagan_vols(*cols) * (1.0 + out)
     return out
 
@@ -519,12 +505,12 @@ def predict_vol(bundle: ModelBundle, p: SabrPoint) -> float:
     """Corrected implied vol for one pricing configuration, through the
     scalar formulas and a one-row :func:`forward`; equals
     :func:`predict_vols` on ``[p]`` to rounding."""
-    row = [p.T, p.F0, p.K, p.alpha, p.beta, p.rho, p.nu]
-    if len(bundle.feature_names) > len(RAW_FEATURES):
-        f = features(p)
-        row += (f.q, f.sigma_min, f.d_h, f.sigma0)
+    target_mode, names = ARCHS[bundle.arch]
+    row = sabr_values(p)
+    if len(names) > len(SABR_FIELDS):
+        row += geom_values(features(p))
     out = forward(bundle, np.array([row]), training=False)[0][0]
-    if bundle.target_mode == "residual_ratio":
+    if target_mode == "residual_ratio":
         return float(hagan_vol(p) * (1.0 + out))
     return float(out)
 
@@ -565,8 +551,8 @@ def save_model(bundle: ModelBundle, path) -> None:
                     "shift": layer.bn.shift.tolist(),
                     "running_mean": layer.bn.running_mean.tolist(),
                     "running_var": layer.bn.running_var.tolist(),
-                    "momentum": layer.bn.momentum,
-                    "eps": layer.bn.eps,
+                    "momentum": BN_MOMENTUM,
+                    "eps": BN_EPS,
                 },
             }
             for layer in bundle.layers
@@ -590,12 +576,6 @@ def _finite_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     return arr
 
 
-def _finite_number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return value
-
-
 def _bundle_from_payload(payload) -> ModelBundle:
     """A bundle from a parsed model file, checked so that it can be folded
     and run: keys, the layer-shape chain, the names against the arch, batch
@@ -608,9 +588,9 @@ def _bundle_from_payload(payload) -> ModelBundle:
     arch = payload["arch"]
     if not isinstance(arch, str) or arch not in ARCHS:
         raise ConfigError(f"unknown arch {arch!r}; expected one of {sorted(ARCHS)}")
-    if payload["target_mode"] != ARCHS[arch][0]:
+    target_mode, names = ARCHS[arch]
+    if payload["target_mode"] != target_mode:
         raise ConfigError(f"target_mode {payload['target_mode']!r} does not match arch {arch!r}")
-    names = feature_names_for(arch)
     if payload["feature_names"] != list(names):
         raise ConfigError(f"feature_names do not match arch {arch!r}")
     if payload["hagan_bracket"] != HAGAN_BRACKET:
@@ -644,11 +624,12 @@ def _bundle_from_payload(payload) -> ModelBundle:
                 raise ConfigError(f"{where} bn needs {', '.join(_BN_ARRAYS)}, momentum and eps")
             arrays = {key: _finite_array(raw[key], (width,), f"{where} bn {key}")
                       for key in _BN_ARRAYS}
-            eps = _finite_number(raw["eps"], f"{where} bn eps")
-            if eps <= 0.0 or np.any(arrays["running_var"] < 0.0):
-                raise ConfigError(f"{where} bn needs eps > 0 and running_var >= 0")
-            bn = BatchNorm(**arrays, momentum=_finite_number(raw["momentum"], f"{where} bn momentum"),
-                           eps=eps)
+            if raw["momentum"] != BN_MOMENTUM or raw["eps"] != BN_EPS:
+                raise ConfigError(f"{where} bn momentum and eps must be {BN_MOMENTUM} and "
+                                  f"{BN_EPS}; got {raw['momentum']!r} and {raw['eps']!r}")
+            if np.any(arrays["running_var"] < 0.0):
+                raise ConfigError(f"{where} bn needs running_var >= 0")
+            bn = BatchNorm(**arrays)
         layers.append(DenseLayer(w=w, b=b, bn=bn))
     x_mean = _finite_array(payload["x_mean"], (len(names),), "x_mean")
     x_std = _finite_array(payload["x_std"], (len(names),), "x_std")
@@ -656,8 +637,6 @@ def _bundle_from_payload(payload) -> ModelBundle:
         raise ConfigError("x_std must be positive")
     return ModelBundle(
         arch=arch,
-        target_mode=payload["target_mode"],
-        feature_names=names,
         layers=layers,
         x_mean=x_mean,
         x_std=x_std,

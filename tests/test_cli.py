@@ -86,10 +86,18 @@ class TestGenerate:
         assert ma["csv_sha256"] == mb["csv_sha256"]
 
     def test_bad_mc_config_leaves_no_out_dir(self, tmp_path, capsys):
+        # The directory is made only once the rows are split, so no failure
+        # before that leaves an empty one behind.
         out = tmp_path / "out"
-        assert main(["generate", "--configs", "2", "--paths", "500", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("invalid input: paths must be >= 1000")
-        assert not out.exists()
+        for configs, paths, message in [
+            ("2", "500", "paths must be >= 1000"),
+            ("0", "1000", "num_configs must be >= 1"),
+            ("1", "1000", "need at least 10 valid rows to split, got 1"),
+        ]:
+            assert main(["generate", "--configs", configs, "--paths", paths,
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"invalid input: {message}")
+            assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +214,16 @@ def test_broken_dataset_exit_2_one_line(small_dataset, tmp_path, capsys, fault):
     assert f"{bad}: line 2:" in err
 
 
+# One fault per model file; price must exit 2.
+BROKEN_MODELS = {
+    "no layers": lambda payload: payload.pop("layers"),
+    "shape chain": lambda payload: payload["layers"][1]["w"].pop(),
+    "denominator bracket": lambda payload: payload.update(hagan_bracket="denominator"),
+    "bn momentum": lambda payload: payload["layers"][0]["bn"].update(momentum=0.2),
+    "bn eps": lambda payload: payload["layers"][1]["bn"].update(eps=1e-3),
+}
+
+
 class TestPrice:
     def test_zero_residual_model_prints_hagan(self, tmp_path, capsys):
         model = zero_model(tmp_path)
@@ -223,16 +241,11 @@ class TestPrice:
         assert main(["price", "--model", str(model), "--K", "1.0",
                      "--rho", "2.0"]) == 2
 
-    @pytest.mark.parametrize("fault", ["no layers", "shape chain", "denominator bracket"])
+    @pytest.mark.parametrize("fault", sorted(BROKEN_MODELS))
     def test_broken_model_exit_2_one_line(self, tmp_path, capsys, fault):
         model = zero_model(tmp_path)
         payload = json.loads(model.read_text())
-        if fault == "no layers":
-            del payload["layers"]
-        elif fault == "shape chain":
-            payload["layers"][1]["w"] = payload["layers"][1]["w"][:-1]
-        else:
-            payload["hagan_bracket"] = "denominator"
+        BROKEN_MODELS[fault](payload)
         model.write_text(json.dumps(payload))
         assert main(["price", "--model", str(model), "--K", "1.1"]) == 2
         err = capsys.readouterr().err

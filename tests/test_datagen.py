@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sabrkit import mc
 from sabrkit.datagen import (
@@ -22,7 +24,7 @@ from sabrkit.datagen import (
     strike_grid,
     year_fraction,
 )
-from sabrkit.datagen import _build_config_rows
+from sabrkit.datagen import SPLIT_NAMES, SPLIT_WEIGHTS, _build_config_rows, _largest_remainder
 from sabrkit.errors import ConfigError, NoConvergence, NonFinite, PriceOutOfBounds
 from sabrkit.geometry import GeomFeatures, features
 from sabrkit.hagan import SabrPoint, hagan_vol
@@ -165,12 +167,16 @@ class TestBuildDataset:
             assert a == b
 
 
+# A flat lognormal smile whose wing prices at 0.9 and 10 cannot be inverted.
+UNINVERTIBLE = ((0.1, 1.0, 0.01, 1.0, 0.0, 0.0), [0.9, 1.0, 10.0])
+
+
 class TestReferenceSmile:
     """reference_smile equals pricing and inverting each strike on its own
     from the same terminals, with NaN exactly where that raises."""
 
     @pytest.mark.parametrize("params, strikes, config_index", [
-        ((0.1, 1.0, 0.01, 1.0, 0.0, 0.0), [0.9, 1.0, 10.0], 0),
+        (*UNINVERTIBLE, 0),
         ((1.0, 1.0, 0.2, 0.5, -0.8, 1.2), [0.5 + 0.1 * i for i in range(16)], 3),
     ], ids=["uninvertible", "wide smile"])
     def test_matches_per_strike_calls(self, params, strikes, config_index):
@@ -189,8 +195,7 @@ class TestReferenceSmile:
             assert se[i] == mc.vol_std_error
 
     def test_uninvertible_strikes_are_nan(self):
-        sigma, se = reference_smile(0.1, 1.0, 0.01, 1.0, 0.0, 0.0, [0.9, 1.0, 10.0],
-                                    McConfig(paths=4000))
+        sigma, se = reference_smile(*UNINVERTIBLE[0], UNINVERTIBLE[1], McConfig(paths=4000))
         assert np.isnan(sigma).tolist() == [True, False, True]
         assert np.isnan(se).tolist() == [True, False, True]
         assert abs(sigma[1] - 0.01) <= 1e-10
@@ -230,7 +235,54 @@ class TestFilter:
         assert ds.samples[501].valid is True
 
 
+def oracle_split(dataset, seed=42, by_config=False):
+    """split_dataset with one branch per mode: the reference for its single
+    path over groups."""
+    valid = dataset.valid_samples()
+    if len(valid) < 10:
+        raise ConfigError(f"need at least 10 valid rows to split, got {len(valid)}")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    if by_config:
+        config_ids = sorted({s.config_index for s in valid})
+        order = [config_ids[i] for i in rng.permutation(len(config_ids))]
+        counts = _largest_remainder(len(order), SPLIT_WEIGHTS)
+        tag_by_config = {}
+        start = 0
+        for name, count in zip(SPLIT_NAMES, counts):
+            for cid in order[start : start + count]:
+                tag_by_config[cid] = name
+            start += count
+        for s in valid:
+            s.split = tag_by_config[s.config_index]
+        return dataset
+    order = rng.permutation(len(valid))
+    counts = _largest_remainder(len(valid), SPLIT_WEIGHTS)
+    start = 0
+    for name, count in zip(SPLIT_NAMES, counts):
+        for idx in order[start : start + count]:
+            valid[idx].split = name
+        start += count
+    return dataset
+
+
 class TestSplit:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(10, 400), per_config=st.integers(1, 13),
+           invalid_every=st.integers(0, 7), seed=st.integers(0, 2**32 - 1),
+           by_config=st.booleans())
+    def test_matches_two_branch_oracle(self, rows, per_config, invalid_every, seed, by_config):
+        def tags(split):
+            ds = Dataset([make_sample(0.0, idx=i // per_config,
+                                      valid=not invalid_every or i % invalid_every != 0)
+                          for i in range(rows)])
+            try:
+                split(ds, seed=seed, by_config=by_config)
+            except ConfigError as exc:
+                return str(exc)
+            return [s.split for s in ds.samples]
+
+        assert tags(split_dataset) == tags(oracle_split)
+
     def test_largest_remainder_examples(self):
         ds = Dataset([make_sample(0.001 * (i % 7), idx=i) for i in range(1870)])
         split_dataset(ds, seed=42)
@@ -313,6 +365,32 @@ class TestPersistence:
         first = raw.split(b"\n", 1)[0].decode()
         assert first == ("T,F0,K,alpha,beta,rho,nu,sigma_hagan,sigma_mc,"
                          "q,sigma_min,d_h,sigma0,n,split,valid")
+
+    def test_full_column_round_trip(self, tmp_path):
+        # Every column, NaN fields of invalid rows and all four split labels
+        # included: saving a loaded file gives back its bytes.
+        cfg = McConfig(paths=1000)
+        ds = build_dataset(2, cfg, seed=13)
+        params, strikes = UNINVERTIBLE
+        sigma_mc, _ = reference_smile(*params, strikes, cfg)
+        T, F0, alpha, beta, rho, nu = params
+        for n, K, mc_vol in zip((-1.0, 0.0, 1.0), strikes, sigma_mc):
+            point = SabrPoint(T=T, F0=F0, K=K, alpha=alpha, beta=beta, rho=rho, nu=nu)
+            ds.samples.append(Sample(point=point, sigma_hagan=hagan_vol(point),
+                                     sigma_mc=float(mc_vol), feats=features(point),
+                                     grid_index=n, valid=math.isfinite(mc_vol)))
+        # A row whose closed form failed, as _build_config_rows records it.
+        nan = float("nan")
+        ds.samples.append(Sample(point=point, sigma_hagan=nan, sigma_mc=nan,
+                                 feats=GeomFeatures(nan, nan, nan, nan), grid_index=2.5,
+                                 valid=False))
+        split_dataset(ds, seed=42)
+        assert {s.split for s in ds.samples} == {"none", "train", "val", "test"}
+        save_dataset(ds, tmp_path / "a.csv")
+        save_dataset(load_dataset(tmp_path / "a.csv"), tmp_path / "b.csv")
+        raw = (tmp_path / "a.csv").read_bytes()
+        assert b",nan," in raw
+        assert (tmp_path / "b.csv").read_bytes() == raw
 
     def test_byte_identical_regeneration(self, tmp_path):
         cfg = McConfig(paths=1000)

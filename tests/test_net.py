@@ -16,6 +16,8 @@ from sabrkit.net import (
     ADAM_BETA2,
     ADAM_EPS,
     ARCHS,
+    BN_EPS,
+    BN_MOMENTUM,
     AdamState,
     PlateauScheduler,
     TrainConfig,
@@ -123,7 +125,7 @@ def explicit_eval_forward(bundle, x):
     for layer in bundle.layers[:-1]:
         z = a @ layer.w + layer.b
         bn = layer.bn
-        inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
+        inv_std = 1.0 / np.sqrt(bn.running_var + BN_EPS)
         a = np.maximum(bn.scale * ((z - bn.running_mean) * inv_std) + bn.shift, 0.0)
     last = bundle.layers[-1]
     return (a @ last.w + last.b)[:, 0]
@@ -436,9 +438,9 @@ def oracle_forward(bundle, x):
         var = z.var(axis=0)
         n = z.shape[0]
         unbiased = var * n / (n - 1) if n > 1 else var
-        bn.running_mean = (1.0 - bn.momentum) * bn.running_mean + bn.momentum * mu
-        bn.running_var = (1.0 - bn.momentum) * bn.running_var + bn.momentum * unbiased
-        inv_std = 1.0 / np.sqrt(var + bn.eps)
+        bn.running_mean = (1.0 - BN_MOMENTUM) * bn.running_mean + BN_MOMENTUM * mu
+        bn.running_var = (1.0 - BN_MOMENTUM) * bn.running_var + BN_MOMENTUM * unbiased
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         z_hat = (z - mu) * inv_std
         pre_act = bn.scale * z_hat + bn.shift
         caches.append((a, z_hat, inv_std, pre_act > 0.0))
@@ -643,6 +645,10 @@ BROKEN_MODELS = {
     "hidden layer without batch norm": _edit(["layers", 1, "bn"], None),
     "batch norm without running_var": _edit(["layers", 2, "bn", "running_var"], drop=True),
     "negative eps": _edit(["layers", 0, "bn", "eps"], -1e-5),
+    # Training runs batch norm at one momentum and eps; a file with others
+    # describes a network this package does not train or run.
+    "other momentum": _edit(["layers", 0, "bn", "momentum"], 0.2),
+    "other eps": _edit(["layers", 2, "bn", "eps"], 1e-3),
     "zero x_std": _edit(["x_std", 4], 0.0),
     "short x_mean": _edit(["x_mean"], [0.0] * 7),
 }
