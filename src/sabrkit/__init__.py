@@ -21,7 +21,7 @@ from .errors import (
 )
 from .geometry import GeomFeatures, features, q_transform, sigma_min
 from .hagan import SabrPoint, check_params, hagan_atm, hagan_vol, zx_ratio
-from .mc import McConfig, McImpliedVol, PriceEstimate, Terminals, simulate_terminals
+from .mc import McConfig, Terminals, simulate_terminals
 from .pricing import black_price, black_vega, implied_vol, norm_cdf, norm_pdf
 
 __version__ = "0.1.0"

@@ -266,7 +266,7 @@ def cmd_evaluate(args) -> int:
             for r in records:
                 _write_slice_csv(
                     os.path.join(args.out, f"stress_{bundle.arch}_{tag}_{r.scenario_id}.csv"),
-                    None, r.strikes, r.sigma_mc, r.sigma_hagan, r.sigma_model)
+                    r.T, r.strikes, r.sigma_mc, r.sigma_hagan, r.sigma_model)
         if args.sweep:
             params = {"F0": 0.03, "alpha": 0.035, "beta": 0.5, "rho": -0.25, "nu": 0.35}
             slices = evaluation.maturity_sweep(bundle, params, (0.25, 0.5, 1.0, 2.0, 5.0), mc_cfg)
@@ -295,7 +295,7 @@ def _write_slice_csv(path, T, strikes, mc_vols, hagan_vols, model_vols, grid=Non
         for i, k in enumerate(strikes):
             n = grid[i] if grid is not None else ""
             writer.writerow([
-                "" if T is None else f"{T:.12g}", f"{k:.12g}", n,
+                f"{T:.12g}", f"{k:.12g}", n,
                 f"{mc_vols[i]:.12g}", f"{hagan_vols[i]:.12g}", f"{model_vols[i]:.12g}",
             ])
 

@@ -190,10 +190,10 @@ def reference_smile(
     for i, K in enumerate(strikes):
         K = float(K)
         try:
-            mc = implied_vol_from_estimate(price_from_terminals(terminals, K), T, F0, K)
+            price, std_error = price_from_terminals(terminals, K)
+            sigma[i], se[i] = implied_vol_from_estimate(price, std_error, T, F0, K)
         except (PriceOutOfBounds, NoConvergence, NonFinite):
-            continue
-        sigma[i], se[i] = mc.sigma, mc.vol_std_error
+            pass
     return sigma, se
 
 
@@ -366,22 +366,33 @@ def load_dataset(csv_path) -> Dataset:
     the split label, the valid flag, the SABR parameters, and finite values
     in valid rows. A fault raises a one-line ConfigError naming the file and
     the line.
+
+    A row starts a new configuration index where its T, F0, alpha, beta,
+    rho or nu differs from the previous row's, so the rows of one smile,
+    however many, share an index.
     """
     dataset = Dataset()
+    config_index, last = -1, None
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CSV_HEADER:
             raise ConfigError(f"{csv_path}: unexpected dataset header {header!r}")
-        for i, row in enumerate(reader):
+        for row in reader:
             try:
-                dataset.samples.append(_sample_from_row(row, i))
+                sample = _sample_from_row(row)
             except ConfigError as exc:
                 raise ConfigError(f"{csv_path}: line {reader.line_num}: {exc}") from None
+            p = sample.point
+            config = (p.T, p.F0, p.alpha, p.beta, p.rho, p.nu)
+            if config != last:
+                config_index, last = config_index + 1, config
+            sample.config_index = config_index
+            dataset.samples.append(sample)
     return dataset
 
 
-def _sample_from_row(row: list[str], i: int) -> Sample:
+def _sample_from_row(row: list[str]) -> Sample:
     if len(row) != len(CSV_HEADER):
         raise ConfigError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
     try:
@@ -403,7 +414,6 @@ def _sample_from_row(row: list[str], i: int) -> Sample:
         point=SabrPoint(*vals[:len(SABR_FIELDS)]), sigma_hagan=vals[_HAGAN], sigma_mc=vals[_MC],
         feats=GeomFeatures(*vals[_GEOM:_GEOM + len(GEOM_FIELDS)]),
         grid_index=vals[_GRID], split=split, valid=valid == "true",
-        config_index=i // len(GRID_INDICES),
     )
 
 

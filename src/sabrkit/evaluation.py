@@ -37,6 +37,10 @@ __all__ = [
 
 REGION_NAMES = ("itm", "atm", "otm")
 
+# Leading single-point calls that latency_bench times but leaves out of its
+# statistics.
+LATENCY_WARMUP = 100
+
 
 def r2(predicted, reference) -> float:
     """Coefficient of determination 1 - SS_res/SS_tot about the reference mean."""
@@ -146,6 +150,7 @@ def default_stress_scenarios() -> list[StressScenario]:
 @dataclass
 class StressRecord:
     scenario_id: str
+    T: float
     strikes: list[float]
     sigma_mc: list[float]
     sigma_hagan: list[float]
@@ -165,17 +170,15 @@ def _smile_on_strikes(bundle, mc_cfg, T, F0, alpha, beta, rho, nu, strikes, conf
     return mc_vols.tolist(), hagan_vols, model_vols, int(np.isnan(mc_vols).sum())
 
 
-def stress_suite(bundle: ModelBundle, mc_cfg: McConfig,
-                 scenarios: list[StressScenario] | None = None) -> list[StressRecord]:
-    """Evaluate the bundle on fresh Monte Carlo ground truth per scenario.
+def stress_suite(bundle: ModelBundle, mc_cfg: McConfig) -> list[StressRecord]:
+    """Evaluate the bundle on fresh Monte Carlo ground truth for each of
+    :func:`default_stress_scenarios`.
 
     Scenario failures are recorded, not raised, so one pathological regime
     cannot abort the suite.
     """
-    if scenarios is None:
-        scenarios = default_stress_scenarios()
     records = []
-    for idx, sc in enumerate(scenarios):
+    for idx, sc in enumerate(default_stress_scenarios()):
         try:
             mc_vols, hagan_vols, model_vols, failed = _smile_on_strikes(
                 bundle, mc_cfg, sc.T, sc.F0, sc.alpha, sc.beta, sc.rho, sc.nu,
@@ -185,6 +188,7 @@ def stress_suite(bundle: ModelBundle, mc_cfg: McConfig,
             pairs_hagan = [abs(h - r) for h, r in zip(hagan_vols, mc_vols) if math.isfinite(r)]
             records.append(StressRecord(
                 scenario_id=sc.scenario_id,
+                T=sc.T,
                 strikes=list(sc.strikes),
                 sigma_mc=mc_vols,
                 sigma_hagan=hagan_vols,
@@ -195,7 +199,7 @@ def stress_suite(bundle: ModelBundle, mc_cfg: McConfig,
             ))
         except SabrkitError as exc:
             records.append(StressRecord(
-                scenario_id=sc.scenario_id, strikes=list(sc.strikes),
+                scenario_id=sc.scenario_id, T=sc.T, strikes=list(sc.strikes),
                 sigma_mc=[], sigma_hagan=[], sigma_model=[],
                 max_abs_err_model=float("nan"), max_abs_err_hagan=float("nan"),
                 failed_strikes=len(sc.strikes), error=str(exc),
@@ -242,17 +246,16 @@ class LatencyStats:
 
 
 def latency_bench(bundle: ModelBundle, n_points: int = 10_000,
-                  mc_cfg: McConfig | None = None, warmup: int = 100,
-                  seed: int = 0) -> LatencyStats:
+                  mc_cfg: McConfig | None = None, seed: int = 0) -> LatencyStats:
     """Per-call latency of single-point prediction, and speed-up against one
     Monte Carlo reference vol (:func:`~sabrkit.datagen.reference_smile` at
     one strike) at the reference path budget.
 
     The strike's grid index is drawn uniformly, so one point in eleven
-    takes the at-the-money shortcut. The first ``warmup`` calls are
-    excluded from the statistics.
+    takes the at-the-money shortcut. The first ``LATENCY_WARMUP`` calls
+    are excluded from the statistics.
     """
-    if n_points <= warmup:
+    if n_points <= LATENCY_WARMUP:
         raise ValueError("n_points must exceed the warmup count")
     if mc_cfg is None:
         mc_cfg = McConfig()
@@ -267,7 +270,7 @@ def latency_bench(bundle: ModelBundle, n_points: int = 10_000,
         t0 = time.perf_counter()
         predict_vol(bundle, p)
         timings[i] = time.perf_counter() - t0
-    kept = timings[warmup:] * 1e6
+    kept = timings[LATENCY_WARMUP:] * 1e6
 
     t0 = time.perf_counter()
     reference_smile(1.0, 1.0, 0.2, 0.5, -0.8, 1.2, [1.0], mc_cfg)
@@ -277,7 +280,7 @@ def latency_bench(bundle: ModelBundle, n_points: int = 10_000,
     return LatencyStats(
         median_us=median_us,
         p99_us=float(np.percentile(kept, 99)),
-        n_points=n_points - warmup,
+        n_points=n_points - LATENCY_WARMUP,
         mc_us_per_point=mc_us,
         speedup_vs_mc=mc_us / median_us,
     )

@@ -39,9 +39,8 @@ from .pricing import black_price, black_vega, implied_vol
 __all__ = [
     "CV_VOL_MODES",
     "McConfig",
-    "McImpliedVol",
-    "PriceEstimate",
     "Terminals",
+    "implied_vol_from_estimate",
     "price_from_terminals",
     "simulate_terminals",
 ]
@@ -92,21 +91,6 @@ class McConfig:
         evaluation reports store them."""
         return {**asdict(self), "sigma_scheme": self.sigma_scheme,
                 "min_steps": self.min_steps, "block_size": self.block_size}
-
-
-@dataclass(frozen=True)
-class PriceEstimate:
-    price: float
-    std_error: float
-
-
-@dataclass(frozen=True)
-class McImpliedVol:
-    """Implied vol of a Monte Carlo price with a propagated error estimate."""
-
-    sigma: float
-    vol_std_error: float
-    estimate: PriceEstimate
 
 
 @dataclass(frozen=True)
@@ -241,8 +225,9 @@ def simulate_terminals(
     return Terminals(T=T, F0=F0, sigma_bar=sigma_bar, f_sabr=f_sabr, f_black=f_black)
 
 
-def price_from_terminals(terminals: Terminals, K: float) -> PriceEstimate:
-    """Control-variate call price for one strike from simulated terminals."""
+def price_from_terminals(terminals: Terminals, K: float) -> tuple[float, float]:
+    """Control-variate call price for one strike from simulated terminals,
+    and its standard error."""
     diffs = np.maximum(terminals.f_sabr - K, 0.0) - np.maximum(terminals.f_black - K, 0.0)
     if not np.all(np.isfinite(diffs)):
         raise NonFinite("non-finite payoff encountered")
@@ -250,18 +235,18 @@ def price_from_terminals(terminals: Terminals, K: float) -> PriceEstimate:
     anchor = black_price(terminals.T, terminals.F0, K, terminals.sigma_bar)
     price = float(diffs.mean()) + anchor
     std_error = float(diffs.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return PriceEstimate(price=price, std_error=std_error)
+    return price, std_error
 
 
 def implied_vol_from_estimate(
-    estimate: PriceEstimate, T: float, F0: float, K: float
-) -> McImpliedVol:
-    """Invert a price estimate and propagate its standard error to vol units.
+    price: float, std_error: float, T: float, F0: float, K: float
+) -> tuple[float, float]:
+    """Invert a price estimate and propagate its standard error to vol units:
+    returns (sigma, vol_std_error).
 
     Raises PriceOutOfBounds when the estimate landed outside the invertible
     interval; :func:`sabrkit.datagen.reference_smile` marks such strikes NaN.
     """
-    sigma = implied_vol(estimate.price, T, F0, K)
+    sigma = implied_vol(price, T, F0, K)
     vega = black_vega(T, F0, K, sigma)
-    vol_std_error = estimate.std_error / vega if vega > 0.0 else float("inf")
-    return McImpliedVol(sigma=sigma, vol_std_error=vol_std_error, estimate=estimate)
+    return sigma, std_error / vega if vega > 0.0 else float("inf")

@@ -41,7 +41,7 @@ from sabrkit.net import (
 from sabrkit.pricing import black_price, black_vega, implied_vol
 
 from halfplane import geodesic_distance, to_halfplane
-from plain_mc import mc_implied_vol, plain_price_from_terminals
+from plain_mc import cv_price, plain_price_from_terminals
 
 WIDE = dict(T=1.0, F0=1.0, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
 
@@ -159,9 +159,10 @@ def test_criterion_4_mc_exact_degenerate():
     worst = 0.0
     for paths in (1000, 4096, 20_000):
         p = SabrPoint(K=1.05, T=1.0, F0=1.0, alpha=0.2, beta=1.0, rho=0.0, nu=0.0)
-        out = mc_implied_vol(p, McConfig(paths=paths))
-        worst = max(worst, abs(out.sigma - 0.2))
-        assert out.estimate.std_error == 0.0
+        price, std_error = cv_price(p, McConfig(paths=paths))
+        sigma, _ = implied_vol_from_estimate(price, std_error, p.T, p.F0, p.K)
+        worst = max(worst, abs(sigma - 0.2))
+        assert std_error == 0.0
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 1.0
     _gate("4", ok, f"worst |vol - alpha| {worst:.2e}, {elapsed:.2f}s")
@@ -172,17 +173,17 @@ def test_criterion_4_mc_exact_degenerate():
 def test_criterion_5_mc_statistics():
     ratios = []
     for seed in range(20):
-        small = price_from_terminals(
+        _, small = price_from_terminals(
             simulate_terminals(cfg=McConfig(paths=2000, base_seed=seed), **WIDE), 1.0)
-        big = price_from_terminals(
+        _, big = price_from_terminals(
             simulate_terminals(cfg=McConfig(paths=8000, base_seed=seed), **WIDE), 1.0)
-        ratios.append(big.std_error / small.std_error)
+        ratios.append(big / small)
     mean_ratio = float(np.mean(ratios))
 
     terminals = simulate_terminals(cfg=McConfig(paths=50_000, base_seed=42), **WIDE)
     strikes = sorted(PUBLISHED_SMILE)
-    cv_se = np.array([price_from_terminals(terminals, k).std_error for k in strikes])
-    plain_se = np.array([plain_price_from_terminals(terminals, k).std_error for k in strikes])
+    cv_se = np.array([price_from_terminals(terminals, k)[1] for k in strikes])
+    plain_se = np.array([plain_price_from_terminals(terminals, k)[1] for k in strikes])
     cv_rms = math.sqrt(float(np.mean(cv_se**2)))
     plain_rms = math.sqrt(float(np.mean(plain_se**2)))
 
@@ -197,8 +198,8 @@ def test_criterion_6_cev_cross_check():
     terminals = simulate_terminals(1.0, 1.0, 0.2, 0.5, 0.0, 0.0, cfg)
     worst = 0.0
     for K in (0.9, 1.0, 1.1):
-        estimate = price_from_terminals(terminals, K)
-        mc_vol = implied_vol_from_estimate(estimate, 1.0, 1.0, K).sigma
+        price, std_error = price_from_terminals(terminals, K)
+        mc_vol, _ = implied_vol_from_estimate(price, std_error, 1.0, 1.0, K)
         formula = hagan_vol(SabrPoint(T=1.0, F0=1.0, K=K, alpha=0.2, beta=0.5,
                                       rho=0.0, nu=0.0))
         worst = max(worst, abs(mc_vol - formula))
@@ -212,8 +213,8 @@ def desk_smile():
     terminals = simulate_terminals(cfg=McConfig(paths=200_000, base_seed=42), **WIDE)
     rows = {}
     for k in sorted(PUBLISHED_SMILE):
-        estimate = price_from_terminals(terminals, k)
-        rows[k] = implied_vol_from_estimate(estimate, 1.0, 1.0, k).sigma
+        price, std_error = price_from_terminals(terminals, k)
+        rows[k], _ = implied_vol_from_estimate(price, std_error, 1.0, 1.0, k)
     return rows, time.perf_counter() - start
 
 
@@ -413,8 +414,7 @@ def test_criterion_10_scheduler_and_best_weights():
 
 def test_criterion_11_latency():
     bundle = init_bundle("georesnn", seed=0)
-    stats = latency_bench(bundle, n_points=10_000, mc_cfg=McConfig(paths=100_000),
-                          warmup=100)
+    stats = latency_bench(bundle, n_points=10_000, mc_cfg=McConfig(paths=100_000))
     ok = stats.median_us <= 1000.0 and stats.speedup_vs_mc >= 1000.0
     _gate("11", ok, f"median {stats.median_us:.0f}us, p99 {stats.p99_us:.0f}us, "
                     f"speedup {stats.speedup_vs_mc:.0f}x")

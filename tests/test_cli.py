@@ -7,6 +7,7 @@ import pytest
 
 from sabrkit.cli import main
 from sabrkit.datagen import load_dataset
+from sabrkit.evaluation import default_stress_scenarios
 from sabrkit.hagan import SabrPoint, hagan_vol
 from sabrkit.net import ARCHS, init_bundle, load_model, predict_from_rows, predict_vol, save_model
 
@@ -164,6 +165,20 @@ class TestTrainEvaluate:
         assert report["mc_config"] == {
             "paths": 2000, "steps_per_year": 50, "min_steps": 10, "cv_vol_mode": "effective_atm",
             "sigma_scheme": "log_exact", "base_seed": 42, "block_size": 4096}
+
+    def test_stress_outputs_carry_scenario_T(self, small_dataset, tmp_path):
+        model = zero_model(tmp_path)
+        assert main(["evaluate", "--models", str(model), "--dataset", str(small_dataset),
+                     "--stress", "--paths", "2000", "--out", str(tmp_path)]) == 0
+        report = json.loads(next(tmp_path.glob("metrics_georesnn_*.json")).read_text())
+        scenarios = default_stress_scenarios()
+        assert [(r["scenario_id"], r["T"]) for r in report["stress"]] == [
+            (sc.scenario_id, sc.T) for sc in scenarios]
+        for sc in scenarios:
+            rows = read_csv(next(tmp_path.glob(f"stress_georesnn_*_{sc.scenario_id}.csv")))
+            assert rows[0][0] == "T" and len(rows) == 1 + len(sc.strikes)
+            for row in rows[1:]:
+                assert float(row[0]) == pytest.approx(sc.T, rel=1e-11)
 
     def test_bad_mc_config_leaves_no_out_dir(self, small_dataset, tmp_path, capsys):
         model = zero_model(tmp_path)

@@ -187,12 +187,13 @@ class TestReferenceSmile:
         assert sigma.shape == se.shape == (len(strikes),)
         for i, K in enumerate(strikes):
             try:
-                mc = implied_vol_from_estimate(price_from_terminals(terminals, K), T, F0, K)
+                price, std_error = price_from_terminals(terminals, K)
+                mc_vol, mc_se = implied_vol_from_estimate(price, std_error, T, F0, K)
             except (PriceOutOfBounds, NoConvergence, NonFinite):
                 assert math.isnan(sigma[i]) and math.isnan(se[i])
                 continue
-            assert sigma[i] == mc.sigma
-            assert se[i] == mc.vol_std_error
+            assert sigma[i] == mc_vol
+            assert se[i] == mc_se
 
     def test_uninvertible_strikes_are_nan(self):
         sigma, se = reference_smile(*UNINVERTIBLE[0], UNINVERTIBLE[1], McConfig(paths=4000))
@@ -338,6 +339,7 @@ class TestPersistence:
         assert len(loaded) == len(ds) == 55
         for a, b in zip(ds.samples, loaded.samples):
             assert b.split == a.split and b.valid == a.valid
+            assert b.config_index == a.config_index
             assert b.grid_index == a.grid_index
             assert b.point.T == pytest.approx(a.point.T, rel=1e-11)
             assert b.sigma_mc == pytest.approx(a.sigma_mc, rel=1e-11)
@@ -346,6 +348,23 @@ class TestPersistence:
         digest = hashlib.sha256((tmp_path / "d.csv").read_bytes()).hexdigest()
         assert digest == manifest["csv_sha256"]
         assert manifest["rows"] == 55
+
+    @pytest.mark.parametrize("field", ["T", "F0", "alpha", "beta", "rho", "nu"])
+    def test_config_index_follows_parameter_changes(self, tmp_path, field):
+        # A 3-row smile, then an 11-row smile that differs from it in one
+        # parameter: the rows of each smile share an index.
+        first = dict(T=1.0, F0=0.03, alpha=0.03, beta=0.5, rho=-0.2, nu=0.3)
+        second = {**first, field: 0.9 * first[field]}
+        rows = []
+        for params, n_rows in ((first, 3), (second, 11)):
+            for K in np.linspace(0.8, 1.2, n_rows) * params["F0"]:
+                point = SabrPoint(K=float(K), **params)
+                rows.append(Sample(point=point, sigma_hagan=hagan_vol(point),
+                                   sigma_mc=hagan_vol(point), feats=features(point),
+                                   grid_index=0.0))
+        save_dataset(Dataset(rows), tmp_path / "d.csv")
+        loaded = load_dataset(tmp_path / "d.csv")
+        assert [s.config_index for s in loaded.samples] == [0] * 3 + [1] * 11
 
     def test_persisted_hagan_recompute(self, tmp_path):
         # The file keeps 12 significant digits, which bounds the recompute

@@ -5,7 +5,7 @@ import pytest
 
 from sabrkit import evaluation
 from sabrkit.datagen import Sample
-from sabrkit.errors import DegenerateReference, EmptyRegion
+from sabrkit.errors import DegenerateReference, EmptyRegion, NonFinite
 from sabrkit.evaluation import (
     default_stress_scenarios,
     evaluate_model,
@@ -109,8 +109,9 @@ class TestStress:
         records = stress_suite(bundle, McConfig(paths=2000))
         assert len(records) == 6
         assert [r.scenario_id for r in records] == [s.scenario_id for s in default_stress_scenarios()]
-        for r in records:
+        for r, sc in zip(records, default_stress_scenarios()):
             assert r.error is None
+            assert r.T == sc.T
             assert len(r.sigma_model) == len(r.strikes)
 
     def test_flat_lognormal_scenario_is_exact(self):
@@ -124,6 +125,15 @@ class TestStress:
         # vol up to the inversion tolerance
         vs_alpha = max(abs(m - 0.2) for m in sanity.sigma_model)
         assert abs(sanity.max_abs_err_model - vs_alpha) <= 1e-9
+
+    def test_failed_scenarios_keep_their_T(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise NonFinite("no reference")
+
+        monkeypatch.setattr(evaluation, "reference_smile", broken)
+        records = stress_suite(init_bundle("ndn", seed=6), McConfig(paths=2000))
+        assert [(r.T, r.error) for r in records] == [
+            (s.T, "no reference") for s in default_stress_scenarios()]
 
     def test_wide_smile_uses_16_strikes(self):
         scenarios = default_stress_scenarios()
@@ -145,8 +155,7 @@ class TestSweep:
 class TestLatency:
     def test_smoke(self):
         bundle = zero_weights(init_bundle("georesnn", seed=9))
-        stats = latency_bench(bundle, n_points=300, mc_cfg=McConfig(paths=2000),
-                              warmup=100)
+        stats = latency_bench(bundle, n_points=300, mc_cfg=McConfig(paths=2000))
         assert stats.n_points == 200
         assert stats.median_us > 0
         assert stats.p99_us >= stats.median_us
@@ -158,11 +167,11 @@ class TestLatency:
         timed = []
         monkeypatch.setattr(evaluation, "predict_vol", lambda bundle, p: timed.append(p))
         latency_bench(init_bundle("ndn", seed=9), n_points=440,
-                      mc_cfg=McConfig(paths=2000), warmup=0)
+                      mc_cfg=McConfig(paths=2000))
         assert len(timed) == 440
         assert sum(p.K == p.F0 for p in timed) <= 0.2 * len(timed)
 
     def test_warmup_must_leave_samples(self):
         bundle = init_bundle("ndn", seed=10)
         with pytest.raises(ValueError):
-            latency_bench(bundle, n_points=50, warmup=100)
+            latency_bench(bundle, n_points=50)

@@ -14,6 +14,7 @@ from sabrkit.hagan import SabrPoint, hagan_vol
 from sabrkit.mc import (
     McConfig,
     Terminals,
+    implied_vol_from_estimate,
     price_from_terminals,
     simulate_terminals,
 )
@@ -92,15 +93,15 @@ class TestDegenerate:
 
     def test_cv_price_is_exact_black(self):
         p = SabrPoint(K=1.1, T=1.0, F0=1.0, alpha=0.2, beta=1.0, rho=0.0, nu=0.0)
-        est = cv_price(p, McConfig(paths=1000))
-        assert est.price == black_price(1.0, 1.0, 1.1, 0.2)
-        assert est.std_error == 0.0
+        price, std_error = cv_price(p, McConfig(paths=1000))
+        assert price == black_price(1.0, 1.0, 1.1, 0.2)
+        assert std_error == 0.0
 
     def test_implied_vol_recovers_alpha(self):
         p = SabrPoint(K=1.0, T=1.0, F0=1.0, alpha=0.2, beta=1.0, rho=0.0, nu=0.0)
-        out = mc_implied_vol(p, McConfig(paths=1000))
-        assert abs(out.sigma - 0.2) <= 1e-10
-        assert out.vol_std_error == 0.0
+        sigma, vol_std_error = mc_implied_vol(p, McConfig(paths=1000))
+        assert abs(sigma - 0.2) <= 1e-10
+        assert vol_std_error == 0.0
 
 
 class TestStatistics:
@@ -112,9 +113,9 @@ class TestStatistics:
     def test_sqrt_paths_convergence(self):
         ratios = []
         for seed in range(6):
-            small = price_from_terminals(simulate_wide(paths=2000, seed=seed), 1.0)
-            big = price_from_terminals(simulate_wide(paths=8000, seed=seed), 1.0)
-            ratios.append(big.std_error / small.std_error)
+            _, small = price_from_terminals(simulate_wide(paths=2000, seed=seed), 1.0)
+            _, big = price_from_terminals(simulate_wide(paths=8000, seed=seed), 1.0)
+            ratios.append(big / small)
         assert 0.4 <= float(np.mean(ratios)) <= 0.6
 
     def test_cv_agrees_with_plain_mc(self):
@@ -124,18 +125,18 @@ class TestStatistics:
             K = float(strike_grid(F0, alpha, T)[rng.integers(0, 11)])
             t = simulate_terminals(T, F0, alpha, beta, rho, nu,
                                    McConfig(paths=4000, base_seed=100 + i))
-            cv = price_from_terminals(t, K)
-            plain = plain_price_from_terminals(t, K)
-            combined = math.hypot(cv.std_error, plain.std_error)
-            assert abs(cv.price - plain.price) <= 3.0 * combined
+            cv, cv_se = price_from_terminals(t, K)
+            plain, plain_se = plain_price_from_terminals(t, K)
+            combined = math.hypot(cv_se, plain_se)
+            assert abs(cv - plain) <= 3.0 * combined
 
     def test_cv_reduces_aggregate_variance_on_wide_smile(self):
         # Aggregated over the full strike table; the reduction concentrates
         # in the lower strikes where the control couples tightly.
         t = simulate_wide(paths=50_000)
         strikes = [0.5 + 0.1 * i for i in range(16)]
-        cv_se = np.array([price_from_terminals(t, k).std_error for k in strikes])
-        plain_se = np.array([plain_price_from_terminals(t, k).std_error for k in strikes])
+        cv_se = np.array([price_from_terminals(t, k)[1] for k in strikes])
+        plain_se = np.array([plain_price_from_terminals(t, k)[1] for k in strikes])
         assert math.sqrt(np.mean(cv_se**2)) < math.sqrt(np.mean(plain_se**2))
         assert cv_se[0] < plain_se[0]
 
@@ -149,9 +150,9 @@ class TestDeterminism:
 
     def test_seed_changes_result(self):
         p = SabrPoint(K=0.9, **WIDE)
-        a = cv_price(p, McConfig(paths=5000, base_seed=1))
-        b = cv_price(p, McConfig(paths=5000, base_seed=2))
-        assert a.price != b.price
+        a, _ = cv_price(p, McConfig(paths=5000, base_seed=1))
+        b, _ = cv_price(p, McConfig(paths=5000, base_seed=2))
+        assert a != b
 
     def test_config_index_changes_stream(self):
         cfg = McConfig(paths=2000)
@@ -259,11 +260,9 @@ class TestSchemes:
         cfg = McConfig(paths=100_000)
         t = simulate_terminals(1.0, 1.0, 0.2, 0.5, 0.0, 0.0, cfg)
         for K in (0.9, 1.0, 1.1):
-            est = price_from_terminals(t, K)
+            price, std_error = price_from_terminals(t, K)
             p = SabrPoint(T=1.0, F0=1.0, K=K, alpha=0.2, beta=0.5, rho=0.0, nu=0.0)
-            from sabrkit.mc import implied_vol_from_estimate
-
-            got = implied_vol_from_estimate(est, 1.0, 1.0, K).sigma
+            got, _ = implied_vol_from_estimate(price, std_error, 1.0, 1.0, K)
             assert abs(got - hagan_vol(p)) <= 0.003
 
 
@@ -281,10 +280,9 @@ class TestErrors:
 
     def test_vol_error_propagation(self):
         p = SabrPoint(K=1.0, **WIDE)
-        out = mc_implied_vol(p, McConfig(paths=5000))
-        assert out.vol_std_error == pytest.approx(
-            out.estimate.std_error / _vega(out.sigma), rel=1e-12
-        )
+        price, std_error = cv_price(p, McConfig(paths=5000))
+        sigma, vol_std_error = implied_vol_from_estimate(price, std_error, p.T, p.F0, p.K)
+        assert vol_std_error == pytest.approx(std_error / _vega(sigma), rel=1e-12)
 
 
 def _vega(sigma):

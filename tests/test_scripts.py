@@ -38,9 +38,3 @@ def test_desk_experiment(tmp_path):
     archs = sorted(path.name.split("_")[1]
                    for path in (tmp_path / "reports").glob("metrics_*.json"))
     assert archs == ["geonn", "georesnn", "ndn", "resnn"]
-
-
-def test_smile_comparison(tmp_path):
-    proc = run_script("smile_comparison.py", "--paths", "2000", "--out", str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "smile.csv").is_file()
