@@ -255,7 +255,7 @@ def cmd_evaluate(args) -> int:
     for model_path in args.models:
         bundle = net.load_model(model_path)
         metrics = evaluation.evaluate_model(bundle, test_rows)
-        report = {"dataset": os.path.abspath(args.dataset), "dataset_sha256_12": tag,
+        report = {"dataset": args.dataset, "dataset_sha256_12": tag,
                   "metrics": dataclasses.asdict(metrics), "mc_config": None,
                   "stress": None, "sweep": None, "latency": None}
         if args.stress or args.sweep or args.bench:

@@ -21,10 +21,13 @@ norm runs at the fixed :data:`BN_MOMENTUM` and :data:`BN_EPS`.
 
 Training runs batch norm explicitly and keeps every trainable array as a
 view of one parameter vector, so each optimizer step is a single Adam
-update of that vector. Inference runs the network as plain affine layers
-(:func:`fold_layers`): standardization folds into the first layer and each
-eval-mode batch norm into its dense layer. :func:`load_model` and
-:func:`train` fold once and keep the result on the bundle.
+update of that vector. Inference runs the folded network
+(:func:`fold_layers`): standardization folds into the first layer, each
+eval-mode batch norm into its dense layer, and each later layer's bias into
+its matrix, read by a constant unit that the hidden layers carry, so that
+after the first layer each layer is one matrix product and a ReLU.
+:func:`load_model` and :func:`train` fold once and keep the result on the
+bundle.
 """
 
 from __future__ import annotations
@@ -124,10 +127,10 @@ class ModelBundle:
     x_mean: np.ndarray
     x_std: np.ndarray
     manifest: dict = field(default_factory=dict)
-    # The eval-mode network as affine layers, set by load_model and train and
-    # dropped by a training-mode forward; None means forward folds on every
-    # call.
-    folded: list[tuple[np.ndarray, np.ndarray]] | None = field(
+    # The eval-mode network as fold_layers returns it, set by load_model and
+    # train and dropped by a training-mode forward; None means forward folds
+    # on every call.
+    folded: tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]] | None = field(
         default=None, repr=False, compare=False)
 
     @property
@@ -179,36 +182,56 @@ def init_bundle(
     )
 
 
-def fold_layers(bundle: ModelBundle) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The eval-mode network as affine layers ``(w, b)``, each hidden one
+def fold_layers(bundle: ModelBundle) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The eval-mode network as ``(w0, b0, rest)``: the first layer's weights
+    and bias, then one matrix per later layer, each layer but the last
     followed by ReLU.
 
     Standardization folds into the first layer and each batch norm, at its
-    running statistics, into its dense layer (Ioffe & Szegedy 2015).
+    running statistics, into its dense layer (Ioffe & Szegedy 2015). Each
+    bias after the first rides inside its matrix (the bias trick; Bishop
+    2006, section 5.1): ``b0`` ends in a constant unit 1.0, whose weight
+    column is zero and which ReLU keeps at 1; every later matrix reads the
+    unit in an extra last row holding its bias, and every hidden one passes
+    it on in an extra last column, zero but for that row's 1.0. A network
+    with no hidden layer is the plain pair ``(w, b)`` and no rest.
     """
-    stack = []
+    mats = []
     for i, layer in enumerate(bundle.layers):
-        w, b = layer.w, layer.b
+        w, b, bn = layer.w, layer.b, layer.bn
         if i == 0:
             b = b - (bundle.x_mean / bundle.x_std) @ w
             w = w / bundle.x_std[:, None]
-        bn = layer.bn
-        if bn is not None:
+        n_in, n_out = w.shape
+        # The weights, the bias as the last row and, on a hidden layer,
+        # the unit's column: one array, whose last row is b0 on layer 0.
+        m = np.empty((n_in + 1, n_out + (bn is not None)))
+        if bn is None:
+            m[:n_in] = w
+            m[n_in] = b
+        else:
             s = bn.scale * (1.0 / np.sqrt(bn.running_var + BN_EPS))
-            w = w * s
-            b = (b - bn.running_mean) * s + bn.shift
-        stack.append((w, b))
-    return stack
+            np.multiply(w, s, out=m[:n_in, :n_out])
+            bias = m[n_in, :n_out]
+            np.subtract(b, bn.running_mean, out=bias)
+            bias *= s
+            bias += bn.shift
+            m[:, n_out] = 0.0
+            m[n_in, n_out] = 1.0
+        mats.append(m)
+    return mats[0][:-1], mats[0][-1], tuple(mats[1:])
 
 
 def forward(bundle: ModelBundle, x: np.ndarray, training: bool = False):
     """Network output for a batch of raw (unstandardized) feature rows.
 
     Returns ``(outputs, caches)``. Training mode normalizes with batch
-    statistics, updates the running ones, drops the bundle's folded stack
+    statistics, updates the running ones, drops the bundle's folded network
     and returns the intermediates :func:`backward` needs. Eval mode runs
-    the folded stack (:func:`fold_layers`), the bundle's stored one when
-    it has one, and returns None for the caches.
+    the folded network (:func:`fold_layers`), the bundle's stored one when
+    it has one: a matrix product and bias add for the first layer, then a
+    ReLU and one matrix product for each later layer, the same calls at
+    every batch size. It returns None for the caches.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -217,14 +240,13 @@ def forward(bundle: ModelBundle, x: np.ndarray, training: bool = False):
     if x.shape[1] != n_inputs:
         raise ShapeMismatch(f"arch {bundle.arch!r} expects {n_inputs} features, got {x.shape[1]}")
     if not training:
-        stack = bundle.folded if bundle.folded is not None else fold_layers(bundle)
-        a = x
-        for w, b in stack[:-1]:
-            a = a @ w
-            a += b
+        w0, b0, rest = bundle.folded if bundle.folded is not None else fold_layers(bundle)
+        a = np.dot(x, w0)
+        a += b0
+        for w in rest:
             np.maximum(a, 0.0, out=a)
-        w, b = stack[-1]
-        return (a @ w + b)[:, 0], None
+            a = np.dot(a, w)
+        return a[:, 0], None
     bundle.folded = None
     a = (x - bundle.x_mean) / bundle.x_std
     caches = []
@@ -504,7 +526,7 @@ def predict_vols(bundle: ModelBundle, points: Sequence[SabrPoint]) -> np.ndarray
 def predict_vol(bundle: ModelBundle, p: SabrPoint) -> float:
     """Corrected implied vol for one pricing configuration, through the
     scalar formulas and a one-row :func:`forward`; equals
-    :func:`predict_vols` on ``[p]`` to rounding."""
+    :func:`predict_vols` on ``[p]`` to within 1e-12 relative."""
     target_mode, names = ARCHS[bundle.arch]
     row = sabr_values(p)
     if len(names) > len(SABR_FIELDS):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -145,6 +146,22 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--models", str(tmp_path / "model_georesnn.json"),
                      "--dataset", str(small_dataset), "--out", str(tmp_path)]) == 0
         assert reports[0].read_bytes() == first
+
+    def test_report_is_the_same_from_any_directory(self, small_dataset, tmp_path,
+                                                   monkeypatch):
+        model = zero_model(tmp_path)
+        reports = []
+        for sub in ("a", "b"):
+            work = tmp_path / sub / "work"
+            (work / "data").mkdir(parents=True)
+            shutil.copy(small_dataset, work / "data" / "dataset.csv")
+            shutil.copy(model, work / "model.json")
+            monkeypatch.chdir(work)
+            assert main(["evaluate", "--models", "model.json", "--dataset",
+                         "data/dataset.csv", "--out", "out"]) == 0
+            reports.append(next((work / "out").glob("metrics_georesnn_*.json")).read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["dataset"] == "data/dataset.csv"
 
     def test_report_tag_is_manifest_hash_prefix(self, small_dataset, tmp_path):
         model = zero_model(tmp_path)

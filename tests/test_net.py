@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sabrkit.datagen import Sample, sample_config, strike_grid
+from sabrkit.datagen import GRID_INDICES, Sample, sample_config, strike_grid
 from sabrkit.errors import ConfigError, Diverged, NonFinite, ShapeMismatch
 from sabrkit.geometry import features
 from sabrkit.hagan import SabrPoint, hagan_vol
@@ -18,6 +18,7 @@ from sabrkit.net import (
     ARCHS,
     BN_EPS,
     BN_MOMENTUM,
+    HIDDEN_SIZES,
     AdamState,
     PlateauScheduler,
     TrainConfig,
@@ -131,28 +132,62 @@ def explicit_eval_forward(bundle, x):
     return (a @ last.w + last.b)[:, 0]
 
 
+# Trained bundles by key: each arch at the default hidden sizes, and ndn
+# with no hidden layer and with one hidden unit.
+BUNDLE_SPECS = {**{arch: (arch, HIDDEN_SIZES) for arch in sorted(ARCHS)},
+                "ndn-no-hidden": ("ndn", ()), "ndn-one-unit": ("ndn", (1,))}
+
+
 @pytest.fixture(scope="module")
 def trained_rows():
     rows = synthetic_rows(300, seed=51)
     bundles = {}
-    for arch in ("ndn", "georesnn"):
-        bundles[arch], _ = train(init_bundle(arch, seed=51), rows[:220], rows[220:],
-                                 TrainConfig(epochs=3, seed=51))
+    for key, (arch, hidden) in BUNDLE_SPECS.items():
+        init = init_bundle(arch, seed=51, hidden_sizes=hidden)
+        bundles[key], _ = train(init, rows[:220], rows[220:], TrainConfig(epochs=3, seed=51))
     return bundles, rows
 
 
+@pytest.fixture(scope="module")
+def loaded_models(trained_rows, tmp_path_factory):
+    bundles, _ = trained_rows
+    out = tmp_path_factory.mktemp("models")
+    for arch in ARCHS:
+        save_model(bundles[arch], out / f"{arch}.json")
+    return {arch: load_model(out / f"{arch}.json") for arch in ARCHS}
+
+
 class TestFoldedForward:
-    @pytest.mark.parametrize("arch", ["ndn", "georesnn"])
-    def test_matches_explicit_batch_norm(self, trained_rows, arch):
+    @pytest.mark.parametrize("key", list(BUNDLE_SPECS))
+    def test_matches_explicit_batch_norm(self, trained_rows, key):
         bundles, rows = trained_rows
-        bundle = bundles[arch]
-        x = design_matrix(rows, arch)
+        bundle = bundles[key]
+        x = design_matrix(rows, bundle.arch)
         folded, caches = forward(bundle, x, training=False)
         oracle = explicit_eval_forward(bundle, x)
         assert caches is None
         # Relative to the largest output: an output that crosses zero has
         # no relative precision of its own.
         assert np.max(np.abs(folded - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("key", [k for k in BUNDLE_SPECS if k != "ndn-no-hidden"])
+    def test_carried_unit_is_one_after_every_hidden_layer(self, trained_rows, key):
+        bundle = trained_rows[0][key]
+        rng = np.random.default_rng(53)
+        shape = (500, len(bundle.feature_names))
+        x = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+        # The steps of the eval-mode forward, keeping each hidden activation.
+        w0, b0, rest = fold_layers(bundle)
+        a = np.dot(x, w0) + b0
+        units = []
+        for w in rest:
+            a = np.maximum(a, 0.0)
+            units.append(a[:, -1])
+            a = np.dot(a, w)
+        assert np.all(np.isfinite(a))
+        assert len(units) == len(bundle.layers) - 1
+        for unit in units:
+            np.testing.assert_array_equal(unit, 1.0)
 
     def test_load_stores_the_fold(self, trained_rows, tmp_path):
         bundles, rows = trained_rows
@@ -571,6 +606,25 @@ class TestPredict:
         x = design_matrix(rows, "ndn")
         raw, _ = forward(bundle, x, training=False)
         np.testing.assert_array_equal(predict_from_rows(bundle, rows), raw)
+
+
+class TestSingleAgainstBatch:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(ARCHS)), st.integers(0, 2**32 - 1),
+           st.lists(st.integers(0, len(GRID_INDICES) - 1), min_size=1, max_size=16))
+    def test_predict_vol_matches_predict_vols(self, loaded_models, arch, seed, grid):
+        bundle = loaded_models[arch]
+        rng = np.random.default_rng(seed)
+        atm = GRID_INDICES.index(0.0)
+        points = []
+        for n in [*grid, atm]:
+            T, F0, alpha, beta, rho, nu = sample_config(rng)
+            K = float(strike_grid(F0, alpha, T)[n])
+            points.append(SabrPoint(T=T, F0=F0, K=K, alpha=alpha, beta=beta, rho=rho, nu=nu))
+        assert points[-1].K == points[-1].F0
+        batch = predict_vols(bundle, points)
+        single = np.array([predict_vol(bundle, p) for p in points])
+        assert np.all(np.abs(single - batch) <= 1e-12 * np.abs(batch))
 
 
 class TestSerialization:
