@@ -243,13 +243,15 @@ class LatencyStats:
     n_points: int
     mc_us_per_point: float
     speedup_vs_mc: float
+    batch_points_per_s: float
 
 
 def latency_bench(bundle: ModelBundle, n_points: int = 10_000,
                   mc_cfg: McConfig | None = None, seed: int = 0) -> LatencyStats:
-    """Per-call latency of single-point prediction, and speed-up against one
+    """Per-call latency of single-point prediction, speed-up against one
     Monte Carlo reference vol (:func:`~sabrkit.datagen.reference_smile` at
-    one strike) at the reference path budget.
+    one strike) at the reference path budget, and the throughput of one
+    :func:`~sabrkit.net.predict_vols` call on all the points.
 
     The strike's grid index is drawn uniformly, so one point in eleven
     takes the at-the-money shortcut. The first ``LATENCY_WARMUP`` calls
@@ -273,6 +275,10 @@ def latency_bench(bundle: ModelBundle, n_points: int = 10_000,
     kept = timings[LATENCY_WARMUP:] * 1e6
 
     t0 = time.perf_counter()
+    predict_vols(bundle, points)
+    batch_s = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     reference_smile(1.0, 1.0, 0.2, 0.5, -0.8, 1.2, [1.0], mc_cfg)
     mc_us = (time.perf_counter() - t0) * 1e6
 
@@ -283,4 +289,5 @@ def latency_bench(bundle: ModelBundle, n_points: int = 10_000,
         n_points=n_points - LATENCY_WARMUP,
         mc_us_per_point=mc_us,
         speedup_vs_mc=mc_us / median_us,
+        batch_points_per_s=n_points / batch_s,
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -55,9 +56,12 @@ BETA_ONE_THRESHOLD = 1e-9
 # cancellations such as (K^(1-b) - F0^(1-b))/(1-b) amplify that to 2e-13.
 # The array forms therefore call math.log/math.pow element by element, like
 # the scalar forms, and keep all other arithmetic in numpy, in the scalar
-# forms' operation order, so both agree bit for bit.
+# forms' operation order, so both agree bit for bit. Each element costs a
+# Python-level call, so callers pass only the elements whose result they
+# read. log goes through a ufunc made by np.frompyfunc and pow through
+# np.fromiter over map(math.pow, ...): for each, the faster of the two
+# ways, as timed on 1024-element arrays.
 _log = np.frompyfunc(math.log, 1, 1)
-_pow = np.frompyfunc(math.pow, 2, 1)
 
 
 def libm_log(x: np.ndarray) -> np.ndarray:
@@ -66,8 +70,11 @@ def libm_log(x: np.ndarray) -> np.ndarray:
 
 
 def libm_pow(x: np.ndarray, y) -> np.ndarray:
-    """Element-wise ``math.pow``."""
-    return _pow(x, y).astype(float)
+    """Element-wise ``math.pow`` of a 1-d array and a scalar or an array of
+    the same length."""
+    x = np.asarray(x, dtype=float)
+    ys = y.tolist() if isinstance(y, np.ndarray) else repeat(float(y))
+    return np.fromiter(map(math.pow, x.tolist(), ys), float, x.size)
 
 
 def check_params(T, F0, alpha, beta, rho, nu, K=None) -> None:
@@ -193,13 +200,22 @@ def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
                                       for c in (T, F0, K, alpha, beta, rho, nu))
     log_fk = libm_log(F0 / K)
     atm = np.abs(log_fk) < ATM_LOG_THRESHOLD
+    off = ~atm
     omb = 1.0 - beta
     omb = np.where(omb < BETA_ONE_THRESHOLD, 0.0, omb)
-    # pow(x, 0) == 1 exactly, which is the beta ~ 1 branch's value.
-    f_pow_1mb = libm_pow(F0, omb)
-    fk = F0 * K
-    fk_pow_half = np.where(atm, f_pow_1mb, libm_pow(fk, 0.5 * omb))
-    fk_pow_1mb = np.where(atm, f_pow_1mb * f_pow_1mb, libm_pow(fk, omb))
+    # Each power is taken only where it is read: F0^(1-b) at the money,
+    # where it stands for (F0*K)^((1-b)/2), and the (F0*K) powers and
+    # (1-b)^4 off it. pow(x, 0) == 1 exactly, the beta ~ 1 branch's value.
+    fk_pow_half = np.empty_like(omb)
+    fk_pow_1mb = np.empty_like(omb)
+    f_pow_1mb = libm_pow(F0[atm], omb[atm])
+    fk_pow_half[atm] = f_pow_1mb
+    fk_pow_1mb[atm] = f_pow_1mb * f_pow_1mb
+    fk, omb_off = F0[off] * K[off], omb[off]
+    fk_pow_half[off] = libm_pow(fk, 0.5 * omb_off)
+    fk_pow_1mb[off] = libm_pow(fk, omb_off)
+    omb_pow_4 = np.zeros_like(omb)
+    omb_pow_4[off] = libm_pow(omb_off, 4.0)
     term1 = omb * omb * alpha * alpha / (24.0 * fk_pow_1mb)
     term2 = rho * beta * nu * alpha / (4.0 * fk_pow_half)
     term3 = (2.0 - 3.0 * rho * rho) * nu * nu / 24.0
@@ -211,16 +227,16 @@ def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
     # silently there too, and both forms give the same result.
     with np.errstate(over="ignore"):
         disc = 1.0 - 2.0 * rho * z + z * z
-    closed = ~atm & (np.abs(z) >= _Z_SERIES_THRESHOLD)
+    closed = off & (np.abs(z) >= _Z_SERIES_THRESHOLD)
     domain = closed & (disc < 0.0)
     closed &= ~domain
     zc, rc = z[closed], rho[closed]
     ratio[closed] = zc / libm_log((np.sqrt(disc[closed]) + zc - rc) / (1.0 - rc))
 
     log2 = log_fk * log_fk
-    money = 1.0 + omb * omb / 24.0 * log2 + libm_pow(omb, 4.0) / 1920.0 * log2 * log2
-    core = alpha / fk_pow_half * money
-    sigma = np.where(atm, alpha / f_pow_1mb * maturity, core * ratio * maturity)
+    money = 1.0 + omb * omb / 24.0 * log2 + omb_pow_4 / 1920.0 * log2 * log2
+    lead = alpha / fk_pow_half
+    sigma = np.where(atm, lead * maturity, lead * money * ratio * maturity)
 
     failed = np.flatnonzero(domain | (sigma <= 0.0))
     if failed.size:

@@ -36,6 +36,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -132,6 +133,10 @@ class ModelBundle:
     # on every call.
     folded: tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]] | None = field(
         default=None, repr=False, compare=False)
+    # Reshaped views of train's one gradient vector, in trainable_params
+    # order, which backward fills; set while train runs (and left by a run
+    # that raised). None means backward returns new arrays.
+    grads: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @property
     def target_mode(self) -> str:
@@ -277,21 +282,27 @@ def backward(bundle: ModelBundle, caches: list, d_out: np.ndarray) -> list[np.nd
     """Gradients of a scalar objective wrt every trainable array.
 
     ``d_out`` is the objective's gradient per output row. The returned list
-    matches :func:`trainable_params` element by element. The gradient wrt
-    the network's input is not formed.
+    matches :func:`trainable_params` element by element; while :func:`train`
+    runs, its arrays are the bundle's views of one gradient vector, which
+    each call overwrites. The gradient wrt the network's input is not
+    formed.
     """
-    grads: list[np.ndarray] = []
+    grads = bundle.grads
+    if grads is None:
+        grads = [np.empty_like(p) for p in trainable_params(bundle)]
+    k = len(grads)
     d_a = d_out[:, None]
     for i in range(len(bundle.layers) - 1, -1, -1):
         layer, cache = bundle.layers[i], caches[i]
         bn = layer.bn
         if bn is None:
+            k -= 2
             d_z = d_a
-            layer_grads = [cache["x"].T @ d_z, d_z.sum(axis=0)]
         else:
+            k -= 4
             d_pre = d_a * cache["mask"]
-            d_scale = (d_pre * cache["z_hat"]).sum(axis=0)
-            d_shift = d_pre.sum(axis=0)
+            (d_pre * cache["z_hat"]).sum(axis=0, out=grads[k + 2])
+            d_pre.sum(axis=0, out=grads[k + 3])
             d_zhat = d_pre * bn.scale
             n = d_zhat.shape[0]
             d_z = (cache["inv_std"] / n) * (
@@ -299,8 +310,8 @@ def backward(bundle: ModelBundle, caches: list, d_out: np.ndarray) -> list[np.nd
                 - d_zhat.sum(axis=0)
                 - cache["z_hat"] * (d_zhat * cache["z_hat"]).sum(axis=0)
             )
-            layer_grads = [cache["x"].T @ d_z, d_z.sum(axis=0), d_scale, d_shift]
-        grads[:0] = layer_grads
+        np.matmul(cache["x"].T, d_z, out=grads[k])
+        d_z.sum(axis=0, out=grads[k + 1])
         if i:
             d_a = d_z @ layer.w.T
     return grads
@@ -316,24 +327,27 @@ def trainable_params(bundle: ModelBundle) -> list[np.ndarray]:
     return params
 
 
-def _flatten_params(bundle: ModelBundle) -> np.ndarray:
+def _flatten_params(bundle: ModelBundle) -> tuple[np.ndarray, np.ndarray]:
     """Copy the trainable arrays into one vector, in :func:`trainable_params`
     order, and rebind each as a reshaped view of it, so that one Adam update
-    of the vector updates them all."""
-    theta = np.concatenate([p.reshape(-1) for p in trainable_params(bundle)])
-    offset = 0
-
-    def view(arr: np.ndarray) -> np.ndarray:
-        nonlocal offset
-        out = theta[offset:offset + arr.size].reshape(arr.shape)
-        offset += arr.size
-        return out
-
+    of the vector updates them all. Returns that vector and a gradient
+    vector of the same layout, whose views become ``bundle.grads``."""
+    params = trainable_params(bundle)
+    theta = np.concatenate([p.reshape(-1) for p in params])
+    grad = np.empty_like(theta)
+    theta_views = iter(_views(theta, params))
     for layer in bundle.layers:
-        layer.w, layer.b = view(layer.w), view(layer.b)
+        layer.w, layer.b = next(theta_views), next(theta_views)
         if layer.bn is not None:
-            layer.bn.scale, layer.bn.shift = view(layer.bn.scale), view(layer.bn.shift)
-    return theta
+            layer.bn.scale, layer.bn.shift = next(theta_views), next(theta_views)
+    bundle.grads = _views(grad, params)
+    return theta, grad
+
+
+def _views(flat: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive slices of ``flat``, each reshaped like its array."""
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+    return [flat[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
 
 
 def targets(samples, target_mode: str) -> np.ndarray:
@@ -370,8 +384,8 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray,
               lr: float) -> AdamState:
     """One bias-corrected Adam update, applied to ``theta`` in place.
 
-    :func:`train` passes its one parameter vector and the gradients
-    concatenated in the same order.
+    :func:`train` passes its one parameter vector and the gradient vector
+    of the same layout, which :func:`backward` fills.
     """
     if not np.all(np.isfinite(grad)):
         raise NonFinite("non-finite gradient")
@@ -452,7 +466,7 @@ def train(
     x_std = x_train.std(axis=0)
     bundle.x_std = np.where(x_std > 1e-12, x_std, 1.0)
 
-    theta = _flatten_params(bundle)
+    theta, grad = _flatten_params(bundle)
     adam = AdamState.for_params(theta)
     scheduler = PlateauScheduler(lr=cfg.lr0)
     shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
@@ -471,8 +485,8 @@ def train(
             pred, caches = forward(bundle, x_train[idx], training=True)
             err = pred - y_train[idx]
             sq_sum += float(err @ err)
-            grads = backward(bundle, caches, 2.0 * err / err.size)
-            adam_step(adam, theta, np.concatenate([g.reshape(-1) for g in grads]), lr)
+            backward(bundle, caches, 2.0 * err / err.size)
+            adam_step(adam, theta, grad, lr)
         train_loss = sq_sum / n
         val_pred, _ = forward(bundle, x_val, training=False)
         # Overflow to inf is the divergence signal, not a numerics bug.
@@ -489,6 +503,7 @@ def train(
             best_layers = _snapshot_weights(bundle)
 
     bundle.layers = best_layers
+    bundle.grads = None
     bundle.manifest.update({
         "train_seed": cfg.seed,
         "best_epoch": best_epoch,
@@ -507,16 +522,19 @@ def predict_vols(bundle: ModelBundle, points: Sequence[SabrPoint]) -> np.ndarray
     """Corrected implied vols for a batch of pricing configurations.
 
     Residual modes return sigma_hagan * (1 + network output); direct modes
-    return the raw output. The points become one block of parameter
-    columns, which the array formulas (:func:`~sabrkit.hagan.hagan_vols`,
-    :func:`~sabrkit.geometry.features_array`) and one :func:`forward` take
-    whole.
+    return the raw output. Each field of the points becomes one contiguous
+    column, which the array formulas (:func:`~sabrkit.hagan.hagan_vols`,
+    :func:`~sabrkit.geometry.features_array`) take whole; the columns and
+    the features fill the design block of one :func:`forward`.
     """
     target_mode, names = ARCHS[bundle.arch]
-    x = np.array([sabr_values(p) for p in points], dtype=float).reshape(-1, len(SABR_FIELDS))
-    cols = x.T
+    n = len(points)
+    cols = [np.fromiter(map(attrgetter(name), points), float, n) for name in SABR_FIELDS]
+    x = np.empty((n, len(names)))
+    for j, col in enumerate(cols):
+        x[:, j] = col
     if len(names) > len(SABR_FIELDS):
-        x = np.hstack((x, features_array(*cols)))
+        x[:, len(SABR_FIELDS):] = features_array(*cols)
     out, _ = forward(bundle, x, training=False)
     if target_mode == "residual_ratio":
         return hagan_vols(*cols) * (1.0 + out)

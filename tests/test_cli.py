@@ -366,3 +366,4 @@ class TestBench:
         stats = json.loads(capsys.readouterr().out)
         assert stats["median_us"] > 0
         assert stats["speedup_vs_mc"] > 0
+        assert stats["batch_points_per_s"] > 0

@@ -160,6 +160,7 @@ class TestLatency:
         assert stats.median_us > 0
         assert stats.p99_us >= stats.median_us
         assert stats.speedup_vs_mc > 0
+        assert stats.batch_points_per_s > 0
 
     def test_timed_strikes_span_the_grid(self, monkeypatch):
         # A fixed mid-grid index would put every timed point at K == F0 and

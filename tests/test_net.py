@@ -626,6 +626,27 @@ class TestSingleAgainstBatch:
         single = np.array([predict_vol(bundle, p) for p in points])
         assert np.all(np.abs(single - batch) <= 1e-12 * np.abs(batch))
 
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    @pytest.mark.parametrize("shape", ["tuple", "single", "all_atm"])
+    def test_input_shapes(self, loaded_models, arch, shape):
+        rng = np.random.default_rng(len(shape))
+        points = []
+        for n in range(len(GRID_INDICES)):
+            T, F0, alpha, beta, rho, nu = sample_config(rng)
+            K = F0 if shape == "all_atm" else float(strike_grid(F0, alpha, T)[n])
+            points.append(SabrPoint(T=T, F0=F0, K=K, alpha=alpha, beta=beta, rho=rho, nu=nu))
+        batch_in = {"tuple": tuple(points), "single": points[3:4], "all_atm": points}[shape]
+        batch = predict_vols(loaded_models[arch], batch_in)
+        single = np.array([predict_vol(loaded_models[arch], p) for p in batch_in])
+        assert batch.shape == (len(batch_in),)
+        assert np.all(np.abs(single - batch) <= 1e-12 * np.abs(batch))
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_empty_batch_raises(self, loaded_models, arch):
+        width = len(ARCHS[arch][1])
+        with pytest.raises(ShapeMismatch, match=rf"got \(0, {width}\)"):
+            predict_vols(loaded_models[arch], [])
+
 
 class TestSerialization:
     def test_round_trip_is_exact(self, tmp_path):
