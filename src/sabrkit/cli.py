@@ -8,6 +8,8 @@ one Hagan baseline, :func:`~sabrkit.hagan.hagan_vol`, so ``price`` and
 ``evaluate`` correct the same closed form. A JSON config file can pre-set
 any long flag (--config file); explicitly passed flags win over file
 values. Flags are spelled in full; argparse's prefix matching is off.
+``evaluate --stress`` and ``--sweep`` report stress records and write one
+CSV per scenario, none for a scenario whose reference failed.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 """
@@ -251,31 +253,28 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("dataset has no test rows; generate with splits first")
     tag = datagen.file_sha256(args.dataset)[:12]
     mc_cfg = _mc_config(args, args.seed)
+    bundles = [net.load_model(model_path) for model_path in args.models]
+    # Smile diagnostics: flag and report key, CSV prefix, runner and the
+    # grid index column of its CSVs.
+    diagnostics = [("stress", "stress", evaluation.stress_suite, None),
+                   ("sweep", "slice", evaluation.maturity_sweep, datagen.GRID_INDICES)]
     os.makedirs(args.out, exist_ok=True)
-    for model_path in args.models:
-        bundle = net.load_model(model_path)
+    for bundle in bundles:
         metrics = evaluation.evaluate_model(bundle, test_rows)
         report = {"dataset": args.dataset, "dataset_sha256_12": tag,
                   "metrics": dataclasses.asdict(metrics), "mc_config": None,
                   "stress": None, "sweep": None, "latency": None}
         if args.stress or args.sweep or args.bench:
             report["mc_config"] = mc_cfg.record()
-        if args.stress:
-            records = evaluation.stress_suite(bundle, mc_cfg)
-            report["stress"] = [vars(r) for r in records]
+        for key, prefix, run, grid in diagnostics:
+            if not getattr(args, key):
+                continue
+            records = run(bundle, mc_cfg)
+            report[key] = [vars(r) for r in records]
             for r in records:
-                _write_slice_csv(
-                    os.path.join(args.out, f"stress_{bundle.arch}_{tag}_{r.scenario_id}.csv"),
-                    r.T, r.strikes, r.sigma_mc, r.sigma_hagan, r.sigma_model)
-        if args.sweep:
-            params = {"F0": 0.03, "alpha": 0.035, "beta": 0.5, "rho": -0.25, "nu": 0.35}
-            slices = evaluation.maturity_sweep(bundle, params, (0.25, 0.5, 1.0, 2.0, 5.0), mc_cfg)
-            report["sweep"] = [vars(s) for s in slices]
-            for s in slices:
-                _write_slice_csv(
-                    os.path.join(args.out, f"slice_{bundle.arch}_{tag}_T{s.T:g}.csv"),
-                    s.T, s.strikes, s.sigma_mc, s.sigma_hagan, s.sigma_model,
-                    s.grid_indices)
+                if r.error is None:
+                    _write_smile_csv(os.path.join(
+                        args.out, f"{prefix}_{bundle.arch}_{tag}_{r.scenario_id}.csv"), r, grid)
         if args.bench:
             stats = evaluation.latency_bench(bundle, mc_cfg=mc_cfg)
             report["latency"] = vars(stats)
@@ -288,16 +287,17 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _write_slice_csv(path, T, strikes, mc_vols, hagan_vols, model_vols, grid=None):
+def _write_smile_csv(path, record, grid):
+    """One row per strike of a :class:`~sabrkit.evaluation.StressRecord`
+    without an error; ``n`` holds the ``grid`` index, or is empty if
+    ``grid`` is None."""
+    ns = grid if grid is not None else [""] * len(record.strikes)
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["T", "K", "n", "sigma_mc", "sigma_hagan", "sigma_model"])
-        for i, k in enumerate(strikes):
-            n = grid[i] if grid is not None else ""
-            writer.writerow([
-                f"{T:.12g}", f"{k:.12g}", n,
-                f"{mc_vols[i]:.12g}", f"{hagan_vols[i]:.12g}", f"{model_vols[i]:.12g}",
-            ])
+        for k, n, *vols in zip(record.strikes, ns, record.sigma_mc, record.sigma_hagan,
+                               record.sigma_model):
+            writer.writerow([f"{record.T:.12g}", f"{k:.12g}", n, *(f"{v:.12g}" for v in vols)])
 
 
 def cmd_price(args) -> int:

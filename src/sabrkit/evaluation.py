@@ -1,8 +1,14 @@
 """Model diagnostics: global and regional accuracy against Monte Carlo
-references, stress scenarios, maturity sweeps and an inference benchmark.
+references, stress scenarios, a maturity sweep and an inference benchmark.
 
 Regions are keyed off the dataset's strike-grid index (ITM n < 0, ATM
 n = 0, OTM n > 0), because generated strikes are maturity scaled.
+
+The stress suite and the maturity sweep are both lists of
+:class:`StressScenario` priced by one runner, and both return
+:class:`StressRecord` lists; a sweep record's scenario id is ``T<T>``. A
+scenario whose reference fails keeps the error in its record, with empty
+vol lists.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ __all__ = [
     "LatencyStats",
     "ModelMetrics",
     "RegionMetrics",
-    "SliceRecord",
     "StressRecord",
     "StressScenario",
     "default_stress_scenarios",
@@ -40,6 +45,10 @@ REGION_NAMES = ("itm", "atm", "otm")
 # Leading single-point calls that latency_bench times but leaves out of its
 # statistics.
 LATENCY_WARMUP = 100
+
+# The maturity sweep's smile parameters and maturities.
+SWEEP_PARAMS = dict(F0=0.03, alpha=0.035, beta=0.5, rho=-0.25, nu=0.35)
+SWEEP_MATURITIES = (0.25, 0.5, 1.0, 2.0, 5.0)
 
 
 def r2(predicted, reference) -> float:
@@ -120,6 +129,12 @@ class StressScenario:
     strikes: tuple[float, ...]
 
 
+def _on_grid(scenario_id, T, F0, alpha, beta, rho, nu) -> StressScenario:
+    """A scenario on the standard maturity-scaled 11-strike grid."""
+    return StressScenario(scenario_id, T, F0, alpha, beta, rho, nu,
+                          tuple(float(k) for k in strike_grid(F0, alpha, T)))
+
+
 def default_stress_scenarios() -> list[StressScenario]:
     """Fixed six-scenario list spanning the documented stress axes.
 
@@ -127,24 +142,15 @@ def default_stress_scenarios() -> list[StressScenario]:
     scenario uses a flat 16-strike grid from half to twice the forward,
     the others the standard maturity-scaled 11-strike grid.
     """
-    def grid(F0, alpha, T):
-        return tuple(float(k) for k in strike_grid(F0, alpha, T))
-
-    scenarios = [
+    return [
         StressScenario("wide_smile_high_vovol", 1.0, 1.0, 0.2, 0.5, -0.8, 1.2,
                        tuple(0.5 + 0.1 * i for i in range(16))),
-        StressScenario("nu_above_bucket", 2.5, 0.0375, 0.04, 0.6, -0.3, 0.75,
-                       grid(0.0375, 0.04, 2.5)),
-        StressScenario("extreme_rho_long_tenor", 4.5, 0.045, 0.05, 0.75, -0.9, 0.5,
-                       grid(0.045, 0.05, 4.5)),
-        StressScenario("beta_zero_short_tenor", 17.5 / 365.0, 0.0175, 0.0125, 0.0, 0.0, 0.125,
-                       grid(0.0175, 0.0125, 17.5 / 365.0)),
-        StressScenario("lognormal_flat_sanity", 1.0, 1.0, 0.2, 1.0, 0.0, 0.0,
-                       grid(1.0, 0.2, 1.0)),
-        StressScenario("alpha_above_bucket", 0.875, 0.03, 0.08, 0.5, -0.2, 0.3,
-                       grid(0.03, 0.08, 0.875)),
+        _on_grid("nu_above_bucket", 2.5, 0.0375, 0.04, 0.6, -0.3, 0.75),
+        _on_grid("extreme_rho_long_tenor", 4.5, 0.045, 0.05, 0.75, -0.9, 0.5),
+        _on_grid("beta_zero_short_tenor", 17.5 / 365.0, 0.0175, 0.0125, 0.0, 0.0, 0.125),
+        _on_grid("lognormal_flat_sanity", 1.0, 1.0, 0.2, 1.0, 0.0, 0.0),
+        _on_grid("alpha_above_bucket", 0.875, 0.03, 0.08, 0.5, -0.2, 0.3),
     ]
-    return scenarios
 
 
 @dataclass
@@ -161,79 +167,56 @@ class StressRecord:
     error: str | None = None
 
 
-def _smile_on_strikes(bundle, mc_cfg, T, F0, alpha, beta, rho, nu, strikes, config_index=0):
-    mc_vols, _ = reference_smile(T, F0, alpha, beta, rho, nu, strikes, mc_cfg, config_index)
-    points = [SabrPoint(T=T, F0=F0, K=k, alpha=alpha, beta=beta, rho=rho, nu=nu)
-              for k in strikes]
-    hagan_vols = [hagan_vol(point) for point in points]
-    model_vols = predict_vols(bundle, points).tolist()
-    return mc_vols.tolist(), hagan_vols, model_vols, int(np.isnan(mc_vols).sum())
+def _run_scenarios(bundle, mc_cfg, scenarios, first_index) -> list[StressRecord]:
+    """Price each scenario's smile against fresh Monte Carlo (config index
+    ``first_index`` + position), the Hagan formula and the bundle.
+
+    A scenario that raises a :class:`SabrkitError` is recorded with the
+    error and empty vol lists, not raised, so one pathological regime
+    cannot abort the run.
+    """
+    records = []
+    for idx, sc in enumerate(scenarios, start=first_index):
+        strikes, error = list(sc.strikes), None
+        try:
+            mc_vols, _ = reference_smile(sc.T, sc.F0, sc.alpha, sc.beta, sc.rho, sc.nu,
+                                         strikes, mc_cfg, idx)
+            mc_vols = mc_vols.tolist()
+            points = [SabrPoint(T=sc.T, F0=sc.F0, K=k, alpha=sc.alpha, beta=sc.beta,
+                                rho=sc.rho, nu=sc.nu) for k in strikes]
+            hagan_vols = [hagan_vol(point) for point in points]
+            model_vols = predict_vols(bundle, points).tolist()
+        except SabrkitError as exc:
+            mc_vols, hagan_vols, model_vols, error = [], [], [], str(exc)
+        errs_model = [abs(m - r) for m, r in zip(model_vols, mc_vols) if math.isfinite(r)]
+        errs_hagan = [abs(h - r) for h, r in zip(hagan_vols, mc_vols) if math.isfinite(r)]
+        records.append(StressRecord(
+            scenario_id=sc.scenario_id,
+            T=sc.T,
+            strikes=strikes,
+            sigma_mc=mc_vols,
+            sigma_hagan=hagan_vols,
+            sigma_model=model_vols,
+            max_abs_err_model=max(errs_model, default=float("nan")),
+            max_abs_err_hagan=max(errs_hagan, default=float("nan")),
+            failed_strikes=len(strikes) - len(errs_model),
+            error=error,
+        ))
+    return records
 
 
 def stress_suite(bundle: ModelBundle, mc_cfg: McConfig) -> list[StressRecord]:
-    """Evaluate the bundle on fresh Monte Carlo ground truth for each of
-    :func:`default_stress_scenarios`.
-
-    Scenario failures are recorded, not raised, so one pathological regime
-    cannot abort the suite.
-    """
-    records = []
-    for idx, sc in enumerate(default_stress_scenarios()):
-        try:
-            mc_vols, hagan_vols, model_vols, failed = _smile_on_strikes(
-                bundle, mc_cfg, sc.T, sc.F0, sc.alpha, sc.beta, sc.rho, sc.nu,
-                sc.strikes, config_index=idx,
-            )
-            pairs_model = [abs(m - r) for m, r in zip(model_vols, mc_vols) if math.isfinite(r)]
-            pairs_hagan = [abs(h - r) for h, r in zip(hagan_vols, mc_vols) if math.isfinite(r)]
-            records.append(StressRecord(
-                scenario_id=sc.scenario_id,
-                T=sc.T,
-                strikes=list(sc.strikes),
-                sigma_mc=mc_vols,
-                sigma_hagan=hagan_vols,
-                sigma_model=model_vols,
-                max_abs_err_model=max(pairs_model) if pairs_model else float("nan"),
-                max_abs_err_hagan=max(pairs_hagan) if pairs_hagan else float("nan"),
-                failed_strikes=failed,
-            ))
-        except SabrkitError as exc:
-            records.append(StressRecord(
-                scenario_id=sc.scenario_id, T=sc.T, strikes=list(sc.strikes),
-                sigma_mc=[], sigma_hagan=[], sigma_model=[],
-                max_abs_err_model=float("nan"), max_abs_err_hagan=float("nan"),
-                failed_strikes=len(sc.strikes), error=str(exc),
-            ))
-    return records
+    """The bundle against fresh Monte Carlo on each of
+    :func:`default_stress_scenarios`, at config indexes 0-5."""
+    return _run_scenarios(bundle, mc_cfg, default_stress_scenarios(), first_index=0)
 
 
-@dataclass
-class SliceRecord:
-    T: float
-    strikes: list[float]
-    grid_indices: list[float]
-    sigma_mc: list[float]
-    sigma_hagan: list[float]
-    sigma_model: list[float]
-
-
-def maturity_sweep(bundle: ModelBundle, params: dict, t_grid, mc_cfg: McConfig) -> list[SliceRecord]:
-    """One smile slice per maturity on the standard 11-strike grid.
-
-    ``params`` holds F0, alpha, beta, rho, nu; the maturity is swept.
-    """
-    records = []
-    for idx, T in enumerate(t_grid):
-        strikes = [float(k) for k in strike_grid(params["F0"], params["alpha"], T)]
-        mc_vols, hagan_vols, model_vols, _ = _smile_on_strikes(
-            bundle, mc_cfg, T, params["F0"], params["alpha"], params["beta"],
-            params["rho"], params["nu"], strikes, config_index=1000 + idx,
-        )
-        records.append(SliceRecord(
-            T=float(T), strikes=strikes, grid_indices=list(GRID_INDICES),
-            sigma_mc=mc_vols, sigma_hagan=hagan_vols, sigma_model=model_vols,
-        ))
-    return records
+def maturity_sweep(bundle: ModelBundle, mc_cfg: McConfig) -> list[StressRecord]:
+    """One smile per maturity in ``SWEEP_MATURITIES`` at ``SWEEP_PARAMS`` on
+    the standard 11-strike grid, scenario ids ``T<T>``, at config indexes
+    1000 + i."""
+    scenarios = [_on_grid(f"T{T:g}", T, **SWEEP_PARAMS) for T in SWEEP_MATURITIES]
+    return _run_scenarios(bundle, mc_cfg, scenarios, first_index=1000)
 
 
 @dataclass
@@ -246,8 +229,8 @@ class LatencyStats:
     batch_points_per_s: float
 
 
-def latency_bench(bundle: ModelBundle, n_points: int = 10_000,
-                  mc_cfg: McConfig | None = None, seed: int = 0) -> LatencyStats:
+def latency_bench(bundle: ModelBundle, mc_cfg: McConfig, n_points: int = 10_000,
+                  seed: int = 0) -> LatencyStats:
     """Per-call latency of single-point prediction, speed-up against one
     Monte Carlo reference vol (:func:`~sabrkit.datagen.reference_smile` at
     one strike) at the reference path budget, and the throughput of one
@@ -259,8 +242,6 @@ def latency_bench(bundle: ModelBundle, n_points: int = 10_000,
     """
     if n_points <= LATENCY_WARMUP:
         raise ValueError("n_points must exceed the warmup count")
-    if mc_cfg is None:
-        mc_cfg = McConfig()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     points = []
     for _ in range(n_points):

@@ -6,8 +6,10 @@ import shutil
 import numpy as np
 import pytest
 
+from sabrkit import evaluation
 from sabrkit.cli import main
 from sabrkit.datagen import load_dataset
+from sabrkit.errors import NonFinite
 from sabrkit.evaluation import default_stress_scenarios
 from sabrkit.hagan import SabrPoint, hagan_vol
 from sabrkit.net import ARCHS, init_bundle, load_model, predict_from_rows, predict_vol, save_model
@@ -203,6 +205,31 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--models", str(model), "--dataset", str(small_dataset),
                      "--sweep", "--paths", "500", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("invalid input: paths must be >= 1000")
+        assert not out.exists()
+
+    def test_failed_scenarios_are_reported_not_raised(self, small_dataset, tmp_path,
+                                                      monkeypatch):
+        def broken(*args, **kwargs):
+            raise NonFinite("no reference")
+
+        monkeypatch.setattr(evaluation, "reference_smile", broken)
+        model = zero_model(tmp_path)
+        out = tmp_path / "out"
+        assert main(["evaluate", "--models", str(model), "--dataset", str(small_dataset),
+                     "--stress", "--sweep", "--paths", "2000", "--out", str(out)]) == 0
+        report = json.loads(next(out.glob("metrics_georesnn_*.json")).read_text())
+        assert [r["error"] for r in report["stress"] + report["sweep"]] == ["no reference"] * 11
+        assert not list(out.glob("*.csv"))
+
+    def test_broken_model_leaves_no_out_dir(self, small_dataset, tmp_path, capsys):
+        good = zero_model(tmp_path)
+        broken = tmp_path / "broken.json"
+        broken.write_text("{}")
+        out = tmp_path / "out"
+        assert main(["evaluate", "--models", str(good), str(broken), "--dataset",
+                     str(small_dataset), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("invalid input:")
         assert not out.exists()
 
     def test_price_and_evaluate_agree(self, small_dataset, tmp_path):

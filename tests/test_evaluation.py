@@ -144,12 +144,22 @@ class TestStress:
 class TestSweep:
     def test_slice_shapes(self):
         bundle = zero_weights(init_bundle("georesnn", seed=8))
-        params = {"F0": 0.03, "alpha": 0.035, "beta": 0.5, "rho": -0.25, "nu": 0.35}
-        slices = maturity_sweep(bundle, params, (0.25, 1.0, 5.0), McConfig(paths=2000))
-        assert [s.T for s in slices] == [0.25, 1.0, 5.0]
+        slices = maturity_sweep(bundle, McConfig(paths=2000))
+        assert tuple(s.T for s in slices) == evaluation.SWEEP_MATURITIES
+        assert [s.scenario_id for s in slices] == ["T0.25", "T0.5", "T1", "T2", "T5"]
         for s in slices:
+            assert s.error is None
             assert len(s.strikes) == 11
             assert all(v > 0 and math.isfinite(v) for v in s.sigma_model)
+
+    def test_failed_slices_keep_their_T(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise NonFinite("no reference")
+
+        monkeypatch.setattr(evaluation, "reference_smile", broken)
+        slices = maturity_sweep(init_bundle("ndn", seed=8), McConfig(paths=2000))
+        assert [(s.T, s.error, s.sigma_mc, s.failed_strikes) for s in slices] == [
+            (T, "no reference", [], 11) for T in evaluation.SWEEP_MATURITIES]
 
 
 class TestLatency:
@@ -175,4 +185,4 @@ class TestLatency:
     def test_warmup_must_leave_samples(self):
         bundle = init_bundle("ndn", seed=10)
         with pytest.raises(ValueError):
-            latency_bench(bundle, n_points=50)
+            latency_bench(bundle, n_points=50, mc_cfg=McConfig(paths=2000))
