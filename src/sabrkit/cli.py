@@ -9,7 +9,9 @@ one Hagan baseline, :func:`~sabrkit.hagan.hagan_vol`, so ``price`` and
 any long flag (--config file); explicitly passed flags win over file
 values. Flags are spelled in full; argparse's prefix matching is off.
 ``evaluate --stress`` and ``--sweep`` report stress records and write one
-CSV per scenario, none for a scenario whose reference failed.
+CSV per scenario, none for a scenario whose reference failed. The
+:mod:`~sabrkit.datagen` writers make ``--out`` with a command's first
+file, so a command that fails before it leaves none.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 """
@@ -18,12 +20,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import io
 import json
 import os
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -41,8 +43,10 @@ from .errors import (
 from .hagan import SabrPoint, hagan_vol
 from .mc import McConfig
 
+# ArithmeticError: NonFinite, and the closed form's ZeroDivisionError or
+# OverflowError at tiny valid forwards.
 _NUMERICAL_ERRORS = (PriceOutOfBounds, NoConvergence, DomainError, NegativeVol,
-                     NonFinite, Diverged)
+                     ArithmeticError, Diverged)
 _VALIDATION_ERRORS = (ConfigError, ShapeMismatch, ValueError)
 
 
@@ -190,13 +194,8 @@ def cmd_smile(args) -> int:
     for k, hag, mc_vol, mc_se in rows:
         print(f"{k:10.4f} {hag:10.6f} {mc_vol:12.6f} {mc_se:10.2e}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "smile.csv")
-        with open(path, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["K", "sigma_hagan", "sigma_mc", "mc_vol_std_error"])
-            for row in rows:
-                writer.writerow([f"{v:.12g}" for v in row])
+        datagen.write_csv(path, ["K", "sigma_hagan", "sigma_mc", "mc_vol_std_error"], rows)
         print(f"wrote {path}")
     if np.isnan(mc_vols).all():
         raise NonFinite("every strike failed to invert")
@@ -230,16 +229,11 @@ def cmd_train(args) -> int:
                           epochs=args.epochs, seed=args.seed)
     bundle = net.init_bundle(args.arch, seed=args.seed)
     bundle, history = net.train(bundle, train_rows, val_rows, cfg)
-    os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, f"model_{args.arch}.json")
     history_path = os.path.join(args.out, f"history_{args.arch}.csv")
     net.save_model(bundle, model_path)
-    with open(history_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_loss", "val_loss", "lr"])
-        for rec in history:
-            writer.writerow([rec.epoch, f"{rec.train_loss:.12g}",
-                             f"{rec.val_loss:.12g}", f"{rec.lr:.12g}"])
+    datagen.write_csv(history_path, ["epoch", "train_loss", "val_loss", "lr"],
+                      ((r.epoch, r.train_loss, r.val_loss, r.lr) for r in history))
     best = bundle.manifest["best_epoch"]
     print(f"wrote {model_path} (best epoch {best}, "
           f"val loss {bundle.manifest['best_val_loss']:.6g}) and {history_path}")
@@ -254,11 +248,11 @@ def cmd_evaluate(args) -> int:
     tag = datagen.file_sha256(args.dataset)[:12]
     mc_cfg = _mc_config(args, args.seed)
     bundles = [net.load_model(model_path) for model_path in args.models]
-    # Smile diagnostics: flag and report key, CSV prefix, runner and the
-    # grid index column of its CSVs.
-    diagnostics = [("stress", "stress", evaluation.stress_suite, None),
-                   ("sweep", "slice", evaluation.maturity_sweep, datagen.GRID_INDICES)]
-    os.makedirs(args.out, exist_ok=True)
+    # Smile diagnostics: flag and report key, CSV prefix, runner and the n
+    # column of its CSVs, empty for stress strikes (not all on the grid).
+    diagnostics = [("stress", "stress", evaluation.stress_suite, repeat("")),
+                   ("sweep", "slice", evaluation.maturity_sweep,
+                    [str(n) for n in datagen.GRID_INDICES])]
     for bundle in bundles:
         metrics = evaluation.evaluate_model(bundle, test_rows)
         report = {"dataset": args.dataset, "dataset_sha256_12": tag,
@@ -266,38 +260,26 @@ def cmd_evaluate(args) -> int:
                   "stress": None, "sweep": None, "latency": None}
         if args.stress or args.sweep or args.bench:
             report["mc_config"] = mc_cfg.record()
-        for key, prefix, run, grid in diagnostics:
+        for key, prefix, run, ns in diagnostics:
             if not getattr(args, key):
                 continue
             records = run(bundle, mc_cfg)
             report[key] = [vars(r) for r in records]
             for r in records:
                 if r.error is None:
-                    _write_smile_csv(os.path.join(
-                        args.out, f"{prefix}_{bundle.arch}_{tag}_{r.scenario_id}.csv"), r, grid)
+                    datagen.write_csv(
+                        os.path.join(args.out, f"{prefix}_{bundle.arch}_{tag}_{r.scenario_id}.csv"),
+                        ["T", "K", "n", "sigma_mc", "sigma_hagan", "sigma_model"],
+                        ((r.T, k, n, *vols) for k, n, *vols in zip(
+                            r.strikes, ns, r.sigma_mc, r.sigma_hagan, r.sigma_model)))
         if args.bench:
             stats = evaluation.latency_bench(bundle, mc_cfg=mc_cfg)
             report["latency"] = vars(stats)
         out_path = os.path.join(args.out, f"metrics_{bundle.arch}_{tag}.json")
-        with open(out_path, "w", newline="\n") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        datagen.write_json(out_path, report)
         print(f"{bundle.arch}: r2_global={metrics.r2_global:.4f} "
               f"rmse_rel={metrics.rmse_rel:.4f} -> {out_path}")
     return 0
-
-
-def _write_smile_csv(path, record, grid):
-    """One row per strike of a :class:`~sabrkit.evaluation.StressRecord`
-    without an error; ``n`` holds the ``grid`` index, or is empty if
-    ``grid`` is None."""
-    ns = grid if grid is not None else [""] * len(record.strikes)
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["T", "K", "n", "sigma_mc", "sigma_hagan", "sigma_model"])
-        for k, n, *vols in zip(record.strikes, ns, record.sigma_mc, record.sigma_hagan,
-                               record.sigma_model):
-            writer.writerow([f"{record.T:.12g}", f"{k:.12g}", n, *(f"{v:.12g}" for v in vols)])
 
 
 def cmd_price(args) -> int:

@@ -15,7 +15,6 @@ import csv
 import hashlib
 import json
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -45,6 +44,8 @@ __all__ = [
     "save_dataset",
     "split_dataset",
     "strike_grid",
+    "write_csv",
+    "write_json",
     "year_fraction",
 ]
 
@@ -315,6 +316,27 @@ def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def write_csv(path, header, rows) -> None:
+    """Write an artifact CSV: floats at 12 significant digits, every other
+    value as ``str`` gives it, LF endings. Like :func:`write_json`, it makes
+    the file's directory first: a directory appears with its first file."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def write_json(path, payload) -> None:
+    """Write an artifact JSON: sorted keys, two-space indent, a final
+    newline, LF endings; the file's directory is made first."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_dataset(
     dataset: Dataset,
     csv_path,
@@ -323,24 +345,21 @@ def save_dataset(
     sample_seed: int | None = None,
     split_seed: int | None = None,
 ) -> dict:
-    """Write the dataset CSV (12 significant digits, LF endings) and its manifest.
+    """Write the dataset CSV and its manifest with :func:`write_csv` and
+    :func:`write_json`.
 
     Returns the manifest dictionary; the manifest records every knob needed
-    to regenerate the file plus a content hash of the CSV.
+    to regenerate the file plus a content hash of the CSV, and no
+    timestamp, so one seed gives the same manifest bytes.
     """
-    with open(csv_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for s in dataset.samples:
-            numbers = (*sabr_values(s.point), s.sigma_hagan, s.sigma_mc, *geom_values(s.feats))
-            writer.writerow([f"{x:.12g}" for x in numbers]
-                            + [f"{s.grid_index:.1f}", s.split, "true" if s.valid else "false"])
-    digest = file_sha256(csv_path)
-    n_valid = len(dataset.valid_samples())
+    write_csv(csv_path, CSV_HEADER, (
+        (*sabr_values(s.point), s.sigma_hagan, s.sigma_mc, *geom_values(s.feats),
+         f"{s.grid_index:.1f}", s.split, "true" if s.valid else "false")
+        for s in dataset.samples))
     manifest = {
-        "csv_sha256": digest,
+        "csv_sha256": file_sha256(csv_path),
         "rows": len(dataset),
-        "valid_rows": n_valid,
+        "valid_rows": len(dataset.valid_samples()),
         "split_counts": {
             name: len(dataset.split_samples(name)) for name in SPLIT_NAMES
         },
@@ -350,12 +369,9 @@ def save_dataset(
         "mc_config": None if mc_cfg is None else mc_cfg.record(),
         "buckets": [asdict(b) for b in BUCKETS],
         "tenor_year_fractions": {t: year_fraction(t) for t in DEFAULT_MATS},
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     if manifest_path is not None:
-        with open(manifest_path, "w", newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(manifest_path, manifest)
     return manifest
 
 
@@ -427,12 +443,12 @@ def generate_dataset(
     split_seed: int = 42,
     by_config_split: bool = False,
 ) -> tuple[Dataset, dict]:
-    """End-to-end generation: build, filter, split, persist. The CSV's
-    directory is created only once the rows are split."""
+    """End-to-end generation: build, filter, split, persist. Nothing is
+    written before the rows are split, and :func:`save_dataset` makes the
+    CSV's directory with the CSV."""
     dataset = build_dataset(num_configs, mc_cfg, seed, workers)
     filter_outliers(dataset)
     split_dataset(dataset, seed=split_seed, by_config=by_config_split)
-    Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
     manifest = save_dataset(
         dataset, csv_path, manifest_path, mc_cfg=mc_cfg, sample_seed=seed,
         split_seed=split_seed,

@@ -148,8 +148,7 @@ def hagan_atm(p: SabrPoint) -> float:
     Raises NegativeVol when the maturity bracket drives the result to zero
     or below, which signals leaving the expansion's validity domain.
     """
-    omb = _one_minus_beta(p.beta)
-    f_pow_1mb = p.F0**omb if omb > 0.0 else 1.0
+    f_pow_1mb = p.F0 ** _one_minus_beta(p.beta)
     bracket = _maturity_bracket(p, f_pow_1mb * f_pow_1mb, f_pow_1mb)
     sigma = p.alpha / f_pow_1mb * bracket
     if sigma <= 0.0:
@@ -167,13 +166,10 @@ def hagan_vol(p: SabrPoint) -> float:
     if abs(log_fk) < ATM_LOG_THRESHOLD:
         return hagan_atm(p)
 
+    # pow(x, 0) == 1 exactly, the beta ~ 1 value.
     omb = _one_minus_beta(p.beta)
-    if omb > 0.0:
-        fk_pow_half = (p.F0 * p.K) ** (0.5 * omb)
-        fk_pow_1mb = (p.F0 * p.K) ** omb
-    else:
-        fk_pow_half = 1.0
-        fk_pow_1mb = 1.0
+    fk_pow_half = (p.F0 * p.K) ** (0.5 * omb)
+    fk_pow_1mb = (p.F0 * p.K) ** omb
 
     z = p.nu / p.alpha * fk_pow_half * log_fk
     ratio = zx_ratio(z, p.rho)

@@ -41,6 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .datagen import write_json
 from .errors import ConfigError, Diverged, NonFinite, ShapeMismatch
 from .geometry import GEOM_FIELDS, features, features_array, geom_values
 from .hagan import HAGAN_BRACKET, SABR_FIELDS, SabrPoint, hagan_vol, hagan_vols, sabr_values
@@ -572,7 +573,8 @@ _BN_ARRAYS = ("scale", "shift", "running_mean", "running_var")
 
 
 def save_model(bundle: ModelBundle, path) -> None:
-    """Serialize a bundle to JSON with full float precision."""
+    """Serialize a bundle to JSON with full float precision, through
+    :func:`~sabrkit.datagen.write_json`."""
     payload = {
         "format": MODEL_FORMAT,
         "arch": bundle.arch,
@@ -599,9 +601,7 @@ def save_model(bundle: ModelBundle, path) -> None:
         ],
         "manifest": bundle.manifest,
     }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def _finite_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:

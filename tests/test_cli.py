@@ -53,6 +53,17 @@ class TestSmile:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("invalid input:")
 
+    def test_tiny_forward_exit_3_one_line(self, tmp_path, capsys):
+        # A valid point whose F0*K underflows: the closed form divides by
+        # zero before the simulation starts.
+        out = tmp_path / "out"
+        assert main(["smile", "--F0", "1e-170", "--beta", "0", "--paths", "1000",
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: float division by zero\n"
+        assert not out.exists()
+
     def test_strike_range_default(self, tmp_path):
         main(["smile", "--paths", "2000", "--n-strikes", "4", "--out", str(tmp_path)])
         rows = read_csv(tmp_path / "smile.csv")
@@ -232,6 +243,21 @@ class TestTrainEvaluate:
         assert err.count("\n") == 1 and err.startswith("invalid input:")
         assert not out.exists()
 
+    def test_empty_region_leaves_no_out_dir(self, small_dataset, tmp_path, capsys):
+        # Only at-the-money test rows stay; the metrics fail before any write.
+        rows = read_csv(small_dataset)
+        for row in rows[1:]:
+            if row[14] == "test" and row[13] != "0.0":
+                row[14] = "train"
+        atm_only = tmp_path / "dataset.csv"
+        with open(atm_only, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        out = tmp_path / "out"
+        assert main(["evaluate", "--models", str(zero_model(tmp_path)), "--dataset",
+                     str(atm_only), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "invalid input: region 'itm' has no test rows\n"
+        assert not out.exists()
+
     def test_price_and_evaluate_agree(self, small_dataset, tmp_path):
         # price recomputes the Hagan baseline and the features from the point;
         # evaluate reads them from the dataset, which keeps 12 significant
@@ -310,6 +336,17 @@ class TestPrice:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("invalid input:")
         assert str(model) in err
+
+    @pytest.mark.parametrize("forward", ["1e-170", "1e-310"])
+    def test_tiny_forward_exit_3_one_line(self, tmp_path, capsys, forward):
+        # Valid points at which F0*K underflows (ZeroDivisionError) or
+        # F0^(beta-1) overflows (OverflowError).
+        model = zero_model(tmp_path)
+        assert main(["price", "--model", str(model), "--F0", forward, "--K", forward,
+                     "--beta", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("numerical failure:")
 
     def test_missing_required_flag_exit_2(self, tmp_path):
         assert main(["price", "--model", "nowhere.json"]) == 2

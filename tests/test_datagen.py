@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -412,7 +413,12 @@ class TestPersistence:
         assert (tmp_path / "b.csv").read_bytes() == raw
 
     def test_byte_identical_regeneration(self, tmp_path):
+        # The manifest holds no timestamp, so one seed gives the same bytes
+        # in both files; each CSV's directory is made with the CSV.
         cfg = McConfig(paths=1000)
-        generate_dataset(3, cfg, seed=5, csv_path=tmp_path / "a.csv")
-        generate_dataset(3, cfg, seed=5, csv_path=tmp_path / "b.csv")
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        for sub in ("a", "b"):
+            generate_dataset(3, cfg, seed=5, csv_path=tmp_path / sub / "d.csv",
+                             manifest_path=tmp_path / sub / "manifest.json")
+        for name in ("d.csv", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert "generated_at" not in json.loads((tmp_path / "a" / "manifest.json").read_text())
