@@ -9,7 +9,11 @@ closed form the residual networks correct.
 :func:`check_params` is the one check of the SABR parameter domain; the
 other functions take the values of a valid :class:`SabrPoint`.
 :func:`hagan_vol` prices one point; :func:`hagan_vols` prices columns of
-them at once and agrees with it bit for bit.
+them at once and agrees with it bit for bit. Neither returns inf or NaN.
+Some valid points leave the band where the formula is finite, such as
+forwards so small that the maturity bracket overflows or F0*K underflows;
+there the scalar form raises ZeroDivisionError, OverflowError or
+:class:`~sabrkit.errors.NonFinite`, and the array form NonFinite.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NegativeVol
+from .errors import ConfigError, DomainError, NegativeVol, NonFinite
 
 __all__ = [
     "HAGAN_BRACKET",
@@ -146,13 +150,16 @@ def hagan_atm(p: SabrPoint) -> float:
     """At-the-money closed form; the strike field of ``p`` is ignored.
 
     Raises NegativeVol when the maturity bracket drives the result to zero
-    or below, which signals leaving the expansion's validity domain.
+    or below, which signals leaving the expansion's validity domain, and
+    NonFinite when the result is inf or NaN.
     """
     f_pow_1mb = p.F0 ** _one_minus_beta(p.beta)
     bracket = _maturity_bracket(p, f_pow_1mb * f_pow_1mb, f_pow_1mb)
     sigma = p.alpha / f_pow_1mb * bracket
     if sigma <= 0.0:
         raise NegativeVol(f"ATM bracket {bracket!r} makes the vol nonpositive")
+    if not math.isfinite(sigma):
+        raise NonFinite(f"ATM formula returned {sigma!r}")
     return sigma
 
 
@@ -161,6 +168,7 @@ def hagan_vol(p: SabrPoint) -> float:
 
     Dispatches to :func:`hagan_atm` when |ln(F0/K)| < 1e-8 so the ATM point
     is evaluated with the exact reduced formula rather than a 0/0 limit.
+    Raises NegativeVol on a nonpositive result and NonFinite on inf or NaN.
     """
     log_fk = math.log(p.F0 / p.K)
     if abs(log_fk) < ATM_LOG_THRESHOLD:
@@ -181,16 +189,24 @@ def hagan_vol(p: SabrPoint) -> float:
     sigma = core * ratio * _maturity_bracket(p, fk_pow_1mb, fk_pow_half)
     if sigma <= 0.0:
         raise NegativeVol(f"smile formula returned nonpositive vol {sigma!r}")
+    if not math.isfinite(sigma):
+        raise NonFinite(f"smile formula returned {sigma!r}")
     return sigma
 
 
+# Outside the finite band numpy divides by zero, overflows or makes NaN
+# where the scalar form raises or returns inf; the check of the results
+# raises on every such point, so no floating-point warning is needed.
+@np.errstate(all="ignore")
 def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
     """Array form of :func:`hagan_vol` over parameter columns.
 
     The 1-d columns hold the fields of valid :class:`SabrPoint` values. Each
     result equals the scalar call's bit for bit; the ATM dispatch, the
     z-series and the beta ~ 1 branches are masks. When points leave the
-    formula's domain, raises what the scalar call raises on the first one.
+    formula's domain, raises what the scalar call raises on the first one,
+    and NonFinite when a result is inf or NaN: where the scalar call
+    raises ZeroDivisionError or OverflowError, this raises NonFinite.
     """
     T, F0, K, alpha, beta, rho, nu = (np.asarray(c, dtype=float)
                                       for c in (T, F0, K, alpha, beta, rho, nu))
@@ -221,8 +237,7 @@ def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
     ratio = 1.0 - 0.5 * rho * z
     # A vanishing alpha can send z*z to inf; the scalar form overflows
     # silently there too, and both forms give the same result.
-    with np.errstate(over="ignore"):
-        disc = 1.0 - 2.0 * rho * z + z * z
+    disc = 1.0 - 2.0 * rho * z + z * z
     closed = off & (np.abs(z) >= _Z_SERIES_THRESHOLD)
     domain = closed & (disc < 0.0)
     closed &= ~domain
@@ -234,11 +249,13 @@ def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
     lead = alpha / fk_pow_half
     sigma = np.where(atm, lead * maturity, lead * money * ratio * maturity)
 
-    failed = np.flatnonzero(domain | (sigma <= 0.0))
+    failed = np.flatnonzero(domain | (sigma <= 0.0) | ~np.isfinite(sigma))
     if failed.size:
         i = failed[0]
         if domain[i]:
             raise DomainError(f"1 - 2*rho*z + z^2 = {disc[i]!r} < 0 at z={z[i]!r}, "
                               f"rho={rho[i]!r} (point {i})")
-        raise NegativeVol(f"smile formula returned nonpositive vol {sigma[i]!r} (point {i})")
+        if sigma[i] <= 0.0:
+            raise NegativeVol(f"smile formula returned nonpositive vol {sigma[i]!r} (point {i})")
+        raise NonFinite(f"smile formula returned {sigma[i]!r} (point {i})")
     return sigma

@@ -28,6 +28,16 @@ its matrix, read by a constant unit that the hidden layers carry, so that
 after the first layer each layer is one matrix product and a ReLU.
 :func:`load_model` and :func:`train` fold once and keep the result on the
 bundle.
+
+While :func:`train` runs, the bundle carries a :class:`Workspace`: the
+gradient views, and per batch size (the full batch, the last partial batch
+and the validation split) the arrays that a training :func:`forward`,
+:func:`backward` and the eval-mode validation pass write, with ``out=`` or
+in place, in the operations and order of a call without one, so a step
+writes into the same memory each time and computes the same bits. The
+caches a training forward returns are views into that memory: they stay
+valid until the next forward at that batch size. Outputs are always new
+arrays. Outside train, each call writes new arrays.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import attrgetter
 from typing import Sequence
 
@@ -134,10 +145,9 @@ class ModelBundle:
     # on every call.
     folded: tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]] | None = field(
         default=None, repr=False, compare=False)
-    # Reshaped views of train's one gradient vector, in trainable_params
-    # order, which backward fills; set while train runs (and left by a run
-    # that raised). None means backward returns new arrays.
-    grads: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
+    # The arrays train reuses from step to step, set while train runs; None
+    # means forward and backward write new arrays.
+    workspace: Workspace | None = field(default=None, repr=False, compare=False)
 
     @property
     def target_mode(self) -> str:
@@ -150,6 +160,60 @@ class ModelBundle:
     @property
     def layer_sizes(self) -> list[int]:
         return [self.layers[0].w.shape[0]] + [lay.w.shape[1] for lay in self.layers]
+
+
+@dataclass
+class Workspace:
+    """The arrays :func:`train` reuses from step to step.
+
+    ``grads`` are reshaped views of train's one gradient vector, in
+    :func:`trainable_params` order, which :func:`backward` fills. ``kept``
+    maps ``(training, rows)`` to what :func:`forward` writes at that batch
+    size: the caches of :func:`_training_caches` or the hidden activations
+    of :func:`_eval_outs`, made on first use.
+    """
+
+    grads: list[np.ndarray]
+    kept: dict[tuple[bool, int], list] = field(default_factory=dict)
+
+    def buffers(self, bundle: ModelBundle, training: bool, n: int) -> list:
+        key = (training, n)
+        if key not in self.kept:
+            self.kept[key] = (_training_caches if training else _eval_outs)(bundle, n)
+        return self.kept[key]
+
+
+def _training_caches(bundle: ModelBundle, n: int) -> list[dict]:
+    """Unfilled caches for a training forward of ``n`` rows, one per layer.
+
+    A hidden layer's cache holds its input ``x`` (the standardized rows, or
+    the previous layer's activation), ``z_hat`` (z, then z - mu, then z_hat,
+    in place), the ReLU ``mask``, a scratch array ``tmp`` and ``d_a``, the
+    gradient wrt its activation that :func:`backward` receives; its
+    activation is the next cache's ``x``, and :func:`forward` adds the
+    batch's ``inv_std``. The output layer's cache holds only its input.
+    """
+    x = np.empty((n, bundle.layers[0].w.shape[0]))
+    caches = []
+    for layer in bundle.layers[:-1]:
+        shape = (n, layer.w.shape[1])
+        caches.append({"x": x, "z_hat": np.empty(shape), "mask": np.empty(shape, dtype=bool),
+                       "tmp": np.empty(shape), "d_a": np.empty(shape)})
+        x = np.empty(shape)
+    caches.append({"x": x})
+    return caches
+
+
+# An eval-mode forward's outs when no workspace is kept: every next() gives
+# None, so one shared iterator serves every call.
+_NEW_ARRAYS = repeat(None)
+
+
+def _eval_outs(bundle: ModelBundle, n: int) -> list:
+    """The ``out=`` of each matrix product in an eval-mode forward of ``n``
+    rows: a hidden activation, with the carried unit's column, per hidden
+    layer, then None, so that the output is a new array."""
+    return [*(np.empty((n, layer.w.shape[1] + 1)) for layer in bundle.layers[:-1]), None]
 
 
 def init_bundle(
@@ -238,6 +302,12 @@ def forward(bundle: ModelBundle, x: np.ndarray, training: bool = False):
     it has one: a matrix product and bias add for the first layer, then a
     ReLU and one matrix product for each later layer, the same calls at
     every batch size. It returns None for the caches.
+
+    With a :class:`Workspace` on the bundle (while :func:`train` runs),
+    both modes write their full-batch arrays into the workspace's arrays
+    for this batch size, so the caches are valid only until the next
+    training forward at that batch size; without one, they are new arrays.
+    The outputs are a new array either way.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -245,37 +315,43 @@ def forward(bundle: ModelBundle, x: np.ndarray, training: bool = False):
     n_inputs = bundle.layers[0].w.shape[0]
     if x.shape[1] != n_inputs:
         raise ShapeMismatch(f"arch {bundle.arch!r} expects {n_inputs} features, got {x.shape[1]}")
+    n = x.shape[0]
+    ws = bundle.workspace
     if not training:
         w0, b0, rest = bundle.folded if bundle.folded is not None else fold_layers(bundle)
-        a = np.dot(x, w0)
+        # np.dot's third argument is its out; passed by position, it costs
+        # the one-row call nothing when it is None.
+        outs = _NEW_ARRAYS if ws is None else iter(ws.buffers(bundle, False, n))
+        a = np.dot(x, w0, next(outs))
         a += b0
         for w in rest:
             np.maximum(a, 0.0, out=a)
-            a = np.dot(a, w)
+            a = np.dot(a, w, next(outs))
         return a[:, 0], None
     bundle.folded = None
-    a = (x - bundle.x_mean) / bundle.x_std
-    caches = []
-    for layer in bundle.layers[:-1]:
-        z = a @ layer.w + layer.b
+    caches = _training_caches(bundle, n) if ws is None else ws.buffers(bundle, True, n)
+    a = np.subtract(x, bundle.x_mean, out=caches[0]["x"])
+    a /= bundle.x_std
+    for layer, cache, after in zip(bundle.layers[:-1], caches, caches[1:]):
+        z, tmp = cache["z_hat"], cache["tmp"]
+        np.matmul(cache["x"], layer.w, out=z)
+        z += layer.b
         bn = layer.bn
-        n = z.shape[0]
         mu = z.mean(axis=0)
         # The arithmetic of z.var(axis=0), with z - mu kept for z_hat.
-        d = z - mu
-        var = (d * d).sum(axis=0) / n
+        z -= mu
+        var = np.multiply(z, z, out=tmp).sum(axis=0) / n
         unbiased = var * n / (n - 1) if n > 1 else var
         bn.running_mean = (1.0 - BN_MOMENTUM) * bn.running_mean + BN_MOMENTUM * mu
         bn.running_var = (1.0 - BN_MOMENTUM) * bn.running_var + BN_MOMENTUM * unbiased
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        z_hat = d * inv_std
-        pre_act = bn.scale * z_hat + bn.shift
-        out = np.maximum(pre_act, 0.0)
-        caches.append({"x": a, "z_hat": z_hat, "inv_std": inv_std, "mask": pre_act > 0.0})
-        a = out
+        cache["inv_std"] = inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        z *= inv_std
+        pre_act = np.multiply(bn.scale, z, out=tmp)
+        pre_act += bn.shift
+        np.maximum(pre_act, 0.0, out=after["x"])
+        np.greater(pre_act, 0.0, out=cache["mask"])
     last = bundle.layers[-1]
-    y = (a @ last.w + last.b)[:, 0]
-    caches.append({"x": a})
+    y = (caches[-1]["x"] @ last.w + last.b)[:, 0]
     return y, caches
 
 
@@ -284,13 +360,13 @@ def backward(bundle: ModelBundle, caches: list, d_out: np.ndarray) -> list[np.nd
 
     ``d_out`` is the objective's gradient per output row. The returned list
     matches :func:`trainable_params` element by element; while :func:`train`
-    runs, its arrays are the bundle's views of one gradient vector, which
-    each call overwrites. The gradient wrt the network's input is not
-    formed.
+    runs, its arrays are the workspace's views of one gradient vector, which
+    each call overwrites. The full-batch intermediates go into the caches'
+    ``d_a`` and ``tmp`` arrays, so the caches of a training :func:`forward`
+    serve one backward. The gradient wrt the network's input is not formed.
     """
-    grads = bundle.grads
-    if grads is None:
-        grads = [np.empty_like(p) for p in trainable_params(bundle)]
+    ws = bundle.workspace
+    grads = [np.empty_like(p) for p in trainable_params(bundle)] if ws is None else ws.grads
     k = len(grads)
     d_a = d_out[:, None]
     for i in range(len(bundle.layers) - 1, -1, -1):
@@ -301,20 +377,26 @@ def backward(bundle: ModelBundle, caches: list, d_out: np.ndarray) -> list[np.nd
             d_z = d_a
         else:
             k -= 4
-            d_pre = d_a * cache["mask"]
-            (d_pre * cache["z_hat"]).sum(axis=0, out=grads[k + 2])
-            d_pre.sum(axis=0, out=grads[k + 3])
-            d_zhat = d_pre * bn.scale
-            n = d_zhat.shape[0]
-            d_z = (cache["inv_std"] / n) * (
-                n * d_zhat
-                - d_zhat.sum(axis=0)
-                - cache["z_hat"] * (d_zhat * cache["z_hat"]).sum(axis=0)
-            )
+            # d_a becomes d_pre, then d_zhat, in place; tmp takes each
+            # full-batch product, then d_z.
+            z_hat, d_z = cache["z_hat"], cache["tmp"]
+            d_a *= cache["mask"]
+            np.multiply(d_a, z_hat, out=d_z).sum(axis=0, out=grads[k + 2])
+            d_a.sum(axis=0, out=grads[k + 3])
+            d_a *= bn.scale
+            n = d_a.shape[0]
+            # d_z = (inv_std / n) * (n * d_zhat - d_zhat.sum(axis=0)
+            #                        - z_hat * (d_zhat * z_hat).sum(axis=0))
+            col_sum = d_a.sum(axis=0)
+            proj = np.multiply(d_a, z_hat, out=d_z).sum(axis=0)
+            np.multiply(n, d_a, out=d_z)
+            d_z -= col_sum
+            d_z -= np.multiply(z_hat, proj, out=d_a)
+            np.multiply(cache["inv_std"] / n, d_z, out=d_z)
         np.matmul(cache["x"].T, d_z, out=grads[k])
         d_z.sum(axis=0, out=grads[k + 1])
         if i:
-            d_a = d_z @ layer.w.T
+            d_a = np.matmul(d_z, layer.w.T, out=caches[i - 1]["d_a"])
     return grads
 
 
@@ -332,7 +414,8 @@ def _flatten_params(bundle: ModelBundle) -> tuple[np.ndarray, np.ndarray]:
     """Copy the trainable arrays into one vector, in :func:`trainable_params`
     order, and rebind each as a reshaped view of it, so that one Adam update
     of the vector updates them all. Returns that vector and a gradient
-    vector of the same layout, whose views become ``bundle.grads``."""
+    vector of the same layout, whose views are the grads of the bundle's new
+    :class:`Workspace`."""
     params = trainable_params(bundle)
     theta = np.concatenate([p.reshape(-1) for p in params])
     grad = np.empty_like(theta)
@@ -341,7 +424,7 @@ def _flatten_params(bundle: ModelBundle) -> tuple[np.ndarray, np.ndarray]:
         layer.w, layer.b = next(theta_views), next(theta_views)
         if layer.bn is not None:
             layer.bn.scale, layer.bn.shift = next(theta_views), next(theta_views)
-    bundle.grads = _views(grad, params)
+    bundle.workspace = Workspace(grads=_views(grad, params))
     return theta, grad
 
 
@@ -374,11 +457,14 @@ def design_matrix(samples, arch: str) -> np.ndarray:
 class AdamState:
     m: np.ndarray
     v: np.ndarray
+    # Two vectors of the parameters' shape, which each step overwrites.
+    scratch: tuple[np.ndarray, np.ndarray]
     t: int = 0
 
     @classmethod
     def for_params(cls, theta: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta),
+                   scratch=(np.empty_like(theta), np.empty_like(theta)))
 
 
 def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray,
@@ -386,7 +472,8 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray,
     """One bias-corrected Adam update, applied to ``theta`` in place.
 
     :func:`train` passes its one parameter vector and the gradient vector
-    of the same layout, which :func:`backward` fills.
+    of the same layout, which :func:`backward` fills. Every full-length
+    intermediate goes into the state's two scratch vectors.
     """
     if not np.all(np.isfinite(grad)):
         raise NonFinite("non-finite gradient")
@@ -394,11 +481,21 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray,
     correct1 = 1.0 - ADAM_BETA1**state.t
     correct2 = 1.0 - ADAM_BETA2**state.t
     m, v = state.m, state.v
+    step, denom = state.scratch
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
+    m += np.multiply(1.0 - ADAM_BETA1, grad, out=step)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grad * grad
-    theta -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+    np.multiply(1.0 - ADAM_BETA2, grad, out=step)
+    step *= grad
+    v += step
+    # theta -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+    np.divide(m, correct1, out=step)
+    np.multiply(lr, step, out=step)
+    np.divide(v, correct2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    theta -= step
     return state
 
 
@@ -452,7 +549,9 @@ def train(
     Standardization is fitted on the training split only; a feature constant
     there keeps a unit scale. Batches are reshuffled each epoch from a
     dedicated seeded generator and the last partial batch is kept, so runs
-    are reproducible given the config seed.
+    are reproducible given the config seed. The bundle carries a
+    :class:`Workspace` while the call runs, and none after it returns or
+    raises.
     """
     if not train_samples or not val_samples:
         raise ConfigError("train and validation splits must be non-empty")
@@ -478,33 +577,34 @@ def train(
     best_layers = _snapshot_weights(bundle)
     n = len(train_samples)
     lr = cfg.lr0
-    for epoch in range(1, cfg.epochs + 1):
-        order = shuffle_rng.permutation(n)
-        sq_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            pred, caches = forward(bundle, x_train[idx], training=True)
-            err = pred - y_train[idx]
-            sq_sum += float(err @ err)
-            backward(bundle, caches, 2.0 * err / err.size)
-            adam_step(adam, theta, grad, lr)
-        train_loss = sq_sum / n
-        val_pred, _ = forward(bundle, x_val, training=False)
-        # Overflow to inf is the divergence signal, not a numerics bug.
-        with np.errstate(over="ignore"):
-            val_loss = float(np.mean((val_pred - y_val) ** 2))
-        if not math.isfinite(val_loss):
-            raise Diverged(f"validation loss became {val_loss!r} at epoch {epoch}")
-        lr = scheduler.step(val_loss)
-        history.append(EpochRecord(epoch=epoch, train_loss=train_loss,
-                                   val_loss=val_loss, lr=lr))
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best_layers = _snapshot_weights(bundle)
-
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            order = shuffle_rng.permutation(n)
+            sq_sum = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                pred, caches = forward(bundle, x_train[idx], training=True)
+                err = pred - y_train[idx]
+                sq_sum += float(err @ err)
+                backward(bundle, caches, 2.0 * err / err.size)
+                adam_step(adam, theta, grad, lr)
+            train_loss = sq_sum / n
+            val_pred, _ = forward(bundle, x_val, training=False)
+            # Overflow to inf is the divergence signal, not a numerics bug.
+            with np.errstate(over="ignore"):
+                val_loss = float(np.mean((val_pred - y_val) ** 2))
+            if not math.isfinite(val_loss):
+                raise Diverged(f"validation loss became {val_loss!r} at epoch {epoch}")
+            lr = scheduler.step(val_loss)
+            history.append(EpochRecord(epoch=epoch, train_loss=train_loss,
+                                       val_loss=val_loss, lr=lr))
+            if val_loss < best_val:
+                best_val = val_loss
+                best_epoch = epoch
+                best_layers = _snapshot_weights(bundle)
+    finally:
+        bundle.workspace = None
     bundle.layers = best_layers
-    bundle.grads = None
     bundle.manifest.update({
         "train_seed": cfg.seed,
         "best_epoch": best_epoch,
@@ -544,8 +644,10 @@ def predict_vols(bundle: ModelBundle, points: Sequence[SabrPoint]) -> np.ndarray
 
 def predict_vol(bundle: ModelBundle, p: SabrPoint) -> float:
     """Corrected implied vol for one pricing configuration, through the
-    scalar formulas and a one-row :func:`forward`; equals
-    :func:`predict_vols` on ``[p]`` to within 1e-12 relative."""
+    scalar formulas and a one-row :func:`forward`. It agrees with its entry
+    in :func:`predict_vols` on any batch holding ``p`` to within 1e-12 times
+    the largest |vol| in that batch: the one-row and batched products sum
+    in different orders, and a direct-mode output can lie near zero."""
     target_mode, names = ARCHS[bundle.arch]
     row = sabr_values(p)
     if len(names) > len(SABR_FIELDS):

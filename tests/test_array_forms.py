@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sabrkit.datagen import GRID_INDICES, sample_config, strike_grid
-from sabrkit.errors import DomainError, NegativeVol, SabrkitError
+from sabrkit.errors import DomainError, NegativeVol, NonFinite, SabrkitError
 from sabrkit.geometry import features, features_array
-from sabrkit.hagan import ATM_LOG_THRESHOLD, SabrPoint, hagan_vol, hagan_vols
+from sabrkit.hagan import ATM_LOG_THRESHOLD, SabrPoint, hagan_atm, hagan_vol, hagan_vols
 
 # Points outside the formulas' domain; the scalar calls raise on them.
 NEGATIVE_ATM = SabrPoint(T=2.0, F0=1.0, K=1.0, alpha=0.5, beta=1.0, rho=-0.95, nu=3.0)
@@ -127,3 +127,19 @@ def test_vanishing_alpha_overflows_silently():
         for fn in (hagan_vol, lambda p: hagan_vols(*columns([p]))):
             with pytest.raises(NegativeVol):
                 fn(off)
+
+
+def test_non_finite_result_raises_in_both_forms():
+    # Valid points at which the result overflows to inf, at and off the
+    # money: the bracket's alpha^2 / (F0*K)^(1-b) term is huge at tiny forwards.
+    atm = SabrPoint(T=1.0, F0=1e-310, K=1e-310, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
+    wing = SabrPoint(T=1.0, F0=1e-150, K=2e-150, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
+    good = SabrPoint(T=1.0, F0=1.0, K=1.1, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, p in ((hagan_atm, atm), (hagan_vol, atm), (hagan_vol, wing)):
+            with pytest.raises(NonFinite):
+                fn(p)
+        for bad in (atm, wing):
+            with pytest.raises(NonFinite, match="point 1"):
+                hagan_vols(*columns([good, bad, good]))

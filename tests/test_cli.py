@@ -348,6 +348,15 @@ class TestPrice:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("numerical failure:")
 
+    def test_infinite_closed_form_exit_3_one_line(self, tmp_path, capsys):
+        # A valid point at which the ATM formula overflows to inf.
+        model = zero_model(tmp_path)
+        assert main(["price", "--model", str(model), "--F0", "1e-310", "--K", "1e-310",
+                     "--beta", "0.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: ATM formula returned inf\n"
+
     def test_missing_required_flag_exit_2(self, tmp_path):
         assert main(["price", "--model", "nowhere.json"]) == 2
 
