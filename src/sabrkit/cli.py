@@ -248,6 +248,9 @@ def cmd_evaluate(args) -> int:
     tag = datagen.file_sha256(args.dataset)[:12]
     mc_cfg = _mc_config(args, args.seed)
     bundles = [net.load_model(model_path) for model_path in args.models]
+    for i, bundle in enumerate(bundles):
+        if any(other.arch == bundle.arch for other in bundles[:i]):
+            raise ConfigError(f"two models of arch {bundle.arch!r}; their reports share one name")
     # Smile diagnostics: flag and report key, CSV prefix, runner and the n
     # column of its CSVs, empty for stress strikes (not all on the grid).
     diagnostics = [("stress", "stress", evaluation.stress_suite, repeat("")),

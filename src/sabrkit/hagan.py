@@ -12,8 +12,8 @@ other functions take the values of a valid :class:`SabrPoint`.
 them at once and agrees with it bit for bit. Neither returns inf or NaN.
 Some valid points leave the band where the formula is finite, such as
 forwards so small that the maturity bracket overflows or F0*K underflows;
-there the scalar form raises ZeroDivisionError, OverflowError or
-:class:`~sabrkit.errors.NonFinite`, and the array form NonFinite.
+there both forms raise the same ZeroDivisionError, OverflowError or
+:class:`~sabrkit.errors.NonFinite`.
 """
 
 from __future__ import annotations
@@ -203,10 +203,10 @@ def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
 
     The 1-d columns hold the fields of valid :class:`SabrPoint` values. Each
     result equals the scalar call's bit for bit; the ATM dispatch, the
-    z-series and the beta ~ 1 branches are masks. When points leave the
-    formula's domain, raises what the scalar call raises on the first one,
-    and NonFinite when a result is inf or NaN: where the scalar call
-    raises ZeroDivisionError or OverflowError, this raises NonFinite.
+    z-series and the beta ~ 1 branches are masks. On a result that is not
+    finite and positive, raises what the scalar call raises on the first
+    such point, or else NonFinite; a libm call that raises on a later point
+    (the z/x(z) log, where its argument cancels to 0) raises first.
     """
     T, F0, K, alpha, beta, rho, nu = (np.asarray(c, dtype=float)
                                       for c in (T, F0, K, alpha, beta, rho, nu))
@@ -239,9 +239,8 @@ def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
     # silently there too, and both forms give the same result.
     disc = 1.0 - 2.0 * rho * z + z * z
     closed = off & (np.abs(z) >= _Z_SERIES_THRESHOLD)
-    domain = closed & (disc < 0.0)
-    closed &= ~domain
     zc, rc = z[closed], rho[closed]
+    # Where disc < 0, sqrt gives NaN and the point fails the check below.
     ratio[closed] = zc / libm_log((np.sqrt(disc[closed]) + zc - rc) / (1.0 - rc))
 
     log2 = log_fk * log_fk
@@ -249,13 +248,14 @@ def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
     lead = alpha / fk_pow_half
     sigma = np.where(atm, lead * maturity, lead * money * ratio * maturity)
 
-    failed = np.flatnonzero(domain | (sigma <= 0.0) | ~np.isfinite(sigma))
+    failed = np.flatnonzero(~np.isfinite(sigma) | (sigma <= 0.0))
     if failed.size:
+        # The scalar form on the first failing point names its exception;
+        # Python floats, since numpy scalars divide by zero without raising.
         i = failed[0]
-        if domain[i]:
-            raise DomainError(f"1 - 2*rho*z + z^2 = {disc[i]!r} < 0 at z={z[i]!r}, "
-                              f"rho={rho[i]!r} (point {i})")
-        if sigma[i] <= 0.0:
-            raise NegativeVol(f"smile formula returned nonpositive vol {sigma[i]!r} (point {i})")
+        try:
+            hagan_vol(SabrPoint(*(float(c[i]) for c in (T, F0, K, alpha, beta, rho, nu))))
+        except (ArithmeticError, ValueError) as exc:
+            raise type(exc)(f"{exc} (point {i})") from None
         raise NonFinite(f"smile formula returned {sigma[i]!r} (point {i})")
     return sigma

@@ -15,7 +15,8 @@ Residual architectures return sigma_hagan * (1 + output) from
 form exactly.
 
 The raw and geometry inputs are the fields of ``SabrPoint`` and
-``GeomFeatures`` in declared order. An arch fixes its target mode and inputs
+``GeomFeatures`` in declared order; :func:`design_matrix` builds every batch
+of them from the points. An arch fixes its target mode and inputs
 (:data:`ARCHS`), so a :class:`ModelBundle` is an arch and its weights; batch
 norm runs at the fixed :data:`BN_MOMENTUM` and :data:`BN_EPS`.
 
@@ -445,12 +446,19 @@ def targets(samples, target_mode: str) -> np.ndarray:
     return mc / hag - 1.0
 
 
-def design_matrix(samples, arch: str) -> np.ndarray:
-    """Raw feature matrix for dataset rows (stored geometry columns reused)."""
-    if len(ARCHS[arch][1]) > len(SABR_FIELDS):
-        return np.array([sabr_values(s.point) + geom_values(s.feats) for s in samples],
-                        dtype=float)
-    return np.array([sabr_values(s.point) for s in samples], dtype=float)
+def design_matrix(points: Sequence[SabrPoint], arch: str) -> np.ndarray:
+    """The inputs of ``arch`` for a batch of points, one row each: a column
+    per point field, then on the geometry archs the
+    :func:`~sabrkit.geometry.features_array` columns of those. The one builder
+    of batched inputs, for :func:`train` and :func:`predict_vols` alike."""
+    names = ARCHS[arch][1]
+    n, k = len(points), len(SABR_FIELDS)
+    x = np.empty((n, len(names)))
+    for j, name in enumerate(SABR_FIELDS):
+        x[:, j] = np.fromiter(map(attrgetter(name), points), float, n)
+    if len(names) > k:
+        x[:, k:] = features_array(*x[:, :k].T)
+    return x
 
 
 @dataclass
@@ -555,9 +563,9 @@ def train(
     """
     if not train_samples or not val_samples:
         raise ConfigError("train and validation splits must be non-empty")
-    x_train = design_matrix(train_samples, bundle.arch)
+    x_train = design_matrix([s.point for s in train_samples], bundle.arch)
     y_train = targets(train_samples, bundle.target_mode)
-    x_val = design_matrix(val_samples, bundle.arch)
+    x_val = design_matrix([s.point for s in val_samples], bundle.arch)
     y_val = targets(val_samples, bundle.target_mode)
 
     bundle.x_mean = x_train.mean(axis=0)
@@ -623,22 +631,14 @@ def predict_vols(bundle: ModelBundle, points: Sequence[SabrPoint]) -> np.ndarray
     """Corrected implied vols for a batch of pricing configurations.
 
     Residual modes return sigma_hagan * (1 + network output); direct modes
-    return the raw output. Each field of the points becomes one contiguous
-    column, which the array formulas (:func:`~sabrkit.hagan.hagan_vols`,
-    :func:`~sabrkit.geometry.features_array`) take whole; the columns and
-    the features fill the design block of one :func:`forward`.
+    return the raw output. The inputs of one :func:`forward` come from
+    :func:`design_matrix`, and :func:`~sabrkit.hagan.hagan_vols` takes its
+    parameter columns whole.
     """
-    target_mode, names = ARCHS[bundle.arch]
-    n = len(points)
-    cols = [np.fromiter(map(attrgetter(name), points), float, n) for name in SABR_FIELDS]
-    x = np.empty((n, len(names)))
-    for j, col in enumerate(cols):
-        x[:, j] = col
-    if len(names) > len(SABR_FIELDS):
-        x[:, len(SABR_FIELDS):] = features_array(*cols)
+    x = design_matrix(points, bundle.arch)
     out, _ = forward(bundle, x, training=False)
-    if target_mode == "residual_ratio":
-        return hagan_vols(*cols) * (1.0 + out)
+    if bundle.target_mode == "residual_ratio":
+        return hagan_vols(*x[:, :len(SABR_FIELDS)].T) * (1.0 + out)
     return out
 
 
@@ -659,13 +659,9 @@ def predict_vol(bundle: ModelBundle, p: SabrPoint) -> float:
 
 
 def predict_from_rows(bundle: ModelBundle, samples) -> np.ndarray:
-    """Vol predictions for dataset rows, reusing their stored feature columns."""
-    x = design_matrix(samples, bundle.arch)
-    out, _ = forward(bundle, x, training=False)
-    if bundle.target_mode == "residual_ratio":
-        hag = np.array([s.sigma_hagan for s in samples])
-        return hag * (1.0 + out)
-    return out
+    """:func:`predict_vols` of the dataset rows' points: the stored
+    closed-form and feature columns are not read."""
+    return predict_vols(bundle, [s.point for s in samples])
 
 
 MODEL_FORMAT = "sabrkit-model-v1"

@@ -70,6 +70,44 @@ def test_features_array_equal_scalar(points):
     assert np.array_equal(features_array(*columns(points)), scalar)
 
 
+@st.composite
+def log_uniform_points(draw):
+    """A valid point whose F0 is log-uniform on 1e-320 to 1e300, from
+    subnormal forwards, where F0*K and the maturity bracket leave the
+    finite band, to forwards near overflow; K is F0 or within a factor e."""
+    F0 = 10.0 ** draw(st.floats(-320.0, 300.0))
+    K = draw(st.sampled_from((F0, F0 * math.exp(draw(st.floats(-1.0, 1.0))))))
+    beta = draw(st.sampled_from((0.0, 1.0, draw(st.floats(0.0, 1.0)))))
+    return SabrPoint(T=draw(st.floats(0.01, 10.0)), F0=F0, K=K,
+                     alpha=draw(st.floats(1e-3, 1.0)), beta=beta,
+                     rho=draw(st.floats(-0.95, 0.95)), nu=draw(st.floats(0.0, 2.0)))
+
+
+def outcome(fn):
+    """The value ``fn()`` returns, or the class of what it raises."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_uniform_points())
+def test_forms_agree_at_every_magnitude(p):
+    # The same vol bit for bit, or the same exception class.
+    assert outcome(lambda: hagan_vol(p)) == outcome(lambda: float(hagan_vols(*columns([p]))[0]))
+
+
+def test_underflowing_atm_bracket_raises_zero_division_in_both_forms():
+    # F0^(2(1-b)) underflows to 0 in the ATM bracket's alpha^2 term.
+    tiny = SabrPoint(T=1.0, F0=1e-170, K=1e-170, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
+    good = SabrPoint(T=1.0, F0=1.0, K=1.1, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
+    with pytest.raises(ZeroDivisionError):
+        hagan_vol(tiny)
+    with pytest.raises(ZeroDivisionError, match="point 1"):
+        hagan_vols(*columns([good, tiny, good]))
+
+
 def test_edges_take_both_branches():
     # The edge points above really sit on both sides of each switch.
     F0, alpha, nu = 0.03, 0.02, 0.3

@@ -243,6 +243,16 @@ class TestTrainEvaluate:
         assert err.count("\n") == 1 and err.startswith("invalid input:")
         assert not out.exists()
 
+    def test_two_models_of_one_arch_exit_2(self, small_dataset, tmp_path, capsys):
+        # Both reports would be metrics_georesnn_<hash>.json, one over the other.
+        models = [zero_model(tmp_path / sub) for sub in ("a", "b")]
+        out = tmp_path / "out"
+        assert main(["evaluate", "--models", *map(str, models), "--dataset",
+                     str(small_dataset), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("invalid input:") and "'georesnn'" in err
+        assert not out.exists()
+
     def test_empty_region_leaves_no_out_dir(self, small_dataset, tmp_path, capsys):
         # Only at-the-money test rows stay; the metrics fail before any write.
         rows = read_csv(small_dataset)
@@ -258,20 +268,37 @@ class TestTrainEvaluate:
         assert capsys.readouterr().err == "invalid input: region 'itm' has no test rows\n"
         assert not out.exists()
 
+    def test_training_ignores_stored_features(self, small_dataset, tmp_path):
+        # train builds the geometry inputs from the parameters, so scaling
+        # the stored q column leaves the model's bytes as they were.
+        rows = read_csv(small_dataset)
+        q = rows[0].index("q")
+        for row in rows[1:]:
+            if row[-1] == "true":
+                row[q] = repr(1.001 * float(row[q]))
+        scaled = tmp_path / "dataset.csv"
+        with open(scaled, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        models = []
+        for sub, dataset in (("a", small_dataset), ("b", scaled)):
+            assert main(["train", "--dataset", str(dataset), "--arch", "geonn", "--epochs", "2",
+                         "--seed", "4", "--out", str(tmp_path / sub)]) == 0
+            models.append((tmp_path / sub / "model_geonn.json").read_bytes())
+        assert models[0] == models[1]
+
     def test_price_and_evaluate_agree(self, small_dataset, tmp_path):
-        # price recomputes the Hagan baseline and the features from the point;
-        # evaluate reads them from the dataset, which keeps 12 significant
-        # digits. That rounding moves vols by up to ~1e-10 relative; a
-        # baseline that differed from the dataset's would move them by 1e-6
-        # and more.
+        # price and evaluate both recompute the Hagan baseline and the
+        # features from the point, so only the one-row and batched products'
+        # summation order separates them; the dataset's stored columns, 12
+        # significant digits, would move vols by up to ~1e-10 relative.
         rows = load_dataset(small_dataset).split_samples("test")
         for arch in sorted(ARCHS):
             assert main(["train", "--dataset", str(small_dataset), "--arch", arch,
                          "--epochs", "3", "--seed", "3", "--out", str(tmp_path)]) == 0
             bundle = load_model(tmp_path / f"model_{arch}.json")
-            single = [predict_vol(bundle, s.point) for s in rows]
-            np.testing.assert_allclose(single, predict_from_rows(bundle, rows),
-                                       rtol=1e-9, atol=0.0)
+            single = np.array([predict_vol(bundle, s.point) for s in rows])
+            batch = predict_from_rows(bundle, rows)
+            assert np.max(np.abs(single - batch)) <= 1e-12 * np.max(np.abs(batch)), arch
 
 
 # One fault in the first data row of a dataset CSV; train must exit 2.

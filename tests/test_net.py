@@ -164,7 +164,7 @@ class TestFoldedForward:
     def test_matches_explicit_batch_norm(self, trained_rows, key):
         bundles, rows = trained_rows
         bundle = bundles[key]
-        x = design_matrix(rows, bundle.arch)
+        x = design_matrix([s.point for s in rows], bundle.arch)
         folded, caches = forward(bundle, x, training=False)
         oracle = explicit_eval_forward(bundle, x)
         assert caches is None
@@ -196,7 +196,7 @@ class TestFoldedForward:
         save_model(bundles["georesnn"], tmp_path / "m.json")
         loaded = load_model(tmp_path / "m.json")
         assert loaded.folded is not None
-        x = design_matrix(rows, "georesnn")
+        x = design_matrix([s.point for s in rows], "georesnn")
         stored, _ = forward(loaded, x)
         loaded.folded = None
         np.testing.assert_array_equal(stored, forward(loaded, x)[0])
@@ -218,7 +218,7 @@ class TestFoldedForward:
         bundles, rows = trained_rows
         save_model(bundles["ndn"], tmp_path / "m.json")
         bundle = load_model(tmp_path / "m.json")
-        forward(bundle, design_matrix(rows[:8], "ndn"), training=True)
+        forward(bundle, design_matrix([s.point for s in rows[:8]], "ndn"), training=True)
         assert bundle.folded is None
 
 
@@ -422,7 +422,7 @@ class TestTrain:
         rows = synthetic_rows(128, seed=25)
         bundle = init_bundle("ndn", seed=25)
         bundle, _ = train(bundle, rows[:96], rows[96:], TrainConfig(epochs=1, seed=25))
-        x_train = design_matrix(rows[:96], "ndn")
+        x_train = design_matrix([s.point for s in rows[:96]], "ndn")
         np.testing.assert_allclose(bundle.x_mean, x_train.mean(axis=0), rtol=0, atol=0)
 
     def test_empty_split_rejected(self):
@@ -508,8 +508,9 @@ def oracle_backward(bundle, caches, d_out):
 def oracle_train(bundle, train_rows, val_rows, cfg):
     """The training loop with one Adam update per array: the reference for
     train's single update of its parameter vector."""
-    x_train, y_train = design_matrix(train_rows, bundle.arch), targets(train_rows, bundle.target_mode)
-    x_val, y_val = design_matrix(val_rows, bundle.arch), targets(val_rows, bundle.target_mode)
+    x_train = design_matrix([s.point for s in train_rows], bundle.arch)
+    x_val = design_matrix([s.point for s in val_rows], bundle.arch)
+    y_train, y_val = (targets(rows, bundle.target_mode) for rows in (train_rows, val_rows))
     bundle.x_mean = x_train.mean(axis=0)
     x_std = x_train.std(axis=0)
     bundle.x_std = np.where(x_std > 1e-12, x_std, 1.0)
@@ -609,7 +610,8 @@ class TestWorkspace:
 
     def test_eval_output_outlives_the_next_call(self, monkeypatch):
         rows = synthetic_rows(200, seed=82)
-        x1, x2 = design_matrix(rows[:60], "georesnn"), design_matrix(rows[60:120], "georesnn")
+        x1, x2 = (design_matrix([s.point for s in part], "georesnn")
+                  for part in (rows[:60], rows[60:120]))
         bundle = init_bundle("georesnn", seed=82)
         kept = []
 
@@ -649,7 +651,7 @@ class TestPredict:
         bundle = init_bundle("georesnn", seed=33)
         rows = synthetic_rows(40, seed=33)
         points = [s.point for s in rows]
-        x = design_matrix(rows, "georesnn")
+        x = design_matrix(points, "georesnn")
         raw, _ = forward(bundle, x, training=False)
         vols = predict_vols(bundle, points)
         hag = np.array([hagan_vol(s.point) for s in rows])
@@ -665,7 +667,7 @@ class TestPredict:
     def test_direct_mode_returns_raw_output(self):
         bundle = init_bundle("ndn", seed=35)
         rows = synthetic_rows(10, seed=35)
-        x = design_matrix(rows, "ndn")
+        x = design_matrix([s.point for s in rows], "ndn")
         raw, _ = forward(bundle, x, training=False)
         np.testing.assert_array_equal(predict_from_rows(bundle, rows), raw)
 
