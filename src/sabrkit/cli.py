@@ -254,8 +254,7 @@ def cmd_evaluate(args) -> int:
     # Smile diagnostics: flag and report key, CSV prefix, runner and the n
     # column of its CSVs, empty for stress strikes (not all on the grid).
     diagnostics = [("stress", "stress", evaluation.stress_suite, repeat("")),
-                   ("sweep", "slice", evaluation.maturity_sweep,
-                    [str(n) for n in datagen.GRID_INDICES])]
+                   ("sweep", "slice", evaluation.maturity_sweep, datagen.GRID_INDICES)]
     for bundle in bundles:
         metrics = evaluation.evaluate_model(bundle, test_rows)
         report = {"dataset": args.dataset, "dataset_sha256_12": tag,

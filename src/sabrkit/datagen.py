@@ -6,7 +6,9 @@ parameters uniformly from the ranges of the maturity's bucket, then prices
 an 11-strike smile with :func:`reference_smile`, from a single set of
 simulated terminal values. Rows whose reference vol cannot be computed
 (price outside the invertible interval, closed form outside its validity
-domain) are kept in the file but flagged invalid.
+domain) are kept in the file but flagged invalid. The file holds only the
+Monte Carlo record and loads back exactly; the one row builder computes
+the closed form and the features from the parameters.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, NegativeVol, NonFinite, NoConvergence, PriceOutOfBounds
-from .geometry import GEOM_FIELDS, GeomFeatures, features, geom_values
+from .geometry import GeomFeatures, features
 from .hagan import HAGAN_BRACKET, SABR_FIELDS, SabrPoint, hagan_vol, sabr_values
-from .mc import McConfig, implied_vol_from_estimate, price_from_terminals, simulate_terminals
+from .mc import McConfig, implied_vol_from_estimate, price_from_terminals, simulate_terminals, usable_cores
 
 __all__ = [
     "BUCKETS",
@@ -53,10 +55,8 @@ SPLIT_WEIGHTS = (110, 55, 22)
 SPLIT_NAMES = ("train", "val", "test")
 _SPLIT_LABELS = ("none", *SPLIT_NAMES)
 
-CSV_HEADER = [*SABR_FIELDS, "sigma_hagan", "sigma_mc", *GEOM_FIELDS, "n", "split", "valid"]
-# Field positions in a row; the fields before "split" are numeric.
-_HAGAN, _MC, _GEOM, _GRID, _SPLIT, _VALID = map(
-    CSV_HEADER.index, ("sigma_hagan", "sigma_mc", GEOM_FIELDS[0], "n", "split", "valid"))
+CSV_HEADER = [*SABR_FIELDS, "sigma_mc", "n", "split", "valid"]
+_SPLIT = CSV_HEADER.index("split")  # the fields before it are numeric
 
 GRID_INDICES = tuple(i * 0.5 for i in range(-5, 6))
 
@@ -142,7 +142,8 @@ def strike_grid(F0: float, alpha: float, T: float) -> np.ndarray:
 
 @dataclass
 class Sample:
-    """One supervised row: configuration, targets, features, bookkeeping."""
+    """One supervised row. ``sigma_hagan`` and ``feats`` are the closed form
+    and the features of ``point``, NaN on an invalid row where they fail."""
 
     point: SabrPoint
     sigma_hagan: float
@@ -198,8 +199,17 @@ def reference_smile(
     return sigma, se
 
 
-_NAN_FEATS = GeomFeatures(q=float("nan"), sigma_min=float("nan"),
-                          d_h=float("nan"), sigma0=float("nan"))
+def _sample(point: SabrPoint, sigma_mc: float, grid_index: float, valid: bool,
+            split: str = "none", config_index: int = 0) -> Sample:
+    """The one row builder, for built and loaded rows: the Monte Carlo record
+    plus the closed form and the features of ``point``, or an invalid row."""
+    sigma_hagan, feats = math.nan, GeomFeatures(*[math.nan] * 4)
+    try:
+        sigma_hagan = hagan_vol(point)
+        feats = features(point)
+    except (NegativeVol, DomainError):
+        valid = False
+    return Sample(point, sigma_hagan, sigma_mc, feats, grid_index, split, valid, config_index)
 
 
 def _build_config_rows(args) -> list[Sample]:
@@ -207,21 +217,9 @@ def _build_config_rows(args) -> list[Sample]:
     T, F0, alpha, beta, rho, nu = params
     strikes = strike_grid(F0, alpha, T)
     sigma_mc, _ = reference_smile(T, F0, alpha, beta, rho, nu, strikes, mc_cfg, config_index)
-    rows = []
-    for n, K, mc_vol in zip(GRID_INDICES, strikes, sigma_mc):
-        point = SabrPoint(T=T, F0=F0, K=float(K), alpha=alpha, beta=beta, rho=rho, nu=nu)
-        valid = math.isfinite(mc_vol)
-        sigma_h = float("nan")
-        feats = _NAN_FEATS
-        try:
-            sigma_h = hagan_vol(point)
-            feats = features(point)
-        except (NegativeVol, DomainError):
-            valid = False
-        rows.append(Sample(point=point, sigma_hagan=sigma_h, sigma_mc=float(mc_vol),
-                           feats=feats, grid_index=float(n), valid=valid,
-                           config_index=config_index))
-    return rows
+    return [_sample(SabrPoint(T=T, F0=F0, K=K, alpha=alpha, beta=beta, rho=rho, nu=nu),
+                    mc_vol, n, math.isfinite(mc_vol), config_index=config_index)
+            for n, K, mc_vol in zip(GRID_INDICES, strikes.tolist(), sigma_mc.tolist())]
 
 
 def build_dataset(
@@ -235,6 +233,8 @@ def build_dataset(
     Rows are ordered by (configuration index, grid index) whatever the
     worker count, and per-configuration streams depend only on the Monte
     Carlo base seed and the configuration index, so output is reproducible.
+    The pool starts every process at once: ``workers`` is capped at the
+    usable cores and at ``num_configs``.
     """
     if num_configs < 1:
         raise ConfigError(f"num_configs must be >= 1, got {num_configs!r}")
@@ -242,6 +242,7 @@ def build_dataset(
     jobs = [(i, sample_config(rng), mc_cfg) for i in range(num_configs)]
 
     dataset = Dataset()
+    workers = min(workers, num_configs, usable_cores())
     if workers <= 1:
         for job in jobs:
             dataset.samples.extend(_build_config_rows(job))
@@ -317,15 +318,14 @@ def file_sha256(path) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write an artifact CSV: floats at 12 significant digits, every other
-    value as ``str`` gives it, LF endings. Like :func:`write_json`, it makes
-    the file's directory first: a directory appears with its first file."""
+    """Write an artifact CSV: every value as ``str`` gives it, so floats read
+    back exactly, and LF endings. Like :func:`write_json`, it makes the
+    file's directory first: a directory appears with its first file."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row]
-                         for row in rows)
+        writer.writerows(rows)
 
 
 def write_json(path, payload) -> None:
@@ -353,8 +353,7 @@ def save_dataset(
     timestamp, so one seed gives the same manifest bytes.
     """
     write_csv(csv_path, CSV_HEADER, (
-        (*sabr_values(s.point), s.sigma_hagan, s.sigma_mc, *geom_values(s.feats),
-         f"{s.grid_index:.1f}", s.split, "true" if s.valid else "false")
+        (*sabr_values(s.point), s.sigma_mc, s.grid_index, s.split, "true" if s.valid else "false")
         for s in dataset.samples))
     manifest = {
         "csv_sha256": file_sha256(csv_path),
@@ -379,9 +378,9 @@ def load_dataset(csv_path) -> Dataset:
     """Read a dataset CSV written by :func:`save_dataset`.
 
     Each row is checked as it is read: the field count, the numeric fields,
-    the split label, the valid flag, the SABR parameters, and finite values
-    in valid rows. A fault raises a one-line ConfigError naming the file and
-    the line.
+    the split label, the valid flag, the SABR parameters, finite values in
+    valid rows, and the closed form (inside its domain in valid rows). A
+    fault raises a one-line ConfigError naming the file and the line.
 
     A row starts a new configuration index where its T, F0, alpha, beta,
     rho or nu differs from the previous row's, so the rows of one smile,
@@ -397,7 +396,7 @@ def load_dataset(csv_path) -> Dataset:
         for row in reader:
             try:
                 sample = _sample_from_row(row)
-            except ConfigError as exc:
+            except (ConfigError, ArithmeticError) as exc:
                 raise ConfigError(f"{csv_path}: line {reader.line_num}: {exc}") from None
             p = sample.point
             config = (p.T, p.F0, p.alpha, p.beta, p.rho, p.nu)
@@ -419,18 +418,18 @@ def _sample_from_row(row: list[str]) -> Sample:
                 float(text)
             except ValueError:
                 raise ConfigError(f"field {name} is not a number: {text!r}") from None
-    split, valid = row[_SPLIT], row[_VALID]
+    split, valid = row[_SPLIT:]
     if split not in _SPLIT_LABELS:
         raise ConfigError(f"split must be one of {', '.join(_SPLIT_LABELS)}; got {split!r}")
     if valid not in ("true", "false"):
         raise ConfigError(f"valid must be true or false, got {valid!r}")
     if valid == "true" and not all(map(math.isfinite, vals)):
         raise ConfigError("valid row holds a non-finite value")
-    return Sample(
-        point=SabrPoint(*vals[:len(SABR_FIELDS)]), sigma_hagan=vals[_HAGAN], sigma_mc=vals[_MC],
-        feats=GeomFeatures(*vals[_GEOM:_GEOM + len(GEOM_FIELDS)]),
-        grid_index=vals[_GRID], split=split, valid=valid == "true",
-    )
+    *params, sigma_mc, grid_index = vals
+    sample = _sample(SabrPoint(*params), sigma_mc, grid_index, valid == "true", split)
+    if valid == "true" and not sample.valid:
+        raise ConfigError("valid row lies outside the closed form's domain")
+    return sample
 
 
 def generate_dataset(

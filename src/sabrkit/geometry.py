@@ -21,8 +21,9 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import DomainError
-from .hagan import ATM_LOG_THRESHOLD, BETA_ONE_THRESHOLD, SabrPoint, libm_log, libm_pow
+from .errors import DomainError, NonFinite
+from .hagan import (ATM_LOG_THRESHOLD, BETA_ONE_THRESHOLD, SabrPoint, libm_log, libm_pow,
+                    raise_scalar_failure)
 
 __all__ = [
     "GEOM_FIELDS",
@@ -89,31 +90,42 @@ def features(p: SabrPoint) -> GeomFeatures:
 
     ``sigma0`` is the leading-order implied vol ln(K/F0)/d_h, with the ATM
     limit alpha*F0^(beta-1). Raises DomainError where the geodesic distance
-    is undefined or vanishes away from the money.
+    is undefined or vanishes away from the money, and NonFinite where a
+    value comes out inf or NaN, as at forwards so large that q^2 overflows.
     """
     q = q_transform(p.F0, p.K, p.beta)
     smin = sigma_min(p.alpha, p.rho, q)
     log_kf = math.log(p.K / p.F0)
     # At the money d_h is exactly 0; the generic path would divide 0 by 0.
     if abs(log_kf) < ATM_LOG_THRESHOLD:
-        return GeomFeatures(q=q, sigma_min=smin, d_h=0.0,
-                            sigma0=p.alpha * p.F0 ** (p.beta - 1.0))
-    d_h = _distance(p.alpha, p.rho, q, smin)
-    if d_h == 0.0:
-        raise DomainError("zero geodesic distance away from the money")
-    return GeomFeatures(q=q, sigma_min=smin, d_h=d_h, sigma0=log_kf / d_h)
+        d_h, sigma0 = 0.0, p.alpha * p.F0 ** (p.beta - 1.0)
+    else:
+        d_h = _distance(p.alpha, p.rho, q, smin)
+        if d_h == 0.0:
+            raise DomainError("zero geodesic distance away from the money")
+        sigma0 = log_kf / d_h
+    if not (math.isfinite(q) and math.isfinite(smin) and math.isfinite(d_h)
+            and math.isfinite(sigma0)):
+        raise NonFinite(f"features returned q={q!r}, sigma_min={smin!r}, d_h={d_h!r}, "
+                        f"sigma0={sigma0!r}")
+    return GeomFeatures(q=q, sigma_min=smin, d_h=d_h, sigma0=sigma0)
 
 
+# As in hagan_vols: numpy makes inf or NaN where the scalar form raises, and
+# the check of the results raises on every such point.
+@np.errstate(all="ignore")
 def features_array(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
     """Array form of :func:`features`: an (n, 4) array of (q, sigma_min,
     d_h, sigma0) rows for 1-d parameter columns of valid points.
 
     Each row equals the scalar call's bit for bit; the ATM and beta ~ 1
-    branches are masks. Raises DomainError when any point leaves the
-    formulas' domain, as the scalar call on that point does. ``T`` is
-    unused, as in the scalar form.
+    branches are masks. On a row that is not finite, raises what the scalar
+    call raises on the first such point, with `` (point i)`` appended
+    (:func:`~sabrkit.hagan.raise_scalar_failure`). ``T`` is unused, as in
+    the scalar form.
     """
-    F0, K, alpha, beta, rho = (np.asarray(c, dtype=float) for c in (F0, K, alpha, beta, rho))
+    columns = [np.asarray(c, dtype=float) for c in (T, F0, K, alpha, beta, rho, nu)]
+    _, F0, K, alpha, beta, rho, _ = columns
     log_kf = libm_log(K / F0)
     atm = np.abs(log_kf) < ATM_LOG_THRESHOLD
     omb = 1.0 - beta
@@ -123,15 +135,21 @@ def features_array(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
     smin = np.sqrt(alpha * alpha + 2.0 * rho * alpha * q + q * q)
 
     off = ~atm
+    # Where the scalar form raises DomainError, the log's argument is <= 0
+    # (libm_log gives NaN) or d_h is 0 (sigma0 is +-inf).
     arg = (smin[off] + rho[off] * alpha[off] + q[off]) / ((1.0 + rho[off]) * alpha[off])
-    if np.any(arg <= 0.0):
-        raise DomainError("geodesic log argument <= 0 at "
-                          f"q={q[off][arg <= 0.0][0]!r}")
     d_h = np.zeros_like(q)
     d_h[off] = libm_log(arg)
-    if np.any(d_h[off] == 0.0):
-        raise DomainError("zero geodesic distance away from the money")
     sigma0 = np.empty_like(q)
     sigma0[off] = log_kf[off] / d_h[off]
-    sigma0[atm] = alpha[atm] * libm_pow(F0[atm], beta[atm] - 1.0)
-    return np.column_stack((q, smin, d_h, sigma0))
+    try:
+        sigma0[atm] = alpha[atm] * libm_pow(F0[atm], beta[atm] - 1.0)
+    except OverflowError:
+        # math.pow overflowed at a tiny forward; the check below finds the
+        # point by trying each at-the-money row in the scalar form.
+        sigma0[atm] = np.nan
+    out = np.column_stack((q, smin, d_h, sigma0))
+    failed = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if failed.size:
+        raise_scalar_failure(features, columns, failed)
+    return out

@@ -69,8 +69,9 @@ _log = np.frompyfunc(math.log, 1, 1)
 
 
 def libm_log(x: np.ndarray) -> np.ndarray:
-    """Element-wise ``math.log``."""
-    return _log(x).astype(float)
+    """Element-wise ``math.log``, NaN where ``x <= 0``: there math.log
+    raises, and a caller's result check finds the point instead."""
+    return _log(np.where(x > 0.0, x, np.nan)).astype(float)
 
 
 def libm_pow(x: np.ndarray, y) -> np.ndarray:
@@ -79,6 +80,20 @@ def libm_pow(x: np.ndarray, y) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     ys = y.tolist() if isinstance(y, np.ndarray) else repeat(float(y))
     return np.fromiter(map(math.pow, x.tolist(), ys), float, x.size)
+
+
+def raise_scalar_failure(scalar, columns, failed) -> None:
+    """Raise what ``scalar`` raises on the first point, among the indices
+    ``failed`` in order, whose array-form result is not finite, with
+    `` (point i)`` appended; NonFinite if none raises. The points are
+    built from Python floats, since numpy scalars divide by zero without
+    raising."""
+    for i in failed:
+        try:
+            scalar(SabrPoint(*(float(c[i]) for c in columns)))
+        except (ArithmeticError, ValueError) as exc:
+            raise type(exc)(f"{exc} (point {i})") from None
+    raise NonFinite(f"array form returned a non-finite value (point {failed[0]})")
 
 
 def check_params(T, F0, alpha, beta, rho, nu, K=None) -> None:
@@ -122,15 +137,19 @@ def zx_ratio(z: float, rho: float) -> float:
 
     Continuous at z = 0 with value 1. For |z| < 1e-6 the closed form
     cancels catastrophically, so the first-order expansion
-    z/x(z) = 1 - rho*z/2 + O(z^2) is used there.
+    z/x(z) = 1 - rho*z/2 + O(z^2) is used there. Raises DomainError where
+    the discriminant is negative or, at very negative z, the log's argument
+    cancels to 0 or below.
     """
     if abs(z) < _Z_SERIES_THRESHOLD:
         return 1.0 - 0.5 * rho * z
     disc = 1.0 - 2.0 * rho * z + z * z
     if disc < 0.0:
         raise DomainError(f"1 - 2*rho*z + z^2 = {disc!r} < 0 at z={z!r}, rho={rho!r}")
-    x = math.log((math.sqrt(disc) + z - rho) / (1.0 - rho))
-    return z / x
+    arg = (math.sqrt(disc) + z - rho) / (1.0 - rho)
+    if arg <= 0.0:
+        raise DomainError(f"x(z) log argument {arg!r} <= 0 at z={z!r}, rho={rho!r}")
+    return z / math.log(arg)
 
 
 def _one_minus_beta(beta: float) -> float:
@@ -205,11 +224,11 @@ def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
     result equals the scalar call's bit for bit; the ATM dispatch, the
     z-series and the beta ~ 1 branches are masks. On a result that is not
     finite and positive, raises what the scalar call raises on the first
-    such point, or else NonFinite; a libm call that raises on a later point
-    (the z/x(z) log, where its argument cancels to 0) raises first.
+    such point (see :func:`raise_scalar_failure`); no libm call raises
+    first, as :func:`libm_log` gives NaN where math.log would raise.
     """
-    T, F0, K, alpha, beta, rho, nu = (np.asarray(c, dtype=float)
-                                      for c in (T, F0, K, alpha, beta, rho, nu))
+    columns = T, F0, K, alpha, beta, rho, nu = [np.asarray(c, dtype=float)
+                                                for c in (T, F0, K, alpha, beta, rho, nu)]
     log_fk = libm_log(F0 / K)
     atm = np.abs(log_fk) < ATM_LOG_THRESHOLD
     off = ~atm
@@ -240,7 +259,8 @@ def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
     disc = 1.0 - 2.0 * rho * z + z * z
     closed = off & (np.abs(z) >= _Z_SERIES_THRESHOLD)
     zc, rc = z[closed], rho[closed]
-    # Where disc < 0, sqrt gives NaN and the point fails the check below.
+    # Where disc < 0, sqrt gives NaN, and where the log's argument cancels
+    # to 0 or below libm_log does; either way the point fails the check below.
     ratio[closed] = zc / libm_log((np.sqrt(disc[closed]) + zc - rc) / (1.0 - rc))
 
     log2 = log_fk * log_fk
@@ -250,12 +270,5 @@ def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
 
     failed = np.flatnonzero(~np.isfinite(sigma) | (sigma <= 0.0))
     if failed.size:
-        # The scalar form on the first failing point names its exception;
-        # Python floats, since numpy scalars divide by zero without raising.
-        i = failed[0]
-        try:
-            hagan_vol(SabrPoint(*(float(c[i]) for c in (T, F0, K, alpha, beta, rho, nu))))
-        except (ArithmeticError, ValueError) as exc:
-            raise type(exc)(f"{exc} (point {i})") from None
-        raise NonFinite(f"smile formula returned {sigma[i]!r} (point {i})")
+        raise_scalar_failure(hagan_vol, columns, failed)
     return sigma

@@ -112,13 +112,16 @@ class Terminals:
 _MIN_THREAD_PATH_STEPS = 500_000
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _thread_count(n_blocks: int, path_steps: int) -> int:
     """Threads for one call: one per usable core, block and share of work."""
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, n_blocks, path_steps // _MIN_THREAD_PATH_STEPS))
+    return max(1, min(usable_cores(), n_blocks, path_steps // _MIN_THREAD_PATH_STEPS))
 
 
 def simulate_terminals(

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sabrkit.datagen import GRID_INDICES, sample_config, strike_grid
@@ -20,6 +20,16 @@ NEGATIVE_ATM = SabrPoint(T=2.0, F0=1.0, K=1.0, alpha=0.5, beta=1.0, rho=-0.95, n
 NEGATIVE_WING = SabrPoint(T=2.0, F0=1.0, K=1.05, alpha=0.5, beta=1.0, rho=-0.95, nu=3.0)
 # A vanishing alpha far from the money: the geodesic log argument cancels to 0.
 ZERO_GEODESIC = SabrPoint(T=1.0, F0=1.0, K=0.5, alpha=1e-300, beta=0.0, rho=0.0, nu=0.0)
+
+# F0^(2(1-b)) underflows to 0 in the ATM bracket: ZeroDivisionError.
+UNDERFLOWING_ATM = SabrPoint(T=1.0, F0=1e-170, K=1e-170, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
+# z is so negative that the x(z) log's argument cancels below 0: DomainError.
+CANCELLED_LOG = SabrPoint(T=1.0, F0=1e22, K=2.5e22, alpha=0.05, beta=0.0, rho=0.75, nu=1.6)
+
+# q^2 overflows in sigma_min: NonFinite from features.
+HUGE_FORWARD = SabrPoint(T=1.0, F0=1e300, K=2e300, alpha=0.2, beta=0.0, rho=-0.3, nu=0.4)
+# F0^(beta-1) overflows at the money: OverflowError from features.
+OVERFLOWING_ATM = SabrPoint(T=1.0, F0=1e-310, K=1e-310, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
 
 # Either side of the ATM dispatch and of the z/x(z) series switch.
 SIDES = (1.0 - 1e-3, 1.0 + 1e-3)
@@ -92,10 +102,40 @@ def outcome(fn):
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.lists(log_uniform_points(), min_size=1, max_size=6))
+@example([UNDERFLOWING_ATM, CANCELLED_LOG])
+@example([HUGE_FORWARD, OVERFLOWING_ATM])
+def test_forms_agree_at_every_magnitude(points):
+    # The same values bit for bit, or the class the scalar form raises on
+    # the first point where it raises: no libm call on a later point may
+    # raise first. A returned value is finite.
+    cols = columns(points)
+    for scalar, array in ((hagan_vol, hagan_vols), (quadruple, features_array)):
+        want = outcome(lambda: np.array([scalar(p) for p in points]))
+        got = outcome(lambda: array(*cols))
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want, (scalar.__name__, got, want)
+        else:
+            assert np.array_equal(got, want) and np.isfinite(got).all(), scalar.__name__
+
+
+@settings(max_examples=300, deadline=None)
 @given(log_uniform_points())
-def test_forms_agree_at_every_magnitude(p):
-    # The same vol bit for bit, or the same exception class.
-    assert outcome(lambda: hagan_vol(p)) == outcome(lambda: float(hagan_vols(*columns([p]))[0]))
+def test_features_are_finite_or_raise(p):
+    # An inf or NaN feature, as where q^2 overflows at huge forwards,
+    # raises NonFinite; no quadruple holds a non-finite value.
+    got = outcome(lambda: quadruple(p))
+    assert isinstance(got, type) or all(map(math.isfinite, got))
+
+
+def test_non_finite_features_raise_in_both_forms():
+    good = SabrPoint(T=1.0, F0=1.0, K=1.1, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
+    with pytest.raises(NonFinite):
+        features(HUGE_FORWARD)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="point 1"):
+            features_array(*columns([good, HUGE_FORWARD, good]))
 
 
 def test_underflowing_atm_bracket_raises_zero_division_in_both_forms():

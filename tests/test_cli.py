@@ -8,7 +8,7 @@ import pytest
 
 from sabrkit import evaluation
 from sabrkit.cli import main
-from sabrkit.datagen import load_dataset
+from sabrkit.datagen import CSV_HEADER, load_dataset
 from sabrkit.errors import NonFinite
 from sabrkit.evaluation import default_stress_scenarios
 from sabrkit.hagan import SabrPoint, hagan_vol
@@ -256,9 +256,10 @@ class TestTrainEvaluate:
     def test_empty_region_leaves_no_out_dir(self, small_dataset, tmp_path, capsys):
         # Only at-the-money test rows stay; the metrics fail before any write.
         rows = read_csv(small_dataset)
+        n, split = CSV_HEADER.index("n"), CSV_HEADER.index("split")
         for row in rows[1:]:
-            if row[14] == "test" and row[13] != "0.0":
-                row[14] = "train"
+            if row[split] == "test" and row[n] != "0.0":
+                row[split] = "train"
         atm_only = tmp_path / "dataset.csv"
         with open(atm_only, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
@@ -268,29 +269,10 @@ class TestTrainEvaluate:
         assert capsys.readouterr().err == "invalid input: region 'itm' has no test rows\n"
         assert not out.exists()
 
-    def test_training_ignores_stored_features(self, small_dataset, tmp_path):
-        # train builds the geometry inputs from the parameters, so scaling
-        # the stored q column leaves the model's bytes as they were.
-        rows = read_csv(small_dataset)
-        q = rows[0].index("q")
-        for row in rows[1:]:
-            if row[-1] == "true":
-                row[q] = repr(1.001 * float(row[q]))
-        scaled = tmp_path / "dataset.csv"
-        with open(scaled, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-        models = []
-        for sub, dataset in (("a", small_dataset), ("b", scaled)):
-            assert main(["train", "--dataset", str(dataset), "--arch", "geonn", "--epochs", "2",
-                         "--seed", "4", "--out", str(tmp_path / sub)]) == 0
-            models.append((tmp_path / sub / "model_geonn.json").read_bytes())
-        assert models[0] == models[1]
-
     def test_price_and_evaluate_agree(self, small_dataset, tmp_path):
         # price and evaluate both recompute the Hagan baseline and the
         # features from the point, so only the one-row and batched products'
-        # summation order separates them; the dataset's stored columns, 12
-        # significant digits, would move vols by up to ~1e-10 relative.
+        # summation order separates them.
         rows = load_dataset(small_dataset).split_samples("test")
         for arch in sorted(ARCHS):
             assert main(["train", "--dataset", str(small_dataset), "--arch", arch,
@@ -301,14 +283,22 @@ class TestTrainEvaluate:
             assert np.max(np.abs(single - batch)) <= 1e-12 * np.max(np.abs(batch)), arch
 
 
+def with_fields(**values):
+    """A fault that sets the named fields of a row."""
+    return lambda row: [values.get(name, text) for name, text in zip(CSV_HEADER, row)]
+
+
 # One fault in the first data row of a dataset CSV; train must exit 2.
 BROKEN_ROWS = {
-    "short row": lambda row: row[:13],
-    "non-numeric field": lambda row: row[:3] + ["abc"] + row[4:],
-    "bad split label": lambda row: row[:14] + ["training", row[15]],
-    "bad valid flag": lambda row: row[:15] + ["yes"],
-    "non-finite valid row": lambda row: row[:8] + ["nan"] + row[9:15] + ["true"],
-    "rho out of domain": lambda row: row[:5] + ["0.99"] + row[6:],
+    "short row": lambda row: row[:-1],
+    "non-numeric field": with_fields(alpha="abc"),
+    "bad split label": with_fields(split="training"),
+    "bad valid flag": with_fields(valid="yes"),
+    "non-finite valid row": with_fields(sigma_mc="nan", valid="true"),
+    "rho out of domain": with_fields(rho="0.99"),
+    # The maturity bracket goes negative: NegativeVol on a valid row.
+    "valid row outside the closed form's domain": with_fields(T="5", rho="-0.95", nu="10",
+                                                              valid="true"),
 }
 
 
@@ -324,6 +314,17 @@ def test_broken_dataset_exit_2_one_line(small_dataset, tmp_path, capsys, fault):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("invalid input:")
     assert f"{bad}: line 2:" in err
+
+
+def test_file_with_stored_closed_form_exit_2(tmp_path, capsys):
+    # A file that still stores the closed form and the features is refused
+    # by its header.
+    old = tmp_path / "dataset.csv"
+    old.write_text("T,F0,K,alpha,beta,rho,nu,sigma_hagan,sigma_mc,q,sigma_min,d_h,sigma0,"
+                   "n,split,valid\n")
+    assert main(["train", "--dataset", str(old), "--arch", "ndn", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unexpected dataset header" in err
 
 
 # One fault per model file; price must exit 2.

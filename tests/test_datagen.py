@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sabrkit import mc
+from sabrkit import datagen, mc
 from sabrkit.datagen import (
     BUCKETS,
     DEFAULT_MATS,
@@ -25,11 +25,18 @@ from sabrkit.datagen import (
     strike_grid,
     year_fraction,
 )
-from sabrkit.datagen import SPLIT_NAMES, SPLIT_WEIGHTS, _build_config_rows, _largest_remainder
+from sabrkit.datagen import (
+    SPLIT_NAMES,
+    SPLIT_WEIGHTS,
+    _build_config_rows,
+    _largest_remainder,
+    _sample,
+)
 from sabrkit.errors import ConfigError, NoConvergence, NonFinite, PriceOutOfBounds
-from sabrkit.geometry import GeomFeatures, features
-from sabrkit.hagan import SabrPoint, hagan_vol
+from sabrkit.geometry import features, geom_values
+from sabrkit.hagan import SabrPoint, hagan_vol, sabr_values
 from sabrkit.mc import McConfig, implied_vol_from_estimate, price_from_terminals, simulate_terminals
+from sabrkit.net import ARCHS, TrainConfig, init_bundle, save_model, train
 
 
 def make_sample(residual, idx=0, valid=True, split="none"):
@@ -39,6 +46,17 @@ def make_sample(residual, idx=0, valid=True, split="none"):
     return Sample(point=point, sigma_hagan=base, sigma_mc=base + residual,
                   feats=features(point), grid_index=0.0, valid=valid,
                   split=split, config_index=idx)
+
+
+def row_fields(dataset):
+    """Every field of every row, NaN as None so that NaN fields compare equal."""
+    return [[None if v != v else v for v in (*sabr_values(s.point), s.sigma_hagan, s.sigma_mc,
+                                             *geom_values(s.feats), s.grid_index)]
+            + [s.split, s.valid, s.config_index] for s in dataset.samples]
+
+
+# A point whose maturity bracket makes the closed form negative.
+NEGATIVE_ATM = SabrPoint(T=2.0, F0=1.0, K=1.0, alpha=0.5, beta=1.0, rho=-0.95, nu=3.0)
 
 
 class TestBuckets:
@@ -166,6 +184,34 @@ class TestBuildDataset:
         assert len(serial) == len(parallel)
         for a, b in zip(serial.samples, parallel.samples):
             assert a == b
+
+    def test_workers_capped_at_cores_and_configs(self, monkeypatch):
+        # The pool starts all its workers at once; this one records how many
+        # it was asked for and runs the jobs here, starting none.
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(datagen, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        cfg = McConfig(paths=1000)
+        serial = row_fields(build_dataset(4, cfg, seed=3, workers=1))
+        for workers in (5000, 4, 2):
+            assert row_fields(build_dataset(4, cfg, seed=3, workers=workers)) == serial
+        build_dataset(2, cfg, seed=3, workers=5000)
+        build_dataset(1, cfg, seed=3, workers=5000)
+        assert asked == [3, 3, 2, 2]
 
 
 # A flat lognormal smile whose wing prices at 0.9 and 10 cannot be inverted.
@@ -368,13 +414,13 @@ class TestPersistence:
         assert [s.config_index for s in loaded.samples] == [0] * 3 + [1] * 11
 
     def test_persisted_hagan_recompute(self, tmp_path):
-        # The file keeps 12 significant digits, which bounds the recompute
-        # agreement at a few 1e-12 relative.
+        # The file keeps the parameters exactly and load recomputes the
+        # closed form from them.
         cfg = McConfig(paths=1000)
         generate_dataset(4, cfg, seed=29, csv_path=tmp_path / "d.csv")
         loaded = load_dataset(tmp_path / "d.csv")
         for s in loaded.valid_samples():
-            assert s.sigma_hagan == pytest.approx(hagan_vol(s.point), rel=2e-11)
+            assert s.sigma_hagan == hagan_vol(s.point)
 
     def test_lf_line_endings_and_header(self, tmp_path):
         ds = Dataset([make_sample(0.001 * i, idx=i) for i in range(12)])
@@ -383,12 +429,14 @@ class TestPersistence:
         raw = (tmp_path / "d.csv").read_bytes()
         assert b"\r" not in raw
         first = raw.split(b"\n", 1)[0].decode()
-        assert first == ("T,F0,K,alpha,beta,rho,nu,sigma_hagan,sigma_mc,"
-                         "q,sigma_min,d_h,sigma0,n,split,valid")
+        assert first == "T,F0,K,alpha,beta,rho,nu,sigma_mc,n,split,valid"
+        assert first.split(",") == datagen.CSV_HEADER
 
     def test_full_column_round_trip(self, tmp_path):
         # Every column, NaN fields of invalid rows and all four split labels
-        # included: saving a loaded file gives back its bytes.
+        # included: a loaded file holds the saved rows field by field (the
+        # record as saved, the closed form and the features recomputed),
+        # and saving it gives back its bytes.
         cfg = McConfig(paths=1000)
         ds = build_dataset(2, cfg, seed=13)
         params, strikes = UNINVERTIBLE
@@ -396,21 +444,34 @@ class TestPersistence:
         T, F0, alpha, beta, rho, nu = params
         for n, K, mc_vol in zip((-1.0, 0.0, 1.0), strikes, sigma_mc):
             point = SabrPoint(T=T, F0=F0, K=K, alpha=alpha, beta=beta, rho=rho, nu=nu)
-            ds.samples.append(Sample(point=point, sigma_hagan=hagan_vol(point),
-                                     sigma_mc=float(mc_vol), feats=features(point),
-                                     grid_index=n, valid=math.isfinite(mc_vol)))
-        # A row whose closed form failed, as _build_config_rows records it.
-        nan = float("nan")
-        ds.samples.append(Sample(point=point, sigma_hagan=nan, sigma_mc=nan,
-                                 feats=GeomFeatures(nan, nan, nan, nan), grid_index=2.5,
-                                 valid=False))
+            ds.samples.append(_sample(point, float(mc_vol), n, math.isfinite(mc_vol),
+                                      config_index=2))
+        # A row whose closed form failed, as the row builder records it.
+        ds.samples.append(_sample(NEGATIVE_ATM, float("nan"), 2.5, True, config_index=3))
+        assert not ds.samples[-1].valid
+        filter_outliers(ds)
         split_dataset(ds, seed=42)
         assert {s.split for s in ds.samples} == {"none", "train", "val", "test"}
         save_dataset(ds, tmp_path / "a.csv")
-        save_dataset(load_dataset(tmp_path / "a.csv"), tmp_path / "b.csv")
+        loaded = load_dataset(tmp_path / "a.csv")
+        assert row_fields(loaded) == row_fields(ds)
+        save_dataset(loaded, tmp_path / "b.csv")
         raw = (tmp_path / "a.csv").read_bytes()
         assert b",nan," in raw
         assert (tmp_path / "b.csv").read_bytes() == raw
+
+    def test_training_on_loaded_rows_writes_the_same_models(self, tmp_path):
+        ds, _ = generate_dataset(12, McConfig(paths=1000), seed=23, csv_path=tmp_path / "d.csv")
+        loaded = load_dataset(tmp_path / "d.csv")
+        cfg = TrainConfig(epochs=2, batch_size=32, seed=3)
+        for arch in sorted(ARCHS):
+            models = []
+            for rows in (ds, loaded):
+                bundle, _ = train(init_bundle(arch, seed=3), rows.split_samples("train"),
+                                  rows.split_samples("val"), cfg)
+                save_model(bundle, tmp_path / "model.json")
+                models.append((tmp_path / "model.json").read_bytes())
+            assert models[0] == models[1], arch
 
     def test_byte_identical_regeneration(self, tmp_path):
         # The manifest holds no timestamp, so one seed gives the same bytes
