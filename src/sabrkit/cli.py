@@ -11,7 +11,9 @@ values. Flags are spelled in full; argparse's prefix matching is off.
 ``evaluate --stress`` and ``--sweep`` report stress records and write one
 CSV per scenario, none for a scenario whose reference failed. The
 :mod:`~sabrkit.datagen` writers make ``--out`` with a command's first
-file, so a command that fails before it leaves none.
+file, so a command that fails before it leaves none. Every command writes
+its files before it prints, so one whose stdout closes early (``| head``)
+still leaves them whole; the broken pipe is not reported as an error.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 """
@@ -190,12 +192,13 @@ def cmd_smile(args) -> int:
     mc_vols, mc_ses = datagen.reference_smile(**point_args, strikes=strikes,
                                               mc_cfg=_mc_config(args, args.seed))
     rows = list(zip(strikes.tolist(), hagan_vols, mc_vols.tolist(), mc_ses.tolist()))
+    if args.out:
+        path = os.path.join(args.out, "smile.csv")
+        datagen.write_csv(path, ["K", "sigma_hagan", "sigma_mc", "mc_vol_std_error"], rows)
     print(f"{'strike':>10} {'hagan':>10} {'monte_carlo':>12} {'mc_se':>10}")
     for k, hag, mc_vol, mc_se in rows:
         print(f"{k:10.4f} {hag:10.6f} {mc_vol:12.6f} {mc_se:10.2e}")
     if args.out:
-        path = os.path.join(args.out, "smile.csv")
-        datagen.write_csv(path, ["K", "sigma_hagan", "sigma_mc", "mc_vol_std_error"], rows)
         print(f"wrote {path}")
     if np.isnan(mc_vols).all():
         raise NonFinite("every strike failed to invert")
@@ -255,6 +258,7 @@ def cmd_evaluate(args) -> int:
     # column of its CSVs, empty for stress strikes (not all on the grid).
     diagnostics = [("stress", "stress", evaluation.stress_suite, repeat("")),
                    ("sweep", "slice", evaluation.maturity_sweep, datagen.GRID_INDICES)]
+    lines = []
     for bundle in bundles:
         metrics = evaluation.evaluate_model(bundle, test_rows)
         report = {"dataset": args.dataset, "dataset_sha256_12": tag,
@@ -279,8 +283,9 @@ def cmd_evaluate(args) -> int:
             report["latency"] = vars(stats)
         out_path = os.path.join(args.out, f"metrics_{bundle.arch}_{tag}.json")
         datagen.write_json(out_path, report)
-        print(f"{bundle.arch}: r2_global={metrics.r2_global:.4f} "
-              f"rmse_rel={metrics.rmse_rel:.4f} -> {out_path}")
+        lines.append(f"{bundle.arch}: r2_global={metrics.r2_global:.4f} "
+                     f"rmse_rel={metrics.rmse_rel:.4f} -> {out_path}")
+    print("\n".join(lines))
     return 0
 
 
@@ -308,9 +313,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    code = 0
     try:
         _apply_config_file(args, argv)
-        return args.func(args)
+        code = args.func(args)
+        # Output still buffered for a reader that has gone fails here, where
+        # it is handled, and not in the interpreter's last flush.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Every file is written before anything is printed, so the run is
+        # whole; the unread output goes to devnull at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -320,6 +333,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -20,9 +20,10 @@ of them from the points. An arch fixes its target mode and inputs
 (:data:`ARCHS`), so a :class:`ModelBundle` is an arch and its weights; batch
 norm runs at the fixed :data:`BN_MOMENTUM` and :data:`BN_EPS`.
 
-Training runs batch norm explicitly and keeps every trainable array as a
-view of one parameter vector, so each optimizer step is a single Adam
-update of that vector. Inference runs the folded network
+A hidden layer's only offset is its batch norm's shift; only the output
+layer holds a bias. Training runs batch norm explicitly and keeps every
+trainable array as a view of one parameter vector, so each optimizer step
+is a single Adam update of that vector. Inference runs the folded network
 (:func:`fold_layers`): standardization folds into the first layer, each
 eval-mode batch norm into its dense layer, and each later layer's bias into
 its matrix, read by a constant unit that the hidden layers carry, so that
@@ -129,8 +130,11 @@ class BatchNorm:
 
 @dataclass
 class DenseLayer:
+    """A hidden layer holds ``w`` and its batch norm, whose shift is its only
+    offset (Ioffe & Szegedy 2015, section 3.2); the output layer holds ``b``."""
+
     w: np.ndarray
-    b: np.ndarray
+    b: np.ndarray | None = None
     bn: BatchNorm | None = None
 
 
@@ -222,7 +226,7 @@ def init_bundle(
     seed: int = 0,
     hidden_sizes: Sequence[int] = HIDDEN_SIZES,
 ) -> ModelBundle:
-    """Fresh bundle with He-uniform weights, zero biases and identity
+    """Fresh bundle with He-uniform weights, a zero output bias and identity
     batch-norm and standardization."""
     if arch not in ARCHS:
         raise ConfigError(f"unknown arch {arch!r}; expected one of {sorted(ARCHS)}")
@@ -234,16 +238,12 @@ def init_bundle(
         fan_in, fan_out = sizes[i], sizes[i + 1]
         bound = math.sqrt(6.0 / fan_in)
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        b = np.zeros(fan_out)
-        bn = None
         if i < len(sizes) - 2:
-            bn = BatchNorm(
-                scale=np.ones(fan_out),
-                shift=np.zeros(fan_out),
-                running_mean=np.zeros(fan_out),
-                running_var=np.ones(fan_out),
-            )
-        layers.append(DenseLayer(w=w, b=b, bn=bn))
+            layers.append(DenseLayer(w=w, bn=BatchNorm(
+                scale=np.ones(fan_out), shift=np.zeros(fan_out),
+                running_mean=np.zeros(fan_out), running_var=np.ones(fan_out))))
+        else:
+            layers.append(DenseLayer(w=w, b=np.zeros(fan_out)))
     return ModelBundle(
         arch=arch,
         layers=layers,
@@ -259,17 +259,21 @@ def fold_layers(bundle: ModelBundle) -> tuple[np.ndarray, np.ndarray, tuple[np.n
     followed by ReLU.
 
     Standardization folds into the first layer and each batch norm, at its
-    running statistics, into its dense layer (Ioffe & Szegedy 2015). Each
-    bias after the first rides inside its matrix (the bias trick; Bishop
-    2006, section 5.1): ``b0`` ends in a constant unit 1.0, whose weight
-    column is zero and which ReLU keeps at 1; every later matrix reads the
-    unit in an extra last row holding its bias, and every hidden one passes
-    it on in an extra last column, zero but for that row's 1.0. A network
-    with no hidden layer is the plain pair ``(w, b)`` and no rest.
+    running statistics, into its dense layer (Ioffe & Szegedy 2015): a hidden
+    layer's bias is ``(b - running_mean) * s + shift``, with ``s`` the scale
+    over the running std and ``b`` zero, or ``-(x_mean / x_std) @ w`` on
+    layer 0. Each bias after the first rides inside its matrix (the bias
+    trick; Bishop 2006, section 5.1): ``b0`` ends in a constant unit 1.0,
+    whose weight column is zero and which ReLU keeps at 1; every later
+    matrix reads the unit in an extra last row holding its bias, and every
+    hidden one passes it on in an extra last column, zero but for that
+    row's 1.0. A network with no hidden layer is the plain pair ``(w, b)``
+    and no rest.
     """
     mats = []
     for i, layer in enumerate(bundle.layers):
-        w, b, bn = layer.w, layer.b, layer.bn
+        w, bn = layer.w, layer.bn
+        b = layer.b if bn is None else 0.0
         if i == 0:
             b = b - (bundle.x_mean / bundle.x_std) @ w
             w = w / bundle.x_std[:, None]
@@ -336,7 +340,6 @@ def forward(bundle: ModelBundle, x: np.ndarray, training: bool = False):
     for layer, cache, after in zip(bundle.layers[:-1], caches, caches[1:]):
         z, tmp = cache["z_hat"], cache["tmp"]
         np.matmul(cache["x"], layer.w, out=z)
-        z += layer.b
         bn = layer.bn
         mu = z.mean(axis=0)
         # The arithmetic of z.var(axis=0), with z - mu kept for z_hat.
@@ -376,14 +379,15 @@ def backward(bundle: ModelBundle, caches: list, d_out: np.ndarray) -> list[np.nd
         if bn is None:
             k -= 2
             d_z = d_a
+            d_z.sum(axis=0, out=grads[k + 1])
         else:
-            k -= 4
+            k -= 3
             # d_a becomes d_pre, then d_zhat, in place; tmp takes each
             # full-batch product, then d_z.
             z_hat, d_z = cache["z_hat"], cache["tmp"]
             d_a *= cache["mask"]
-            np.multiply(d_a, z_hat, out=d_z).sum(axis=0, out=grads[k + 2])
-            d_a.sum(axis=0, out=grads[k + 3])
+            np.multiply(d_a, z_hat, out=d_z).sum(axis=0, out=grads[k + 1])
+            d_a.sum(axis=0, out=grads[k + 2])
             d_a *= bn.scale
             n = d_a.shape[0]
             # d_z = (inv_std / n) * (n * d_zhat - d_zhat.sum(axis=0)
@@ -395,20 +399,16 @@ def backward(bundle: ModelBundle, caches: list, d_out: np.ndarray) -> list[np.nd
             d_z -= np.multiply(z_hat, proj, out=d_a)
             np.multiply(cache["inv_std"] / n, d_z, out=d_z)
         np.matmul(cache["x"].T, d_z, out=grads[k])
-        d_z.sum(axis=0, out=grads[k + 1])
         if i:
             d_a = np.matmul(d_z, layer.w.T, out=caches[i - 1]["d_a"])
     return grads
 
 
 def trainable_params(bundle: ModelBundle) -> list[np.ndarray]:
-    """Flat parameter list in the order used by :func:`backward`."""
-    params: list[np.ndarray] = []
-    for layer in bundle.layers:
-        params.extend([layer.w, layer.b])
-        if layer.bn is not None:
-            params.extend([layer.bn.scale, layer.bn.shift])
-    return params
+    """Flat parameter list in the order used by :func:`backward`: each hidden
+    layer's ``w``, ``bn.scale`` and ``bn.shift``, then the output ``w`` and ``b``."""
+    return [p for layer in bundle.layers for p in (
+        (layer.w, layer.b) if layer.bn is None else (layer.w, layer.bn.scale, layer.bn.shift))]
 
 
 def _flatten_params(bundle: ModelBundle) -> tuple[np.ndarray, np.ndarray]:
@@ -422,8 +422,10 @@ def _flatten_params(bundle: ModelBundle) -> tuple[np.ndarray, np.ndarray]:
     grad = np.empty_like(theta)
     theta_views = iter(_views(theta, params))
     for layer in bundle.layers:
-        layer.w, layer.b = next(theta_views), next(theta_views)
-        if layer.bn is not None:
+        layer.w = next(theta_views)
+        if layer.bn is None:
+            layer.b = next(theta_views)
+        else:
             layer.bn.scale, layer.bn.shift = next(theta_views), next(theta_views)
     bundle.workspace = Workspace(grads=_views(grad, params))
     return theta, grad
@@ -664,7 +666,7 @@ def predict_from_rows(bundle: ModelBundle, samples) -> np.ndarray:
     return predict_vols(bundle, [s.point for s in samples])
 
 
-MODEL_FORMAT = "sabrkit-model-v1"
+MODEL_FORMAT = "sabrkit-model-v2"
 _MODEL_KEYS = ("arch", "target_mode", "feature_names", "layer_sizes", "hagan_bracket",
                "x_mean", "x_std", "layers", "manifest")
 _BN_ARRAYS = ("scale", "shift", "running_mean", "running_var")
@@ -683,10 +685,9 @@ def save_model(bundle: ModelBundle, path) -> None:
         "x_mean": bundle.x_mean.tolist(),
         "x_std": bundle.x_std.tolist(),
         "layers": [
-            {
+            {"w": layer.w.tolist(), "b": layer.b.tolist()} if layer.bn is None else {
                 "w": layer.w.tolist(),
-                "b": layer.b.tolist(),
-                "bn": None if layer.bn is None else {
+                "bn": {
                     "scale": layer.bn.scale.tolist(),
                     "shift": layer.bn.shift.tolist(),
                     "running_mean": layer.bn.running_mean.tolist(),
@@ -716,8 +717,9 @@ def _finite_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 def _bundle_from_payload(payload) -> ModelBundle:
     """A bundle from a parsed model file, checked so that it can be folded
-    and run: keys, the layer-shape chain, the names against the arch, batch
-    norm on exactly the hidden layers, finite arrays and positive scales."""
+    and run: keys, the layer-shape chain, the names against the arch, each
+    layer's exact keys (``w`` and ``bn`` on a hidden layer, ``w`` and ``b``
+    on the output layer), finite arrays and positive scales."""
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ConfigError(f"not a {MODEL_FORMAT} model file")
     missing = [key for key in _MODEL_KEYS if key not in payload]
@@ -746,29 +748,25 @@ def _bundle_from_payload(payload) -> ModelBundle:
     layers = []
     for i, item in enumerate(items):
         where = f"layer {i}"
-        if not isinstance(item, dict) or not {"w", "b", "bn"} <= item.keys():
-            raise ConfigError(f"{where} needs w, b and bn")
         width = sizes[i + 1]
+        keys = ("w", "b") if i == len(items) - 1 else ("w", "bn")
+        if not isinstance(item, dict) or item.keys() != set(keys):
+            raise ConfigError(f"{where} must hold exactly {' and '.join(keys)}")
         w = _finite_array(item["w"], (sizes[i], width), f"{where} w")
-        b = _finite_array(item["b"], (width,), f"{where} b")
+        if "b" in item:
+            layers.append(DenseLayer(w=w, b=_finite_array(item["b"], (width,), f"{where} b")))
+            continue
         raw = item["bn"]
-        hidden = i < len(items) - 1
-        if (raw is None) == hidden:
-            raise ConfigError(f"{where}: batch norm belongs on every hidden layer "
-                              "and not on the output layer")
-        bn = None
-        if hidden:
-            if not isinstance(raw, dict) or not {*_BN_ARRAYS, "momentum", "eps"} <= raw.keys():
-                raise ConfigError(f"{where} bn needs {', '.join(_BN_ARRAYS)}, momentum and eps")
-            arrays = {key: _finite_array(raw[key], (width,), f"{where} bn {key}")
-                      for key in _BN_ARRAYS}
-            if raw["momentum"] != BN_MOMENTUM or raw["eps"] != BN_EPS:
-                raise ConfigError(f"{where} bn momentum and eps must be {BN_MOMENTUM} and "
-                                  f"{BN_EPS}; got {raw['momentum']!r} and {raw['eps']!r}")
-            if np.any(arrays["running_var"] < 0.0):
-                raise ConfigError(f"{where} bn needs running_var >= 0")
-            bn = BatchNorm(**arrays)
-        layers.append(DenseLayer(w=w, b=b, bn=bn))
+        if not isinstance(raw, dict) or not {*_BN_ARRAYS, "momentum", "eps"} <= raw.keys():
+            raise ConfigError(f"{where} bn needs {', '.join(_BN_ARRAYS)}, momentum and eps")
+        arrays = {key: _finite_array(raw[key], (width,), f"{where} bn {key}")
+                  for key in _BN_ARRAYS}
+        if raw["momentum"] != BN_MOMENTUM or raw["eps"] != BN_EPS:
+            raise ConfigError(f"{where} bn momentum and eps must be {BN_MOMENTUM} and "
+                              f"{BN_EPS}; got {raw['momentum']!r} and {raw['eps']!r}")
+        if np.any(arrays["running_var"] < 0.0):
+            raise ConfigError(f"{where} bn needs running_var >= 0")
+        layers.append(DenseLayer(w=w, bn=BatchNorm(**arrays)))
     x_mean = _finite_array(payload["x_mean"], (len(names),), "x_mean")
     x_std = _finite_array(payload["x_std"], (len(names),), "x_std")
     if np.any(x_std <= 0.0):

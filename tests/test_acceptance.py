@@ -40,6 +40,7 @@ from sabrkit.net import (
 )
 from sabrkit.pricing import black_price, black_vega, implied_vol
 
+from bundles import zero_output
 from halfplane import geodesic_distance, to_halfplane
 from plain_mc import cv_price, plain_price_from_terminals
 
@@ -361,14 +362,11 @@ def test_criterion_9c_positivity(desk_experiment):
 def test_criterion_9d_zeroed_residual_reproduces_formula(desk_experiment):
     _, test_rows, _ = desk_experiment
     for arch in ("resnn", "georesnn"):
-        bundle = init_bundle(arch, seed=0)
-        for layer in bundle.layers:
-            layer.w[:] = 0.0
-            layer.b[:] = 0.0
+        bundle = zero_output(init_bundle(arch, seed=0))
         predictions = predict_from_rows(bundle, test_rows[:500])
         baseline = np.array([s.sigma_hagan for s in test_rows[:500]])
         assert np.array_equal(predictions, baseline)
-    _gate("9d", True, "zero-weight residual models reproduce the closed form exactly")
+    _gate("9d", True, "zero-output residual models reproduce the closed form exactly")
 
 
 def test_criterion_10_scheduler_and_best_weights():
@@ -401,9 +399,13 @@ def test_criterion_10_scheduler_and_best_weights():
     partial = init_bundle("resnn", seed=3)
     partial, _ = train(partial, rows[:300], rows[300:],
                        TrainConfig(epochs=best_epoch, seed=3))
+    # Every trainable array, then the running statistics of each batch norm.
     weights_match = all(
-        np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
-        for a, b in zip(full.layers, partial.layers)
+        np.array_equal(a, b) for a, b in zip(trainable_params(full), trainable_params(partial))
+    ) and all(
+        np.array_equal(a.bn.running_mean, b.bn.running_mean)
+        and np.array_equal(a.bn.running_var, b.bn.running_var)
+        for a, b in zip(full.layers[:-1], partial.layers[:-1])
     )
     ok = halves_correct and weights_match
     _gate("10", ok, f"lr halves at epochs 6 and 11: {halves_correct}, "

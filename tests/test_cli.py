@@ -1,7 +1,11 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from sabrkit.evaluation import default_stress_scenarios
 from sabrkit.hagan import SabrPoint, hagan_vol
 from sabrkit.net import ARCHS, init_bundle, load_model, predict_from_rows, predict_vol, save_model
 
+from bundles import to_v1, zero_output
+
 
 def read_csv(path):
     with open(path, newline="") as fh:
@@ -21,12 +27,8 @@ def read_csv(path):
 
 
 def zero_model(tmp_path, arch="georesnn"):
-    bundle = init_bundle(arch, seed=0)
-    for layer in bundle.layers:
-        layer.w[:] = 0.0
-        layer.b[:] = 0.0
     path = tmp_path / f"{arch}.json"
-    save_model(bundle, path)
+    save_model(zero_output(init_bundle(arch, seed=0)), path)
     return path
 
 
@@ -63,6 +65,28 @@ class TestSmile:
         assert captured.out == ""
         assert captured.err == "numerical failure: float division by zero\n"
         assert not out.exists()
+
+    def test_closed_stdout_still_writes_the_file(self, tmp_path):
+        # The reader of stdout is gone before the command prints a line, as
+        # when `| head` has exited: the broken pipe is not an error.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        smile = [sys.executable, "-m", "sabrkit.cli", "smile", "--paths", "2000",
+                 "--n-strikes", "3", "--out"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            closed = subprocess.run([*smile, str(tmp_path / "closed")], stdout=write_end,
+                                    stderr=subprocess.PIPE, env=env, timeout=600)
+        finally:
+            os.close(write_end)
+        opened = subprocess.run([*smile, str(tmp_path / "open")], capture_output=True,
+                                env=env, timeout=600)
+        assert (closed.returncode, closed.stderr) == (0, b"")
+        assert opened.returncode == 0 and len(opened.stdout.splitlines()) == 5
+        assert ((tmp_path / "closed" / "smile.csv").read_bytes()
+                == (tmp_path / "open" / "smile.csv").read_bytes())
 
     def test_strike_range_default(self, tmp_path):
         main(["smile", "--paths", "2000", "--n-strikes", "4", "--out", str(tmp_path)])
@@ -334,6 +358,7 @@ BROKEN_MODELS = {
     "denominator bracket": lambda payload: payload.update(hagan_bracket="denominator"),
     "bn momentum": lambda payload: payload["layers"][0]["bn"].update(momentum=0.2),
     "bn eps": lambda payload: payload["layers"][1]["bn"].update(eps=1e-3),
+    "v1 format": to_v1,
 }
 
 

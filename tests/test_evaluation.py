@@ -20,12 +20,7 @@ from sabrkit.hagan import SabrPoint, hagan_vol
 from sabrkit.mc import McConfig
 from sabrkit.net import init_bundle
 
-
-def zero_weights(bundle):
-    for layer in bundle.layers:
-        layer.w[:] = 0.0
-        layer.b[:] = 0.0
-    return bundle
+from bundles import zero_output
 
 
 def smile_rows(n_configs=6, mc_equals_hagan=True, seed=0):
@@ -73,7 +68,7 @@ class TestR2:
 class TestRegions:
     def test_perfect_model_scores_one_everywhere(self):
         rows = smile_rows(mc_equals_hagan=True)
-        bundle = zero_weights(init_bundle("georesnn", seed=1))
+        bundle = zero_output(init_bundle("georesnn", seed=1))
         metrics = evaluate_model(bundle, rows).regions
         assert set(metrics) == {"itm", "atm", "otm"}
         for m in metrics.values():
@@ -82,7 +77,7 @@ class TestRegions:
 
     def test_counts_partition_rows(self):
         rows = smile_rows(n_configs=4)
-        bundle = zero_weights(init_bundle("resnn", seed=2))
+        bundle = zero_output(init_bundle("resnn", seed=2))
         metrics = evaluate_model(bundle, rows).regions
         assert metrics["itm"].count == 4 * 5
         assert metrics["atm"].count == 4
@@ -90,13 +85,13 @@ class TestRegions:
 
     def test_empty_region_raises(self):
         rows = [s for s in smile_rows() if s.grid_index == 0.0]
-        bundle = zero_weights(init_bundle("resnn", seed=3))
+        bundle = zero_output(init_bundle("resnn", seed=3))
         with pytest.raises(EmptyRegion):
             evaluate_model(bundle, rows)
 
     def test_evaluate_model_summary(self):
         rows = smile_rows(mc_equals_hagan=False)
-        bundle = zero_weights(init_bundle("georesnn", seed=5))
+        bundle = zero_output(init_bundle("georesnn", seed=5))
         metrics = evaluate_model(bundle, rows)
         assert metrics.arch == "georesnn"
         assert metrics.test_rows == len(rows)
@@ -105,7 +100,7 @@ class TestRegions:
 
 class TestStress:
     def test_six_records(self):
-        bundle = zero_weights(init_bundle("georesnn", seed=6))
+        bundle = zero_output(init_bundle("georesnn", seed=6))
         records = stress_suite(bundle, McConfig(paths=2000))
         assert len(records) == 6
         assert [r.scenario_id for r in records] == [s.scenario_id for s in default_stress_scenarios()]
@@ -115,7 +110,7 @@ class TestStress:
             assert len(r.sigma_model) == len(r.strikes)
 
     def test_flat_lognormal_scenario_is_exact(self):
-        bundle = zero_weights(init_bundle("georesnn", seed=7))
+        bundle = zero_output(init_bundle("georesnn", seed=7))
         records = stress_suite(bundle, McConfig(paths=2000))
         sanity = next(r for r in records if r.scenario_id == "lognormal_flat_sanity")
         # control variate cancels every path: reference equals alpha exactly
@@ -143,7 +138,7 @@ class TestStress:
 
 class TestSweep:
     def test_slice_shapes(self):
-        bundle = zero_weights(init_bundle("georesnn", seed=8))
+        bundle = zero_output(init_bundle("georesnn", seed=8))
         slices = maturity_sweep(bundle, McConfig(paths=2000))
         assert tuple(s.T for s in slices) == evaluation.SWEEP_MATURITIES
         assert [s.scenario_id for s in slices] == ["T0.25", "T0.5", "T1", "T2", "T5"]
@@ -164,7 +159,7 @@ class TestSweep:
 
 class TestLatency:
     def test_smoke(self):
-        bundle = zero_weights(init_bundle("georesnn", seed=9))
+        bundle = zero_output(init_bundle("georesnn", seed=9))
         stats = latency_bench(bundle, n_points=300, mc_cfg=McConfig(paths=2000))
         assert stats.n_points == 200
         assert stats.median_us > 0

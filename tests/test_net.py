@@ -40,12 +40,7 @@ from sabrkit.net import (
     trainable_params,
 )
 
-
-def zero_weights(bundle):
-    for layer in bundle.layers:
-        layer.w[:] = 0.0
-        layer.b[:] = 0.0
-    return bundle
+from bundles import to_v1, zero_output
 
 
 def synthetic_rows(n, seed=0, residual_fn=None, tenor=None):
@@ -74,7 +69,7 @@ def synthetic_rows(n, seed=0, residual_fn=None, tenor=None):
 
 class TestForward:
     def test_zero_network_outputs_zero(self):
-        bundle = zero_weights(init_bundle("ndn", seed=0))
+        bundle = zero_output(init_bundle("ndn", seed=0))
         x = np.random.default_rng(1).normal(size=(9, 7))
         for training in (False, True):
             y, _ = forward(bundle, x, training=training)
@@ -120,13 +115,21 @@ class TestForward:
         assert len(init_bundle("georesnn").feature_names) == 11
         assert init_bundle("georesnn").layer_sizes == [11, 64, 64, 32, 1]
 
+    def test_trainable_parameter_counts(self):
+        # A hidden layer trains w and its batch norm's scale and shift, with
+        # no bias; the output layer trains w and b.
+        counts = {arch: sum(p.size for p in trainable_params(init_bundle(arch))) for arch in ARCHS}
+        assert counts == {"ndn": 6_945, "resnn": 6_945, "geonn": 7_201, "georesnn": 7_201}
+        layers = init_bundle("georesnn").layers
+        assert all(layer.b is None for layer in layers[:-1]) and layers[-1].bn is None
+
 
 def explicit_eval_forward(bundle, x):
     """Eval-mode forward running standardization and batch norm explicitly,
     at the running statistics: the oracle for the folded stack."""
     a = (x - bundle.x_mean) / bundle.x_std
     for layer in bundle.layers[:-1]:
-        z = a @ layer.w + layer.b
+        z = a @ layer.w
         bn = layer.bn
         inv_std = 1.0 / np.sqrt(bn.running_var + BN_EPS)
         a = np.maximum(bn.scale * ((z - bn.running_mean) * inv_std) + bn.shift, 0.0)
@@ -328,7 +331,7 @@ class TestGradients:
         params = trainable_params(bundle)
         assert len(grads) == len(params)
 
-        # The 7->8->1 body has 89 trainable scalars, so 100 perturbations
+        # The 7->8->1 body has 81 trainable scalars, so 100 perturbations
         # sample (array, entry) pairs with replacement.
         pairs = [(arr, grad, idx) for arr, grad in zip(params, grads)
                  for idx in range(arr.size)]
@@ -414,9 +417,8 @@ class TestTrain:
             return bundle
 
         a, b = run(), run()
-        for la, lb in zip(a.layers, b.layers):
-            np.testing.assert_array_equal(la.w, lb.w)
-            np.testing.assert_array_equal(la.b, lb.b)
+        for pa, pb in zip(trainable_params(a), trainable_params(b)):
+            np.testing.assert_array_equal(pa, pb)
 
     def test_standardization_fitted_on_train_only(self):
         rows = synthetic_rows(128, seed=25)
@@ -469,7 +471,7 @@ def oracle_forward(bundle, x):
     a = (x - bundle.x_mean) / bundle.x_std
     caches = []
     for layer in bundle.layers[:-1]:
-        z = a @ layer.w + layer.b
+        z = a @ layer.w
         bn = layer.bn
         mu = z.mean(axis=0)
         var = z.var(axis=0)
@@ -499,8 +501,7 @@ def oracle_backward(bundle, caches, d_out):
         n = d_zhat.shape[0]
         d_z = (inv_std / n) * (n * d_zhat - d_zhat.sum(axis=0)
                                - z_hat * (d_zhat * z_hat).sum(axis=0))
-        per_layer.append([x.T @ d_z, d_z.sum(axis=0), (d_pre * z_hat).sum(axis=0),
-                          d_pre.sum(axis=0)])
+        per_layer.append([x.T @ d_z, (d_pre * z_hat).sum(axis=0), d_pre.sum(axis=0)])
         d_a = d_z @ layer.w.T
     return [g for layer_grads in reversed(per_layer) for g in layer_grads]
 
@@ -636,13 +637,13 @@ class TestWorkspace:
 
 class TestPredict:
     def test_zero_residual_network_reproduces_baseline(self):
-        bundle = zero_weights(init_bundle("georesnn", seed=31))
+        bundle = zero_output(init_bundle("georesnn", seed=31))
         for K in (0.9, 1.0, 1.2):
             p = SabrPoint(T=1.0, F0=1.0, K=K, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
             assert predict_vol(bundle, p) == hagan_vol(p)
 
     def test_constant_offset_is_multiplicative(self):
-        bundle = zero_weights(init_bundle("resnn", seed=32))
+        bundle = zero_output(init_bundle("resnn", seed=32))
         bundle.layers[-1].b[:] = 0.05
         p = SabrPoint(T=1.0, F0=1.0, K=1.1, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
         assert predict_vol(bundle, p) == pytest.approx(1.05 * hagan_vol(p), rel=1e-15)
@@ -723,9 +724,9 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(bundle, path)
         loaded = load_model(path)
+        for pa, pb in zip(trainable_params(bundle), trainable_params(loaded)):
+            np.testing.assert_array_equal(pa, pb)
         for la, lb in zip(bundle.layers, loaded.layers):
-            np.testing.assert_array_equal(la.w, lb.w)
-            np.testing.assert_array_equal(la.b, lb.b)
             if la.bn is not None:
                 np.testing.assert_array_equal(la.bn.running_mean, lb.bn.running_mean)
                 np.testing.assert_array_equal(la.bn.running_var, lb.bn.running_var)
@@ -778,7 +779,10 @@ BROKEN_MODELS = {
     # The formula such a model was trained against is no longer in the package.
     "denominator bracket": _edit(["hagan_bracket"], "denominator"),
     "shape chain": _edit(["layers", 1, "w"], [[0.0] * 64] * 63),
-    "bias width": _edit(["layers", 0, "b"], [0.0] * 63),
+    "bias width": _edit(["layers", 3, "b"], [0.0] * 2),
+    # Batch norm's shift is a hidden layer's only offset.
+    "hidden layer with a bias": _edit(["layers", 0, "b"], [0.0] * 64),
+    "v1 format": to_v1,
     "layer sizes": _edit(["layer_sizes"], [11, 64, 64, 1]),
     "ragged weights": _edit(["layers", 0, "w", 3], [0.0]),
     "text weight": _edit(["layers", 3, "w", 0], ["x"]),
