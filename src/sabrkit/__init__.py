@@ -20,7 +20,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .geometry import GeomFeatures, features, q_transform, sigma_min
-from .hagan import SabrPoint, check_params, hagan_atm, hagan_vol, zx_ratio
+from .hagan import SabrPoint, check_params, hagan_vol, zx_ratio
 from .mc import McConfig, Terminals, simulate_terminals
 from .pricing import black_price, black_vega, implied_vol, norm_cdf, norm_pdf
 

@@ -148,7 +148,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
     if args.config:
         with open(args.config) as fh:
-            overrides = json.load(fh)
+            try:
+                overrides = json.load(fh)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise ConfigError(f"{args.config}: not a JSON file ({exc})") from None
         if not isinstance(overrides, dict):
             raise ConfigError(f"{args.config}: config file must hold a JSON object")
         explicit = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
@@ -156,7 +159,7 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
         for key, value in overrides.items():
             flag = "--" + key.replace("_", "-")
             if not hasattr(args, key):
-                raise ConfigError(f"config file sets unknown option {key!r}")
+                raise ConfigError(f"{args.config}: config file sets unknown option {key!r}")
             if flag in explicit or value is None or value is False:
                 continue
             keys.append(key)

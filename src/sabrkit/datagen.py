@@ -132,10 +132,12 @@ def sample_config(rng: np.random.Generator) -> tuple[float, float, float, float,
 def strike_grid(F0: float, alpha: float, T: float) -> np.ndarray:
     """11 strikes K = F0*exp(n*alpha*sqrt(T)), n in {-2.5, -2.0, ..., 2.5}.
 
-    The middle strike is F0 exactly.
+    The middle strike is F0 exactly. Raises ConfigError unless T, F0 and
+    alpha are finite and > 0.
     """
-    if F0 <= 0.0 or alpha <= 0.0 or T <= 0.0:
-        raise ConfigError("F0, alpha and T must be positive")
+    for name, v in (("T", T), ("F0", F0), ("alpha", alpha)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ConfigError(f"{name} must be finite and positive, got {v!r}")
     n = np.array(GRID_INDICES)
     return F0 * np.exp(n * alpha * math.sqrt(T))
 
@@ -380,7 +382,8 @@ def load_dataset(csv_path) -> Dataset:
     Each row is checked as it is read: the field count, the numeric fields,
     the split label, the valid flag, the SABR parameters, finite values in
     valid rows, and the closed form (inside its domain in valid rows). A
-    fault raises a one-line ConfigError naming the file and the line.
+    fault, or a line the csv module cannot parse (such as a field over its
+    size limit), raises a one-line ConfigError naming the file and the line.
 
     A row starts a new configuration index where its T, F0, alpha, beta,
     rho or nu differs from the previous row's, so the rows of one smile,
@@ -390,20 +393,20 @@ def load_dataset(csv_path) -> Dataset:
     config_index, last = -1, None
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ConfigError(f"{csv_path}: unexpected dataset header {header!r}")
-        for row in reader:
-            try:
+        try:
+            header = next(reader, None)
+            if header != CSV_HEADER:
+                raise ConfigError(f"unexpected dataset header {header!r}")
+            for row in reader:
                 sample = _sample_from_row(row)
-            except (ConfigError, ArithmeticError) as exc:
-                raise ConfigError(f"{csv_path}: line {reader.line_num}: {exc}") from None
-            p = sample.point
-            config = (p.T, p.F0, p.alpha, p.beta, p.rho, p.nu)
-            if config != last:
-                config_index, last = config_index + 1, config
-            sample.config_index = config_index
-            dataset.samples.append(sample)
+                p = sample.point
+                config = (p.T, p.F0, p.alpha, p.beta, p.rho, p.nu)
+                if config != last:
+                    config_index, last = config_index + 1, config
+                sample.config_index = config_index
+                dataset.samples.append(sample)
+        except (ConfigError, ArithmeticError, csv.Error) as exc:
+            raise ConfigError(f"{csv_path}: line {reader.line_num}: {exc}") from None
     return dataset
 
 

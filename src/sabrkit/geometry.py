@@ -22,8 +22,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import DomainError, NonFinite
-from .hagan import (ATM_LOG_THRESHOLD, BETA_ONE_THRESHOLD, SabrPoint, libm_log, libm_pow,
-                    raise_scalar_failure)
+from .hagan import BETA_ONE_THRESHOLD, SabrPoint, libm_log, libm_pow, raise_scalar_failure
 
 __all__ = [
     "GEOM_FIELDS",
@@ -34,6 +33,11 @@ __all__ = [
     "q_transform",
     "sigma_min",
 ]
+
+# Strikes with |ln(K/F0)| below this take sigma0's at-the-money limit
+# alpha*F0^(beta-1): there d_h is 0 too, so ln(K/F0)/d_h is 0/0, and
+# nearby both vanish together and cancel catastrophically.
+ATM_LOG_THRESHOLD = 1e-8
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ __all__ = [
     "SABR_FIELDS",
     "SabrPoint",
     "check_params",
-    "hagan_atm",
     "hagan_vol",
     "hagan_vols",
     "sabr_values",
@@ -42,10 +41,6 @@ __all__ = [
 # The placement of the log-moneyness bracket in the formula below, as model
 # files and dataset manifests record it.
 HAGAN_BRACKET = "numerator"
-
-# Strikes with |ln(F0/K)| below this are priced with the ATM formula; the
-# general expression is 0/0 at z = 0 and cancels catastrophically nearby.
-ATM_LOG_THRESHOLD = 1e-8
 
 # Below this |z| the z/x(z) ratio switches to its first-order series.
 _Z_SERIES_THRESHOLD = 1e-6
@@ -165,34 +160,17 @@ def _maturity_bracket(p: SabrPoint, fk_pow_1mb: float, fk_pow_half: float) -> fl
     return 1.0 + p.T * (term1 + term2 + term3)
 
 
-def hagan_atm(p: SabrPoint) -> float:
-    """At-the-money closed form; the strike field of ``p`` is ignored.
-
-    Raises NegativeVol when the maturity bracket drives the result to zero
-    or below, which signals leaving the expansion's validity domain, and
-    NonFinite when the result is inf or NaN.
-    """
-    f_pow_1mb = p.F0 ** _one_minus_beta(p.beta)
-    bracket = _maturity_bracket(p, f_pow_1mb * f_pow_1mb, f_pow_1mb)
-    sigma = p.alpha / f_pow_1mb * bracket
-    if sigma <= 0.0:
-        raise NegativeVol(f"ATM bracket {bracket!r} makes the vol nonpositive")
-    if not math.isfinite(sigma):
-        raise NonFinite(f"ATM formula returned {sigma!r}")
-    return sigma
-
-
 def hagan_vol(p: SabrPoint) -> float:
     """SABR implied volatility for one strike.
 
-    Dispatches to :func:`hagan_atm` when |ln(F0/K)| < 1e-8 so the ATM point
-    is evaluated with the exact reduced formula rather than a 0/0 limit.
-    Raises NegativeVol on a nonpositive result and NonFinite on inf or NaN.
+    One formula at every strike: at K = F0, z = 0, :func:`zx_ratio` takes
+    its series branch and gives 1, and the moneyness bracket is 1, so the
+    result is the at-the-money formula alpha/F0^(1-b) times the maturity
+    bracket (Hagan et al. 2002), and near the money it varies with K as the
+    smile does. Raises NegativeVol on a nonpositive result and NonFinite on
+    inf or NaN.
     """
     log_fk = math.log(p.F0 / p.K)
-    if abs(log_fk) < ATM_LOG_THRESHOLD:
-        return hagan_atm(p)
-
     # pow(x, 0) == 1 exactly, the beta ~ 1 value.
     omb = _one_minus_beta(p.beta)
     fk_pow_half = (p.F0 * p.K) ** (0.5 * omb)
@@ -221,32 +199,21 @@ def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
     """Array form of :func:`hagan_vol` over parameter columns.
 
     The 1-d columns hold the fields of valid :class:`SabrPoint` values. Each
-    result equals the scalar call's bit for bit; the ATM dispatch, the
-    z-series and the beta ~ 1 branches are masks. On a result that is not
-    finite and positive, raises what the scalar call raises on the first
-    such point (see :func:`raise_scalar_failure`); no libm call raises
-    first, as :func:`libm_log` gives NaN where math.log would raise.
+    result equals the scalar call's bit for bit; the z/x(z) series, which
+    covers the money, and the beta ~ 1 branch are masks. On a result that
+    is not finite and positive, raises what the scalar call raises on the
+    first such point (see :func:`raise_scalar_failure`); no libm call
+    raises first, as :func:`libm_log` gives NaN where math.log would raise.
     """
     columns = T, F0, K, alpha, beta, rho, nu = [np.asarray(c, dtype=float)
                                                 for c in (T, F0, K, alpha, beta, rho, nu)]
     log_fk = libm_log(F0 / K)
-    atm = np.abs(log_fk) < ATM_LOG_THRESHOLD
-    off = ~atm
     omb = 1.0 - beta
     omb = np.where(omb < BETA_ONE_THRESHOLD, 0.0, omb)
-    # Each power is taken only where it is read: F0^(1-b) at the money,
-    # where it stands for (F0*K)^((1-b)/2), and the (F0*K) powers and
-    # (1-b)^4 off it. pow(x, 0) == 1 exactly, the beta ~ 1 branch's value.
-    fk_pow_half = np.empty_like(omb)
-    fk_pow_1mb = np.empty_like(omb)
-    f_pow_1mb = libm_pow(F0[atm], omb[atm])
-    fk_pow_half[atm] = f_pow_1mb
-    fk_pow_1mb[atm] = f_pow_1mb * f_pow_1mb
-    fk, omb_off = F0[off] * K[off], omb[off]
-    fk_pow_half[off] = libm_pow(fk, 0.5 * omb_off)
-    fk_pow_1mb[off] = libm_pow(fk, omb_off)
-    omb_pow_4 = np.zeros_like(omb)
-    omb_pow_4[off] = libm_pow(omb_off, 4.0)
+    # pow(x, 0) == 1 exactly, the beta ~ 1 branch's value.
+    fk = F0 * K
+    fk_pow_half = libm_pow(fk, 0.5 * omb)
+    fk_pow_1mb = libm_pow(fk, omb)
     term1 = omb * omb * alpha * alpha / (24.0 * fk_pow_1mb)
     term2 = rho * beta * nu * alpha / (4.0 * fk_pow_half)
     term3 = (2.0 - 3.0 * rho * rho) * nu * nu / 24.0
@@ -257,16 +224,15 @@ def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
     # A vanishing alpha can send z*z to inf; the scalar form overflows
     # silently there too, and both forms give the same result.
     disc = 1.0 - 2.0 * rho * z + z * z
-    closed = off & (np.abs(z) >= _Z_SERIES_THRESHOLD)
+    closed = np.abs(z) >= _Z_SERIES_THRESHOLD
     zc, rc = z[closed], rho[closed]
     # Where disc < 0, sqrt gives NaN, and where the log's argument cancels
     # to 0 or below libm_log does; either way the point fails the check below.
     ratio[closed] = zc / libm_log((np.sqrt(disc[closed]) + zc - rc) / (1.0 - rc))
 
     log2 = log_fk * log_fk
-    money = 1.0 + omb * omb / 24.0 * log2 + omb_pow_4 / 1920.0 * log2 * log2
-    lead = alpha / fk_pow_half
-    sigma = np.where(atm, lead * maturity, lead * money * ratio * maturity)
+    money = 1.0 + omb * omb / 24.0 * log2 + libm_pow(omb, 4.0) / 1920.0 * log2 * log2
+    sigma = alpha / fk_pow_half * money * ratio * maturity
 
     failed = np.flatnonzero(~np.isfinite(sigma) | (sigma <= 0.0))
     if failed.size:

@@ -783,7 +783,8 @@ def _bundle_from_payload(payload) -> ModelBundle:
 def load_model(path) -> ModelBundle:
     """Read a model file written by :func:`save_model`.
 
-    The file is checked first (ConfigError, naming the file, on any fault);
+    The file is checked first (ConfigError, naming the file, on any fault,
+    including JSON nested too deeply to parse);
     the bundle then carries its folded eval-mode stack, so in-place edits
     of its arrays are not seen by prediction until it is retrained or
     reloaded.
@@ -791,7 +792,7 @@ def load_model(path) -> ModelBundle:
     with open(path) as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: not a JSON file ({exc})") from None
     try:
         bundle = _bundle_from_payload(payload)

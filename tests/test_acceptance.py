@@ -19,7 +19,7 @@ import pytest
 from sabrkit.datagen import build_dataset, filter_outliers, sample_config, split_dataset, strike_grid
 from sabrkit.evaluation import latency_bench, r2
 from sabrkit.geometry import features, q_transform, sigma_min
-from sabrkit.hagan import SabrPoint, hagan_atm, hagan_vol
+from sabrkit.hagan import SabrPoint, hagan_vol
 from sabrkit.mc import (
     McConfig,
     implied_vol_from_estimate,
@@ -40,6 +40,7 @@ from sabrkit.net import (
 )
 from sabrkit.pricing import black_price, black_vega, implied_vol
 
+from atm import atm_vol
 from bundles import zero_output
 from halfplane import geodesic_distance, to_halfplane
 from plain_mc import cv_price, plain_price_from_terminals
@@ -114,7 +115,7 @@ def test_criterion_2_hagan_exactness():
         T, F0, alpha, beta, rho, nu = sample_config(rng)
         p = SabrPoint(T=T, F0=F0, K=F0 * (1 + 1e-7), alpha=alpha, beta=beta,
                       rho=rho, nu=nu)
-        atm = hagan_atm(p)
+        atm = atm_vol(p)
         worst_gap = max(worst_gap, abs(hagan_vol(p) - atm) / atm)
     ok = worst_flat <= 1e-14 and worst_gap <= 1e-6
     _gate("2", ok, f"flat-case err {worst_flat:.2e}, ATM continuity gap {worst_gap:.2e}")

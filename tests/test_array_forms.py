@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from sabrkit.datagen import GRID_INDICES, sample_config, strike_grid
 from sabrkit.errors import DomainError, NegativeVol, NonFinite, SabrkitError
-from sabrkit.geometry import features, features_array
-from sabrkit.hagan import ATM_LOG_THRESHOLD, SabrPoint, hagan_atm, hagan_vol, hagan_vols
+from sabrkit.geometry import ATM_LOG_THRESHOLD, features, features_array
+from sabrkit.hagan import SabrPoint, hagan_vol, hagan_vols
 
 # Points outside the formulas' domain; the scalar calls raise on them.
 NEGATIVE_ATM = SabrPoint(T=2.0, F0=1.0, K=1.0, alpha=0.5, beta=1.0, rho=-0.95, nu=3.0)
@@ -31,7 +31,7 @@ HUGE_FORWARD = SabrPoint(T=1.0, F0=1e300, K=2e300, alpha=0.2, beta=0.0, rho=-0.3
 # F0^(beta-1) overflows at the money: OverflowError from features.
 OVERFLOWING_ATM = SabrPoint(T=1.0, F0=1e-310, K=1e-310, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
 
-# Either side of the ATM dispatch and of the z/x(z) series switch.
+# Either side of geometry's at-the-money switch and of the z/x(z) series switch.
 SIDES = (1.0 - 1e-3, 1.0 + 1e-3)
 
 
@@ -195,29 +195,35 @@ def test_failing_points_fail_in_scalar_form():
 
 
 def test_vanishing_alpha_overflows_silently():
-    # z ~ 1e290 beside the money, so z*z overflows to inf as in the scalar form.
-    near = [SabrPoint(T=1.0, F0=1.0, K=K, alpha=1e-300, beta=0.5, rho=0.0, nu=0.1)
-            for K in (1.0, math.exp(5e-9))]
-    off = SabrPoint(T=1.0, F0=1.0, K=0.9, alpha=1e-300, beta=0.5, rho=0.0, nu=0.1)
+    # z ~ 1e290 beside the money, so z*z overflows to inf as in the scalar
+    # form, z/x(z) comes out -0 and both forms raise NegativeVol, as far
+    # from the money. At the money z = 0 and the vol stays finite.
+    atm = SabrPoint(T=1.0, F0=1.0, K=1.0, alpha=1e-300, beta=0.5, rho=0.0, nu=0.1)
+    near, off = (SabrPoint(T=1.0, F0=1.0, K=K, alpha=1e-300, beta=0.5, rho=0.0, nu=0.1)
+                 for K in (math.exp(5e-9), 0.9))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(hagan_vols(*columns(near)), [hagan_vol(p) for p in near])
-        for fn in (hagan_vol, lambda p: hagan_vols(*columns([p]))):
-            with pytest.raises(NegativeVol):
-                fn(off)
+        assert np.array_equal(hagan_vols(*columns([atm])), [hagan_vol(atm)])
+        assert math.isfinite(hagan_vol(atm))
+        for p in (near, off):
+            for fn in (hagan_vol, lambda p: hagan_vols(*columns([p]))):
+                with pytest.raises(NegativeVol):
+                    fn(p)
 
 
 def test_non_finite_result_raises_in_both_forms():
     # Valid points at which the result overflows to inf, at and off the
-    # money: the bracket's alpha^2 / (F0*K)^(1-b) term is huge at tiny forwards.
-    atm = SabrPoint(T=1.0, F0=1e-310, K=1e-310, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
+    # money: the bracket's alpha^2 / (F0*K)^(1-b) term is huge at tiny
+    # forwards. Smaller still, F0*K underflows to 0 and the bracket divides
+    # by zero.
+    atm = SabrPoint(T=1.0, F0=1e-158, K=1e-158, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
     wing = SabrPoint(T=1.0, F0=1e-150, K=2e-150, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
+    underflow = SabrPoint(T=1.0, F0=1e-310, K=1e-310, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
     good = SabrPoint(T=1.0, F0=1.0, K=1.1, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for fn, p in ((hagan_atm, atm), (hagan_vol, atm), (hagan_vol, wing)):
-            with pytest.raises(NonFinite):
-                fn(p)
-        for bad in (atm, wing):
-            with pytest.raises(NonFinite, match="point 1"):
+        for bad, error in ((atm, NonFinite), (wing, NonFinite), (underflow, ZeroDivisionError)):
+            with pytest.raises(error):
+                hagan_vol(bad)
+            with pytest.raises(error, match="point 1"):
                 hagan_vols(*columns([good, bad, good]))

@@ -320,6 +320,8 @@ BROKEN_ROWS = {
     "bad valid flag": with_fields(valid="yes"),
     "non-finite valid row": with_fields(sigma_mc="nan", valid="true"),
     "rho out of domain": with_fields(rho="0.99"),
+    # Longer than the csv module's field size limit (131072 characters).
+    "over-long field": with_fields(alpha="1" * 200_000),
     # The maturity bracket goes negative: NegativeVol on a valid row.
     "valid row outside the closed form's domain": with_fields(T="5", rho="-0.95", nu="10",
                                                               valid="true"),
@@ -351,14 +353,28 @@ def test_file_with_stored_closed_form_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "unexpected dataset header" in err
 
 
-# One fault per model file; price must exit 2.
+# JSON nested deeper than the parser's recursion limit.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def edited(fault):
+    """The text of a model file whose parsed payload ``fault`` edits."""
+    def text(payload):
+        fault(payload)
+        return json.dumps(payload)
+    return text
+
+
+# One fault per model file, as the file's text from its parsed payload;
+# price must exit 2.
 BROKEN_MODELS = {
-    "no layers": lambda payload: payload.pop("layers"),
-    "shape chain": lambda payload: payload["layers"][1]["w"].pop(),
-    "denominator bracket": lambda payload: payload.update(hagan_bracket="denominator"),
-    "bn momentum": lambda payload: payload["layers"][0]["bn"].update(momentum=0.2),
-    "bn eps": lambda payload: payload["layers"][1]["bn"].update(eps=1e-3),
-    "v1 format": to_v1,
+    "no layers": edited(lambda payload: payload.pop("layers")),
+    "shape chain": edited(lambda payload: payload["layers"][1]["w"].pop()),
+    "denominator bracket": edited(lambda payload: payload.update(hagan_bracket="denominator")),
+    "bn momentum": edited(lambda payload: payload["layers"][0]["bn"].update(momentum=0.2)),
+    "bn eps": edited(lambda payload: payload["layers"][1]["bn"].update(eps=1e-3)),
+    "v1 format": edited(to_v1),
+    "nested JSON": lambda payload: DEEP_JSON,
 }
 
 
@@ -382,9 +398,7 @@ class TestPrice:
     @pytest.mark.parametrize("fault", sorted(BROKEN_MODELS))
     def test_broken_model_exit_2_one_line(self, tmp_path, capsys, fault):
         model = zero_model(tmp_path)
-        payload = json.loads(model.read_text())
-        BROKEN_MODELS[fault](payload)
-        model.write_text(json.dumps(payload))
+        model.write_text(BROKEN_MODELS[fault](json.loads(model.read_text())))
         assert main(["price", "--model", str(model), "--K", "1.1"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("invalid input:")
@@ -402,13 +416,13 @@ class TestPrice:
         assert captured.err.count("\n") == 1 and captured.err.startswith("numerical failure:")
 
     def test_infinite_closed_form_exit_3_one_line(self, tmp_path, capsys):
-        # A valid point at which the ATM formula overflows to inf.
+        # A valid point at the money at which the smile formula overflows to inf.
         model = zero_model(tmp_path)
-        assert main(["price", "--model", str(model), "--F0", "1e-310", "--K", "1e-310",
-                     "--beta", "0.5"]) == 3
+        assert main(["price", "--model", str(model), "--F0", "1e-158", "--K", "1e-158",
+                     "--beta", "0"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "numerical failure: ATM formula returned inf\n"
+        assert captured.err == "numerical failure: smile formula returned inf\n"
 
     def test_missing_required_flag_exit_2(self, tmp_path):
         assert main(["price", "--model", "nowhere.json"]) == 2
@@ -465,21 +479,26 @@ class TestConfigOverlay:
         assert main([{"CFG": str(cfg), "OUT": str(out)}.get(a, a) for a in argv]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("payload, argv", [
-        ([5, 2000], ["generate", "--out", "OUT"]),
-        ({"paths": "abc"}, ["generate", "--configs", "2", "--out", "OUT"]),
-        ({"epochs": "x"}, ["train", "--dataset", "d.csv", "--arch", "ndn", "--out", "OUT"]),
-        ({"cv_vol": "paper_alpha"}, ["generate", "--configs", "2", "--out", "OUT"]),
-        ({"sigma_scheme": "log-exact"}, ["generate", "--configs", "2", "--out", "OUT"]),
+    @pytest.mark.parametrize("text, argv", [
+        (json.dumps([5, 2000]), ["generate", "--out", "OUT"]),
+        (json.dumps({"paths": "abc"}), ["generate", "--configs", "2", "--out", "OUT"]),
+        (json.dumps({"epochs": "x"}),
+         ["train", "--dataset", "d.csv", "--arch", "ndn", "--out", "OUT"]),
+        (json.dumps({"cv_vol": "paper_alpha"}), ["generate", "--configs", "2", "--out", "OUT"]),
+        (json.dumps({"sigma_scheme": "log-exact"}),
+         ["generate", "--configs", "2", "--out", "OUT"]),
+        (json.dumps({"pathz": 2000}), ["generate", "--configs", "2", "--out", "OUT"]),
+        ("{not json", ["generate", "--configs", "2", "--out", "OUT"]),
+        (DEEP_JSON, ["smile", "--paths", "2000", "--out", "OUT"]),
     ], ids=["top-level list", "wrong-typed paths", "wrong-typed epochs", "bad choice",
-            "removed sigma scheme"])
-    def test_bad_config_file_exit_2_one_line(self, tmp_path, capsys, payload, argv):
+            "removed sigma scheme", "unknown option", "JSON syntax", "nested JSON"])
+    def test_bad_config_file_exit_2_one_line(self, tmp_path, capsys, text, argv):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(payload))
+        cfg.write_text(text)
         out = tmp_path / "out"
         assert main(["--config", str(cfg), *[str(out) if a == "OUT" else a for a in argv]]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("invalid input:")
+        assert err.count("\n") == 1 and err.startswith(f"invalid input: {cfg}: ")
         assert not out.exists()
 
 

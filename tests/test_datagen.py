@@ -145,6 +145,13 @@ class TestStrikeGrid:
         assert ks[5] == 0.03
         assert ks[-1] == pytest.approx(0.03 * math.exp(2.5 * 0.02 * 2.0), rel=1e-14)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["F0", "alpha", "T"])
+    def test_non_finite_or_nonpositive_input_raises(self, name, bad):
+        args = dict(F0=0.03, alpha=0.2, T=1.0) | {name: bad}
+        with pytest.raises(ConfigError, match=name):
+            strike_grid(**args)
+
 
 class TestBuildDataset:
     def test_one_config_shares_parameters(self):

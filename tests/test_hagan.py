@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from sabrkit.errors import NegativeVol
-from sabrkit.hagan import SabrPoint, hagan_atm, hagan_vol, zx_ratio
+from sabrkit.hagan import SabrPoint, hagan_vol, zx_ratio
+
+from atm import atm_vol
 
 mp.mp.dps = 40
 
@@ -70,24 +72,31 @@ class TestZxRatio:
 
 
 class TestAtm:
+    """The general formula at K = F0, against hand-derived values and the
+    reduced at-the-money formula."""
+
     def test_lognormal_flat(self):
         p = SabrPoint(T=3.0, F0=0.02, K=0.02, alpha=0.25, beta=1.0, rho=0.0, nu=0.0)
-        assert hagan_atm(p) == pytest.approx(0.25, abs=1e-15)
+        assert hagan_vol(p) == pytest.approx(0.25, abs=1e-15)
+        assert atm_vol(p) == pytest.approx(0.25, abs=1e-15)
 
     def test_wide_smile_parameters(self):
         # 0.2*(1 + 0.000416667 - 0.024 + 0.0048), term by term
         p = SabrPoint(K=1.0, **TABLE1)
-        assert hagan_atm(p) == pytest.approx(0.19624333333333333, abs=1e-12)
+        assert hagan_vol(p) == pytest.approx(0.19624333333333333, abs=1e-12)
+        assert atm_vol(p) == pytest.approx(0.19624333333333333, abs=1e-12)
 
     def test_cev_short_rate_scale(self):
         # alpha*F0^(beta-1) = 0.5, bracket = 1 + 0.01^2/(24*0.02^2)
         p = SabrPoint(T=1.0, F0=0.02, K=0.02, alpha=0.01, beta=0.0, rho=0.0, nu=0.0)
-        assert hagan_atm(p) == pytest.approx(0.5052083333333333, abs=1e-12)
+        assert hagan_vol(p) == pytest.approx(0.5052083333333333, abs=1e-12)
+        assert atm_vol(p) == pytest.approx(0.5052083333333333, abs=1e-12)
 
     def test_negative_bracket_raises(self):
         p = SabrPoint(T=2.0, F0=1.0, K=1.0, alpha=0.5, beta=1.0, rho=-0.95, nu=3.0)
+        assert atm_vol(p) <= 0.0
         with pytest.raises(NegativeVol):
-            hagan_atm(p)
+            hagan_vol(p)
 
 
 class TestSmile:
@@ -96,11 +105,12 @@ class TestSmile:
             p = SabrPoint(T=2.0, F0=1.3, K=K, alpha=0.37, beta=1.0, rho=0.3, nu=0.0)
             assert abs(hagan_vol(p) - 0.37) <= 1e-14
 
-    def test_atm_is_dispatch_not_limit(self):
+    def test_atm_is_the_general_formula_at_z_zero(self):
+        # z = 0 at the money, where z/x(z) is exactly 1 and so is the
+        # moneyness bracket: the general formula is the ATM formula there.
         p = SabrPoint(K=1.0, **TABLE1)
-        assert hagan_vol(p) == hagan_atm(p)
-        # z = 0 at the money, where z/x(z) is exactly 1
         assert zx_ratio(0.0, p.rho) == 1.0
+        assert hagan_vol(p) == atm_vol(p)
 
     def test_against_independent_transcription(self):
         for K in (0.5, 0.77, 1.21, 1.9):
@@ -123,10 +133,31 @@ class TestSmile:
             T, F0, alpha, beta, rho, nu = sample_config(rng)
             near = SabrPoint(T=T, F0=F0, K=F0 * (1 + 1e-7), alpha=alpha,
                              beta=beta, rho=rho, nu=nu)
-            atm = hagan_atm(near)
+            atm = atm_vol(near)
             assert abs(hagan_vol(near) - atm) <= 1e-6 * atm
         wide = SabrPoint(K=1.0 * (1 + 1e-7), **TABLE1)
-        assert abs(hagan_vol(wide) - hagan_atm(wide)) <= 1e-6 * hagan_atm(wide)
+        assert abs(hagan_vol(wide) - atm_vol(wide)) <= 1e-6 * atm_vol(wide)
+
+    def test_continuous_through_the_money(self):
+        # Across |ln(F0/K)| = 1e-8, where geometry's sigma0 switches to its
+        # at-the-money limit, the vol moves only by the smile's own slope
+        # (~1e-10 relative here), and at K = F0 it is the ATM formula to a
+        # few ulp and the exact-arithmetic transcription to 1e-12.
+        from sabrkit.datagen import sample_config
+
+        rng = np.random.default_rng(11)
+        cases = [dict(T=1.0, F0=0.03, alpha=0.02, beta=0.5, rho=-0.3, nu=0.3), TABLE1]
+        cases += [dict(zip(("T", "F0", "alpha", "beta", "rho", "nu"), sample_config(rng)))
+                  for _ in range(2000)]
+        for case in cases:
+            atm = SabrPoint(K=case["F0"], **case)
+            vol = hagan_vol(atm)
+            assert abs(vol - atm_vol(atm)) <= 4 * math.ulp(vol)
+            assert vol == pytest.approx(mp_smile_vol(K=case["F0"], **case), rel=1e-12)
+            for sign in (1.0, -1.0):
+                inside, outside = (hagan_vol(SabrPoint(K=case["F0"] * math.exp(sign * t), **case))
+                                   for t in (0.999e-8, 1.001e-8))
+                assert abs(inside - outside) <= 1e-9 * outside
 
     def test_smile_is_continuous_on_fine_grid(self):
         # A discontinuity of size J shows up as a second difference >= J;

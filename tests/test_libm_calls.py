@@ -69,19 +69,16 @@ def test_powers_and_logs_only_where_read(calls, n, n_atm):
         return 0.0 if 1.0 - p.beta < hagan.BETA_ONE_THRESHOLD else 1.0 - p.beta
 
     pow_pairs = pairs(calls, "sabrkit.hagan", "libm_pow")
-    # F0^(1-b) on exactly the points at the money.
-    assert sorted(x for x, y in pow_pairs if (x, y) in {(p.F0, omb(p)) for p in points}) \
-        == sorted(p.F0 for p in atm)
-    # (F0*K)^((1-b)/2), (F0*K)^(1-b) and (1-b)^4 on every point off it and no other.
-    for p in atm:
-        fk = p.F0 * p.K
-        assert (fk, 0.5 * omb(p)) not in pow_pairs and (fk, omb(p)) not in pow_pairs
-    for p in off:
+    # (F0*K)^((1-b)/2), (F0*K)^(1-b) and (1-b)^4 on every point, at the
+    # money too, and no other power: no F0^(1-b).
+    for p in points:
         fk = p.F0 * p.K
         assert (fk, 0.5 * omb(p)) in pow_pairs and (fk, omb(p)) in pow_pairs
-    assert sum(y == 4.0 for _, y in pow_pairs) == len(off)
-    assert len(pow_pairs) == len(atm) + 3 * len(off)
-    # One log(F0/K) per point, then the closed-form z/x(z) log off the money only.
+        assert (p.F0, omb(p)) not in pow_pairs
+    assert sorted(x for x, y in pow_pairs if y == 4.0) == sorted(omb(p) for p in points)
+    assert len(pow_pairs) == 3 * n
+    # One log(F0/K) per point, then the closed-form z/x(z) log only where
+    # |z| >= 1e-6, which excludes the money (z = 0).
     assert n_elements(calls, "sabrkit.hagan", "libm_log") <= n + len(off)
 
 
