@@ -237,9 +237,9 @@ def latency_bench(bundle: ModelBundle, mc_cfg: McConfig, n_points: int = 10_000,
     :func:`~sabrkit.net.predict_vols` call on all the points.
 
     The strike's grid index is drawn uniformly, so one point in eleven
-    sits at the money, where geometry takes sigma0's limit instead of the
-    geodesic log. The first ``LATENCY_WARMUP`` calls are excluded from the
-    statistics.
+    sits at the money; the closed form and the features take the same
+    formula there as at every other strike. The first ``LATENCY_WARMUP``
+    calls are excluded from the statistics.
     """
     if n_points <= LATENCY_WARMUP:
         raise ValueError("n_points must exceed the warmup count")

@@ -13,7 +13,9 @@ them at once and agrees with it bit for bit. Neither returns inf or NaN.
 Some valid points leave the band where the formula is finite, such as
 forwards so small that the maturity bracket overflows or F0*K underflows;
 there both forms raise the same ZeroDivisionError, OverflowError or
-:class:`~sabrkit.errors.NonFinite`.
+:class:`~sabrkit.errors.NonFinite`. One formula serves every strike and
+every beta, beta = 1 included. :func:`zx_ratio` at -rho also gives the
+geometry's geodesic distance.
 """
 
 from __future__ import annotations
@@ -45,28 +47,29 @@ HAGAN_BRACKET = "numerator"
 # Below this |z| the z/x(z) ratio switches to its first-order series.
 _Z_SERIES_THRESHOLD = 1e-6
 
-# Powers of (1 - beta) are treated as exactly zero beyond this point, so the
-# lognormal edge case never sees spurious (F0*K)^eps factors; the CEV
-# integral in geometry takes its log form here, as the power form loses
-# ~1/(1-beta) digits to cancellation.
-BETA_ONE_THRESHOLD = 1e-9
-
-# numpy's SIMD log and pow differ from the C library's by about an ulp, and
-# cancellations such as (K^(1-b) - F0^(1-b))/(1-b) amplify that to 2e-13.
-# The array forms therefore call math.log/math.pow element by element, like
-# the scalar forms, and keep all other arithmetic in numpy, in the scalar
-# forms' operation order, so both agree bit for bit. Each element costs a
+# numpy's SIMD log, pow and expm1 differ from the C library's by about an
+# ulp, and cancellations such as the z/x(z) log's near |z| = 1e-6 amplify
+# that. The array forms therefore call math.log/math.pow/math.expm1 element
+# by element, like the scalar forms, and keep all other arithmetic in numpy,
+# in the scalar forms' operation order, so both agree bit for bit. Each element costs a
 # Python-level call, so callers pass only the elements whose result they
-# read. log goes through a ufunc made by np.frompyfunc and pow through
-# np.fromiter over map(math.pow, ...): for each, the faster of the two
-# ways, as timed on 1024-element arrays.
+# read. log and expm1 go through ufuncs made by np.frompyfunc and pow
+# through np.fromiter over map(math.pow, ...): for each, the faster of the
+# two ways, as timed on 1024-element arrays.
 _log = np.frompyfunc(math.log, 1, 1)
+_expm1 = np.frompyfunc(math.expm1, 1, 1)
 
 
 def libm_log(x: np.ndarray) -> np.ndarray:
     """Element-wise ``math.log``, NaN where ``x <= 0``: there math.log
     raises, and a caller's result check finds the point instead."""
     return _log(np.where(x > 0.0, x, np.nan)).astype(float)
+
+
+def libm_expm1(x: np.ndarray) -> np.ndarray:
+    """Element-wise ``math.expm1``. It raises OverflowError only above
+    ln(DBL_MAX), which no (1-b)*ln(K/F0) of finite K/F0 exceeds."""
+    return _expm1(x).astype(float)
 
 
 def libm_pow(x: np.ndarray, y) -> np.ndarray:
@@ -134,7 +137,8 @@ def zx_ratio(z: float, rho: float) -> float:
     cancels catastrophically, so the first-order expansion
     z/x(z) = 1 - rho*z/2 + O(z^2) is used there. Raises DomainError where
     the discriminant is negative or, at very negative z, the log's argument
-    cancels to 0 or below.
+    cancels to 0 or below. Where z*z overflows, x(z) is inf and the factor
+    comes out +-0. At -rho, x(q/alpha) is the geometry's geodesic distance.
     """
     if abs(z) < _Z_SERIES_THRESHOLD:
         return 1.0 - 0.5 * rho * z
@@ -147,17 +151,17 @@ def zx_ratio(z: float, rho: float) -> float:
     return z / math.log(arg)
 
 
-def _one_minus_beta(beta: float) -> float:
-    omb = 1.0 - beta
-    return 0.0 if omb < BETA_ONE_THRESHOLD else omb
-
-
-def _maturity_bracket(p: SabrPoint, fk_pow_1mb: float, fk_pow_half: float) -> float:
-    omb = _one_minus_beta(p.beta)
-    term1 = omb * omb * p.alpha * p.alpha / (24.0 * fk_pow_1mb)
-    term2 = p.rho * p.beta * p.nu * p.alpha / (4.0 * fk_pow_half)
-    term3 = (2.0 - 3.0 * p.rho * p.rho) * p.nu * p.nu / 24.0
-    return 1.0 + p.T * (term1 + term2 + term3)
+def zx_ratios(z: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Array form of :func:`zx_ratio` over 1-d columns, equal to it bit for
+    bit and NaN where it raises: sqrt of a negative discriminant is NaN, and
+    so is :func:`libm_log` of an argument <= 0. The log is taken only where
+    |z| >= 1e-6."""
+    ratio = 1.0 - 0.5 * rho * z
+    disc = 1.0 - 2.0 * rho * z + z * z
+    closed = np.abs(z) >= _Z_SERIES_THRESHOLD
+    zc, rc = z[closed], rho[closed]
+    ratio[closed] = zc / libm_log((np.sqrt(disc[closed]) + zc - rc) / (1.0 - rc))
+    return ratio
 
 
 def hagan_vol(p: SabrPoint) -> float:
@@ -171,8 +175,7 @@ def hagan_vol(p: SabrPoint) -> float:
     inf or NaN.
     """
     log_fk = math.log(p.F0 / p.K)
-    # pow(x, 0) == 1 exactly, the beta ~ 1 value.
-    omb = _one_minus_beta(p.beta)
+    omb = 1.0 - p.beta
     fk_pow_half = (p.F0 * p.K) ** (0.5 * omb)
     fk_pow_1mb = (p.F0 * p.K) ** omb
 
@@ -183,7 +186,10 @@ def hagan_vol(p: SabrPoint) -> float:
     money = 1.0 + omb * omb / 24.0 * log2 + omb**4 / 1920.0 * log2 * log2
     core = p.alpha / fk_pow_half * money
 
-    sigma = core * ratio * _maturity_bracket(p, fk_pow_1mb, fk_pow_half)
+    term1 = omb * omb * p.alpha * p.alpha / (24.0 * fk_pow_1mb)
+    term2 = p.rho * p.beta * p.nu * p.alpha / (4.0 * fk_pow_half)
+    term3 = (2.0 - 3.0 * p.rho * p.rho) * p.nu * p.nu / 24.0
+    sigma = core * ratio * (1.0 + p.T * (term1 + term2 + term3))
     if sigma <= 0.0:
         raise NegativeVol(f"smile formula returned nonpositive vol {sigma!r}")
     if not math.isfinite(sigma):
@@ -199,18 +205,15 @@ def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
     """Array form of :func:`hagan_vol` over parameter columns.
 
     The 1-d columns hold the fields of valid :class:`SabrPoint` values. Each
-    result equals the scalar call's bit for bit; the z/x(z) series, which
-    covers the money, and the beta ~ 1 branch are masks. On a result that
-    is not finite and positive, raises what the scalar call raises on the
-    first such point (see :func:`raise_scalar_failure`); no libm call
-    raises first, as :func:`libm_log` gives NaN where math.log would raise.
+    result equals the scalar call's bit for bit. On a result that is not
+    finite and positive, raises what the scalar call raises on the first
+    such point (see :func:`raise_scalar_failure`); no libm call raises
+    first, as :func:`libm_log` gives NaN where math.log would raise.
     """
     columns = T, F0, K, alpha, beta, rho, nu = [np.asarray(c, dtype=float)
                                                 for c in (T, F0, K, alpha, beta, rho, nu)]
     log_fk = libm_log(F0 / K)
     omb = 1.0 - beta
-    omb = np.where(omb < BETA_ONE_THRESHOLD, 0.0, omb)
-    # pow(x, 0) == 1 exactly, the beta ~ 1 branch's value.
     fk = F0 * K
     fk_pow_half = libm_pow(fk, 0.5 * omb)
     fk_pow_1mb = libm_pow(fk, omb)
@@ -220,15 +223,10 @@ def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
     maturity = 1.0 + T * (term1 + term2 + term3)
 
     z = nu / alpha * fk_pow_half * log_fk
-    ratio = 1.0 - 0.5 * rho * z
     # A vanishing alpha can send z*z to inf; the scalar form overflows
-    # silently there too, and both forms give the same result.
-    disc = 1.0 - 2.0 * rho * z + z * z
-    closed = np.abs(z) >= _Z_SERIES_THRESHOLD
-    zc, rc = z[closed], rho[closed]
-    # Where disc < 0, sqrt gives NaN, and where the log's argument cancels
-    # to 0 or below libm_log does; either way the point fails the check below.
-    ratio[closed] = zc / libm_log((np.sqrt(disc[closed]) + zc - rc) / (1.0 - rc))
+    # silently there too, and both forms give the same result. Where
+    # zx_ratio raises, the NaN fails the check below.
+    ratio = zx_ratios(z, rho)
 
     log2 = log_fk * log_fk
     money = 1.0 + omb * omb / 24.0 * log2 + libm_pow(omb, 4.0) / 1920.0 * log2 * log2

@@ -7,7 +7,7 @@ rotate them into the half-plane to check distances against arccosh.
 import math
 from dataclasses import dataclass
 
-from sabrkit.geometry import _distance, sigma_min
+from sabrkit.geometry import sigma_min
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,9 @@ def to_halfplane(q: float, sigma: float, rho: float) -> HalfPlanePoint:
 
 
 def geodesic_distance(alpha: float, rho: float, q: float) -> float:
-    """The signed geodesic distance ``features`` computes, from (0, alpha)
-    to the strike manifold at flattened strike q."""
-    return _distance(alpha, rho, q, sigma_min(alpha, rho, q))
+    """The signed geodesic distance from (0, alpha) to the strike manifold
+    at flattened strike q, ln((sigma_min + rho*alpha + q) / ((1+rho)*alpha)),
+    written out here rather than taken from ``geometry``, which computes it
+    as Hagan's x(q/alpha) at -rho."""
+    smin = sigma_min(alpha, rho, q)
+    return math.log((smin + rho * alpha + q) / ((1.0 + rho) * alpha))

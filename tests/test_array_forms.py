@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 from sabrkit.datagen import GRID_INDICES, sample_config, strike_grid
 from sabrkit.errors import DomainError, NegativeVol, NonFinite, SabrkitError
-from sabrkit.geometry import ATM_LOG_THRESHOLD, features, features_array
+from sabrkit.geometry import features, features_array
 from sabrkit.hagan import SabrPoint, hagan_vol, hagan_vols
 
 # Points outside the formulas' domain; the scalar calls raise on them.
 NEGATIVE_ATM = SabrPoint(T=2.0, F0=1.0, K=1.0, alpha=0.5, beta=1.0, rho=-0.95, nu=3.0)
 NEGATIVE_WING = SabrPoint(T=2.0, F0=1.0, K=1.05, alpha=0.5, beta=1.0, rho=-0.95, nu=3.0)
-# A vanishing alpha far from the money: the geodesic log argument cancels to 0.
+# A vanishing alpha far from the money: zeta = q/alpha is so large that
+# zeta^2 overflows inside x(zeta), and z/x(z) comes out 0.
 ZERO_GEODESIC = SabrPoint(T=1.0, F0=1.0, K=0.5, alpha=1e-300, beta=0.0, rho=0.0, nu=0.0)
 
 # F0^(2(1-b)) underflows to 0 in the ATM bracket: ZeroDivisionError.
@@ -28,10 +29,11 @@ CANCELLED_LOG = SabrPoint(T=1.0, F0=1e22, K=2.5e22, alpha=0.05, beta=0.0, rho=0.
 
 # q^2 overflows in sigma_min: NonFinite from features.
 HUGE_FORWARD = SabrPoint(T=1.0, F0=1e300, K=2e300, alpha=0.2, beta=0.0, rho=-0.3, nu=0.4)
-# F0^(beta-1) overflows at the money: OverflowError from features.
+# alpha/F0^(1-beta) overflows at the money: NonFinite from features.
 OVERFLOWING_ATM = SabrPoint(T=1.0, F0=1e-310, K=1e-310, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
 
-# Either side of geometry's at-the-money switch and of the z/x(z) series switch.
+# Either side of |ln(F0/K)| = 1e-8, the former at-the-money switch of the
+# features, and of the z/x(z) series switch.
 SIDES = (1.0 - 1e-3, 1.0 + 1e-3)
 
 
@@ -47,10 +49,11 @@ def quadruple(p):
 @st.composite
 def generator_points(draw):
     """A configuration from the dataset generator, at a grid strike or at an
-    edge: beta at 0 or 1, K == F0, |ln(F0/K)| or |z| beside its switch."""
+    edge: beta at 0, at 1 or just below 1, K == F0, |ln(F0/K)| beside 1e-8
+    or |z| beside its switch."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     T, F0, alpha, beta, rho, nu = sample_config(rng)
-    beta = draw(st.sampled_from((beta, beta, 0.0, 1.0, 1.0 - 1e-10)))
+    beta = draw(st.sampled_from((beta, beta, 0.0, 1.0, 1.0 - 1e-8, 1.0 - 1e-10)))
     edge = draw(st.sampled_from(("grid", "atm", "log", "z")))
     sign = draw(st.sampled_from((-1.0, 1.0)))
     side = draw(st.sampled_from(SIDES))
@@ -59,7 +62,7 @@ def generator_points(draw):
     elif edge == "atm":
         K = F0
     elif edge == "log":
-        K = F0 * math.exp(sign * side * ATM_LOG_THRESHOLD)
+        K = F0 * math.exp(sign * side * 1e-8)  # the former switch
     else:
         # z ~ nu/alpha * F0^(1-beta) * ln(F0/K) near the money.
         K = F0 * math.exp(-sign * side * 1e-6 * alpha / (nu * F0 ** (1.0 - beta)))
@@ -152,9 +155,9 @@ def test_edges_take_both_branches():
     # The edge points above really sit on both sides of each switch.
     F0, alpha, nu = 0.03, 0.02, 0.3
     for side in SIDES:
-        p = SabrPoint(T=1.0, F0=F0, K=F0 * math.exp(side * ATM_LOG_THRESHOLD),
+        p = SabrPoint(T=1.0, F0=F0, K=F0 * math.exp(side * 1e-8),
                       alpha=alpha, beta=1.0, rho=-0.3, nu=nu)
-        assert (abs(math.log(F0 / p.K)) < ATM_LOG_THRESHOLD) == (side < 1.0)
+        assert (abs(math.log(F0 / p.K)) < 1e-8) == (side < 1.0)
         K = F0 * math.exp(-side * 1e-6 * alpha / nu)
         z = nu / alpha * math.log(F0 / K)
         assert (abs(z) < 1e-6) == (side < 1.0)

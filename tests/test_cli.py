@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -390,6 +391,17 @@ class TestPrice:
                                        beta=0.5, rho=-0.8, nu=1.2))
         assert printed == pytest.approx(expected, rel=1e-9)
 
+    def test_beta_near_one_beside_the_money_prices(self, tmp_path, capsys):
+        # Beside the money at beta = 1 - 1e-8, where the power form
+        # (K^(1-b) - F0^(1-b))/(1-b) of q cancels to 0.
+        model = zero_model(tmp_path)
+        code = main(["price", "--model", str(model), "--T", "0.3333333333333333",
+                     "--F0", "0.028072915716929766", "--K", "0.02807291543591988",
+                     "--alpha", "0.022215206332528915", "--beta", "0.99999999",
+                     "--rho", "-0.24974970959610907", "--nu", "0.2371752439431079"])
+        assert code == 0
+        assert math.isfinite(float(capsys.readouterr().out.strip()))
+
     def test_malformed_input_exit_2(self, tmp_path):
         model = zero_model(tmp_path, arch="resnn")
         assert main(["price", "--model", str(model), "--K", "1.0",
@@ -407,7 +419,7 @@ class TestPrice:
     @pytest.mark.parametrize("forward", ["1e-170", "1e-310"])
     def test_tiny_forward_exit_3_one_line(self, tmp_path, capsys, forward):
         # Valid points at which F0*K underflows (ZeroDivisionError) or
-        # F0^(beta-1) overflows (OverflowError).
+        # alpha/F0^(1-beta) overflows (NonFinite).
         model = zero_model(tmp_path)
         assert main(["price", "--model", str(model), "--F0", forward, "--K", forward,
                      "--beta", "0"]) == 3

@@ -1,9 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sabrkit.datagen import sample_config, strike_grid
 from sabrkit.geometry import features, q_transform, sigma_min
 from sabrkit.hagan import SabrPoint
 
@@ -13,6 +15,25 @@ from halfplane import geodesic_distance, to_halfplane
 def hyp_dist(u1, v1, u2, v2):
     """Half-plane distance arccosh(1 + ((du)^2 + (dv)^2) / (2 v1 v2))."""
     return math.acosh(1.0 + ((u2 - u1) ** 2 + (v2 - v1) ** 2) / (2.0 * v1 * v2))
+
+
+def mp_features(F0, K, alpha, beta, rho):
+    """A 50-digit transcription of (q, sigma_min, d_h, sigma0) from the
+    integral, log and ratio definitions, at the exact binary inputs."""
+    with mp.workdps(50):
+        F0, K, alpha, beta, rho = map(mp.mpf, (F0, K, alpha, beta, rho))
+        omb = 1 - beta
+        log_kf = mp.log(K / F0)
+        q = log_kf if omb == 0 else (K**omb - F0**omb) / omb
+        smin = mp.sqrt(alpha**2 + 2 * rho * alpha * q + q**2)
+        d_h = mp.log((smin + rho * alpha + q) / ((1 + rho) * alpha))
+        sigma0 = alpha * F0 ** (beta - 1) if q == 0 else log_kf / d_h
+        return q, smin, d_h, sigma0
+
+
+def relative_errors(f, exact):
+    got = (f.q, f.sigma_min, f.d_h, f.sigma0)
+    return np.array([float(abs(g - w) / abs(w)) if w else abs(g) for g, w in zip(got, exact)])
 
 
 def oracle_distance(alpha, rho, q, sigma):
@@ -140,6 +161,52 @@ class TestSigma0:
         for K in (0.6, 0.9, 1.1, 1.6):
             f = features(SabrPoint(K=K, **base))
             assert f.sigma0 > 0.0
+
+
+class TestExactArithmetic:
+    def test_features_against_50_digit_transcription(self):
+        # At grid strikes the four features hold ~1e-13 at every beta,
+        # beta just below 1 included, where (K^(1-b) - F0^(1-b))/(1-b)
+        # would lose ~1/(1-b) ulps. Beside the money q and d_h inherit the
+        # rounding of K/F0 (~1e-16/|ln(K/F0)|) and are not bounded there;
+        # sigma0 = ln(K/F0)/d_h cancels it. Near the money at beta ~ 1,
+        # zeta = q/alpha sits just above z/x(z)'s series switch, whose
+        # closed form loses ~1e-16/|zeta| there, as in hagan_vol.
+        rng = np.random.default_rng(5)
+        worst = {}
+        for _ in range(60):
+            T, F0, alpha, beta, rho, nu = sample_config(rng)
+            for b, key in ((beta, "drawn"), (1.0 - 1e-8, "near one"), (1.0 - 1e-10, "near one")):
+                for K in strike_grid(F0, alpha, T):
+                    p = SabrPoint(T=T, F0=F0, K=float(K), alpha=alpha, beta=b, rho=rho, nu=nu)
+                    err = relative_errors(features(p), mp_features(F0, p.K, alpha, b, rho))
+                    worst[key] = np.maximum(worst.get(key, 0.0), err)
+                for t in (-3e-8, -1.5e-8, 1.5e-8, 3e-8):
+                    p = SabrPoint(T=T, F0=F0, K=F0 * math.exp(t), alpha=alpha, beta=b,
+                                  rho=rho, nu=nu)
+                    err = relative_errors(features(p), mp_features(F0, p.K, alpha, b, rho))
+                    worst["money " + key] = max(worst.get("money " + key, 0.0), err[3])
+        assert worst["drawn"].max() <= 5e-13
+        assert worst["near one"].max() <= 2e-13
+        assert worst["money drawn"] <= 1e-13
+        assert worst["money near one"] <= 5e-10
+
+    def test_sigma0_continuous_through_the_money(self):
+        # Across |ln(K/F0)| = 1e-8 sigma0 moves only by its own slope (up to
+        # ~1e-10 relative here); at K = F0 it is alpha*F0^(beta-1) to a few
+        # ulp.
+        rng = np.random.default_rng(11)
+        cases = [dict(T=1.0, F0=0.03, alpha=0.02, beta=0.5, rho=-0.3, nu=0.3),
+                 dict(T=1.0, F0=1.0, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)]
+        cases += [dict(zip(("T", "F0", "alpha", "beta", "rho", "nu"), sample_config(rng)))
+                  for _ in range(2000)]
+        for case in cases:
+            atm = features(SabrPoint(K=case["F0"], **case)).sigma0
+            assert abs(atm - case["alpha"] * case["F0"] ** (case["beta"] - 1.0)) <= 4 * math.ulp(atm)
+            for sign in (1.0, -1.0):
+                inside, outside = (features(SabrPoint(K=case["F0"] * math.exp(sign * t), **case))
+                                   .sigma0 for t in (0.999e-8, 1.001e-8))
+                assert abs(inside - outside) <= 1e-9 * outside
 
 
 class TestFeatures:

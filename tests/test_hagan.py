@@ -117,6 +117,21 @@ class TestSmile:
             p = SabrPoint(K=K, **TABLE1)
             assert hagan_vol(p) == pytest.approx(mp_smile_vol(K=K, **TABLE1), rel=1e-12)
 
+    def test_beta_just_below_one_against_transcription(self):
+        # (1-b) enters every power and bracket as it is, however small; a
+        # vol that counted it as 0 would be ~5e-10 off here.
+        from sabrkit.datagen import sample_config, strike_grid
+
+        rng = np.random.default_rng(3)
+        beta = 1.0 - 1e-10
+        cases = [dict(TABLE1, beta=beta)]
+        cases += [dict(zip(("T", "F0", "alpha", "beta", "rho", "nu"), sample_config(rng)),
+                       beta=beta) for _ in range(20)]
+        for case in cases:
+            for K in strike_grid(case["F0"], case["alpha"], case["T"]):
+                vol = hagan_vol(SabrPoint(K=float(K), **case))
+                assert vol == pytest.approx(mp_smile_vol(K=float(K), **case), rel=1e-13)
+
     def test_frozen_wing_value(self):
         # Independent-transcription value at the documented strike
         p = SabrPoint(K=1.21, **TABLE1)

@@ -1,6 +1,6 @@
-"""The elements the array forms send through the C library's log and pow,
-one Python-level call each: every power and log is taken only on the
-points that read its result."""
+"""The elements the array forms send through the C library's log, pow and
+expm1, one Python-level call each: every power and log is taken only on
+the points that read its result."""
 
 import numpy as np
 import pytest
@@ -28,11 +28,12 @@ def grid_points(n, n_atm, seed):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Every libm_log/libm_pow call made through hagan's and geometry's
-    bindings, as (module, function, x, y) with y None for log."""
+    """Every libm_log/libm_pow/libm_expm1 call made through hagan's and
+    geometry's bindings, as (module, function, x, y) with y None for log and
+    expm1."""
     made = []
     for module in (hagan, geometry):
-        for name in ("libm_log", "libm_pow"):
+        for name in ("libm_log", "libm_pow", "libm_expm1"):
             fn = getattr(module, name)
 
             def wrapped(x, *y, _fn=fn, _where=(module.__name__, name)):
@@ -65,17 +66,14 @@ def test_powers_and_logs_only_where_read(calls, n, n_atm):
     atm, off = points[:n_atm], points[n_atm:]
     assert all(p.K == p.F0 for p in atm) and all(p.K != p.F0 for p in off)
 
-    def omb(p):
-        return 0.0 if 1.0 - p.beta < hagan.BETA_ONE_THRESHOLD else 1.0 - p.beta
-
     pow_pairs = pairs(calls, "sabrkit.hagan", "libm_pow")
     # (F0*K)^((1-b)/2), (F0*K)^(1-b) and (1-b)^4 on every point, at the
     # money too, and no other power: no F0^(1-b).
     for p in points:
-        fk = p.F0 * p.K
-        assert (fk, 0.5 * omb(p)) in pow_pairs and (fk, omb(p)) in pow_pairs
-        assert (p.F0, omb(p)) not in pow_pairs
-    assert sorted(x for x, y in pow_pairs if y == 4.0) == sorted(omb(p) for p in points)
+        fk, omb = p.F0 * p.K, 1.0 - p.beta
+        assert (fk, 0.5 * omb) in pow_pairs and (fk, omb) in pow_pairs
+        assert (p.F0, omb) not in pow_pairs
+    assert sorted(x for x, y in pow_pairs if y == 4.0) == sorted(1.0 - p.beta for p in points)
     assert len(pow_pairs) == 3 * n
     # One log(F0/K) per point, then the closed-form z/x(z) log only where
     # |z| >= 1e-6, which excludes the money (z = 0).
