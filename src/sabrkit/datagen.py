@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NegativeVol, NonFinite, NoConvergence, PriceOutOfBounds
+from .errors import ConfigError, NonFinite, NoConvergence, PriceOutOfBounds
 from .geometry import GeomFeatures, features
 from .hagan import HAGAN_BRACKET, SABR_FIELDS, SabrPoint, hagan_vol, sabr_values
 from .mc import McConfig, implied_vol_from_estimate, price_from_terminals, simulate_terminals, usable_cores
@@ -209,7 +209,7 @@ def _sample(point: SabrPoint, sigma_mc: float, grid_index: float, valid: bool,
     try:
         sigma_hagan = hagan_vol(point)
         feats = features(point)
-    except (NegativeVol, DomainError):
+    except (ArithmeticError, ValueError):
         valid = False
     return Sample(point, sigma_hagan, sigma_mc, feats, grid_index, split, valid, config_index)
 
@@ -381,7 +381,8 @@ def load_dataset(csv_path) -> Dataset:
 
     Each row is checked as it is read: the field count, the numeric fields,
     the split label, the valid flag, the SABR parameters, finite values in
-    valid rows, and the closed form (inside its domain in valid rows). A
+    valid rows, and the closed form and the features (finite in valid rows;
+    an invalid row loads whatever they do, as NaN where they fail). A
     fault, or a line the csv module cannot parse (such as a field over its
     size limit), raises a one-line ConfigError naming the file and the line.
 
@@ -405,7 +406,7 @@ def load_dataset(csv_path) -> Dataset:
                     config_index, last = config_index + 1, config
                 sample.config_index = config_index
                 dataset.samples.append(sample)
-        except (ConfigError, ArithmeticError, csv.Error) as exc:
+        except (ConfigError, csv.Error) as exc:
             raise ConfigError(f"{csv_path}: line {reader.line_num}: {exc}") from None
     return dataset
 

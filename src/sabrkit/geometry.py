@@ -27,8 +27,8 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import DomainError, NonFinite
-from .hagan import (SabrPoint, libm_expm1, libm_log, libm_pow, raise_scalar_failure,
-                    zx_ratio, zx_ratios)
+from .hagan import (SabrPoint, libm_expm1, libm_log, libm_pow, log_or_nan,
+                    raise_scalar_failure, zx_ratio, zx_ratios)
 
 __all__ = [
     "GEOM_FIELDS",
@@ -65,7 +65,7 @@ def _flatten(F0: float, K: float, beta: float) -> tuple[float, float]:
     """(q, s): q = ln(K/F0)*s, with s = F0^(1-b)*expm1(u)/u and u =
     (1-b)*ln(K/F0). The factor expm1(u)/u is 1 at u = 0, which covers the
     money and beta = 1, and has no cancellation near either."""
-    log_kf = math.log(K / F0)
+    log_kf = log_or_nan(K / F0)
     omb = 1.0 - beta
     u = omb * log_kf
     s = F0**omb * (math.expm1(u) / u if u else 1.0)

@@ -10,12 +10,13 @@ closed form the residual networks correct.
 other functions take the values of a valid :class:`SabrPoint`.
 :func:`hagan_vol` prices one point; :func:`hagan_vols` prices columns of
 them at once and agrees with it bit for bit. Neither returns inf or NaN.
-Some valid points leave the band where the formula is finite, such as
-forwards so small that the maturity bracket overflows or F0*K underflows;
-there both forms raise the same ZeroDivisionError, OverflowError or
-:class:`~sabrkit.errors.NonFinite`. One formula serves every strike and
-every beta, beta = 1 included. :func:`zx_ratio` at -rho also gives the
-geometry's geodesic distance.
+Both run one formula body, with the C library's log and pow taken one
+element at a time in the array form. Some valid points leave the band
+where the formula is finite, such as forwards so small that the maturity
+bracket overflows or F0*K underflows, or a ratio F0/K that underflows to
+0; there both forms raise the same ZeroDivisionError, OverflowError or
+:class:`~sabrkit.errors.NonFinite`. :func:`zx_ratio` at -rho also gives
+the geometry's geodesic distance.
 """
 
 from __future__ import annotations
@@ -50,14 +51,19 @@ _Z_SERIES_THRESHOLD = 1e-6
 # numpy's SIMD log, pow and expm1 differ from the C library's by about an
 # ulp, and cancellations such as the z/x(z) log's near |z| = 1e-6 amplify
 # that. The array forms therefore call math.log/math.pow/math.expm1 element
-# by element, like the scalar forms, and keep all other arithmetic in numpy,
-# in the scalar forms' operation order, so both agree bit for bit. Each element costs a
-# Python-level call, so callers pass only the elements whose result they
-# read. log and expm1 go through ufuncs made by np.frompyfunc and pow
-# through np.fromiter over map(math.pow, ...): for each, the faster of the
-# two ways, as timed on 1024-element arrays.
+# by element, like the scalar forms. Each element costs a Python-level
+# call, so callers pass only the elements whose result they read. log and
+# expm1 go through ufuncs made by np.frompyfunc and pow through np.fromiter
+# over map(math.pow, ...): for each, the faster of the two ways, as timed
+# on 1024-element arrays.
 _log = np.frompyfunc(math.log, 1, 1)
 _expm1 = np.frompyfunc(math.expm1, 1, 1)
+
+
+def log_or_nan(x: float) -> float:
+    """``math.log``, NaN where ``x <= 0``, as :func:`libm_log` element-wise:
+    a ratio that underflows to 0 fails the caller's result check."""
+    return math.log(x) if x > 0.0 else math.nan
 
 
 def libm_log(x: np.ndarray) -> np.ndarray:
@@ -164,6 +170,27 @@ def zx_ratios(z: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return ratio
 
 
+def _smile(T, F0, K, alpha, beta, rho, nu, log, pow, zx):
+    """The closed form, for floats or 1-d columns: ``log``, ``pow`` and
+    ``zx`` are the scalar or the array helpers. The operation order sets
+    which exception a scalar point outside the finite band raises."""
+    log_fk = log(F0 / K)
+    omb = 1.0 - beta
+    fk = F0 * K
+    fk_pow_half = pow(fk, 0.5 * omb)
+    fk_pow_1mb = pow(fk, omb)
+    # A vanishing alpha can send z*z to inf; both forms overflow silently
+    # there. Where zx raises, the array form's NaN fails its check.
+    ratio = zx(nu / alpha * fk_pow_half * log_fk, rho)
+    log2 = log_fk * log_fk
+    money = 1.0 + omb * omb / 24.0 * log2 + pow(omb, 4.0) / 1920.0 * log2 * log2
+    core = alpha / fk_pow_half * money
+    term1 = omb * omb * alpha * alpha / (24.0 * fk_pow_1mb)
+    term2 = rho * beta * nu * alpha / (4.0 * fk_pow_half)
+    term3 = (2.0 - 3.0 * rho * rho) * nu * nu / 24.0
+    return core * ratio * (1.0 + T * (term1 + term2 + term3))
+
+
 def hagan_vol(p: SabrPoint) -> float:
     """SABR implied volatility for one strike.
 
@@ -172,24 +199,9 @@ def hagan_vol(p: SabrPoint) -> float:
     result is the at-the-money formula alpha/F0^(1-b) times the maturity
     bracket (Hagan et al. 2002), and near the money it varies with K as the
     smile does. Raises NegativeVol on a nonpositive result and NonFinite on
-    inf or NaN.
+    inf or NaN, as where F0/K underflows to 0 and its log is NaN.
     """
-    log_fk = math.log(p.F0 / p.K)
-    omb = 1.0 - p.beta
-    fk_pow_half = (p.F0 * p.K) ** (0.5 * omb)
-    fk_pow_1mb = (p.F0 * p.K) ** omb
-
-    z = p.nu / p.alpha * fk_pow_half * log_fk
-    ratio = zx_ratio(z, p.rho)
-
-    log2 = log_fk * log_fk
-    money = 1.0 + omb * omb / 24.0 * log2 + omb**4 / 1920.0 * log2 * log2
-    core = p.alpha / fk_pow_half * money
-
-    term1 = omb * omb * p.alpha * p.alpha / (24.0 * fk_pow_1mb)
-    term2 = p.rho * p.beta * p.nu * p.alpha / (4.0 * fk_pow_half)
-    term3 = (2.0 - 3.0 * p.rho * p.rho) * p.nu * p.nu / 24.0
-    sigma = core * ratio * (1.0 + p.T * (term1 + term2 + term3))
+    sigma = _smile(p.T, p.F0, p.K, p.alpha, p.beta, p.rho, p.nu, log_or_nan, math.pow, zx_ratio)
     if sigma <= 0.0:
         raise NegativeVol(f"smile formula returned nonpositive vol {sigma!r}")
     if not math.isfinite(sigma):
@@ -202,36 +214,16 @@ def hagan_vol(p: SabrPoint) -> float:
 # raises on every such point, so no floating-point warning is needed.
 @np.errstate(all="ignore")
 def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
-    """Array form of :func:`hagan_vol` over parameter columns.
-
-    The 1-d columns hold the fields of valid :class:`SabrPoint` values. Each
-    result equals the scalar call's bit for bit. On a result that is not
-    finite and positive, raises what the scalar call raises on the first
-    such point (see :func:`raise_scalar_failure`); no libm call raises
-    first, as :func:`libm_log` gives NaN where math.log would raise.
+    """Array form of :func:`hagan_vol`: its formula body on 1-d columns that
+    hold the fields of valid :class:`SabrPoint` values, with :func:`libm_log`,
+    :func:`libm_pow` and :func:`zx_ratios`, so each result equals the scalar
+    call's bit for bit. On a result that is not finite and positive, raises
+    what the scalar call raises on the first such point (see
+    :func:`raise_scalar_failure`); no libm call raises first, as
+    :func:`libm_log` gives NaN where math.log would raise.
     """
-    columns = T, F0, K, alpha, beta, rho, nu = [np.asarray(c, dtype=float)
-                                                for c in (T, F0, K, alpha, beta, rho, nu)]
-    log_fk = libm_log(F0 / K)
-    omb = 1.0 - beta
-    fk = F0 * K
-    fk_pow_half = libm_pow(fk, 0.5 * omb)
-    fk_pow_1mb = libm_pow(fk, omb)
-    term1 = omb * omb * alpha * alpha / (24.0 * fk_pow_1mb)
-    term2 = rho * beta * nu * alpha / (4.0 * fk_pow_half)
-    term3 = (2.0 - 3.0 * rho * rho) * nu * nu / 24.0
-    maturity = 1.0 + T * (term1 + term2 + term3)
-
-    z = nu / alpha * fk_pow_half * log_fk
-    # A vanishing alpha can send z*z to inf; the scalar form overflows
-    # silently there too, and both forms give the same result. Where
-    # zx_ratio raises, the NaN fails the check below.
-    ratio = zx_ratios(z, rho)
-
-    log2 = log_fk * log_fk
-    money = 1.0 + omb * omb / 24.0 * log2 + libm_pow(omb, 4.0) / 1920.0 * log2 * log2
-    sigma = alpha / fk_pow_half * money * ratio * maturity
-
+    columns = [np.asarray(c, dtype=float) for c in (T, F0, K, alpha, beta, rho, nu)]
+    sigma = _smile(*columns, libm_log, libm_pow, zx_ratios)
     failed = np.flatnonzero(~np.isfinite(sigma) | (sigma <= 0.0))
     if failed.size:
         raise_scalar_failure(hagan_vol, columns, failed)

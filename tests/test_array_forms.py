@@ -32,6 +32,10 @@ HUGE_FORWARD = SabrPoint(T=1.0, F0=1e300, K=2e300, alpha=0.2, beta=0.0, rho=-0.3
 # alpha/F0^(1-beta) overflows at the money: NonFinite from features.
 OVERFLOWING_ATM = SabrPoint(T=1.0, F0=1e-310, K=1e-310, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
 
+# F0/K, then K/F0, underflows to 0, so its log is NaN: NonFinite.
+F0_OVER_K_UNDERFLOWS = SabrPoint(T=1.0, F0=1e-200, K=1e200, alpha=0.2, beta=0.5, rho=-0.2, nu=0.3)
+K_OVER_F0_UNDERFLOWS = SabrPoint(T=1.0, F0=1e200, K=1e-200, alpha=0.2, beta=0.5, rho=-0.2, nu=0.3)
+
 # Either side of |ln(F0/K)| = 1e-8, the former at-the-money switch of the
 # features, and of the z/x(z) series switch.
 SIDES = (1.0 - 1e-3, 1.0 + 1e-3)
@@ -108,6 +112,7 @@ def outcome(fn):
 @given(st.lists(log_uniform_points(), min_size=1, max_size=6))
 @example([UNDERFLOWING_ATM, CANCELLED_LOG])
 @example([HUGE_FORWARD, OVERFLOWING_ATM])
+@example([F0_OVER_K_UNDERFLOWS, K_OVER_F0_UNDERFLOWS])
 def test_forms_agree_at_every_magnitude(points):
     # The same values bit for bit, or the class the scalar form raises on
     # the first point where it raises: no libm call on a later point may
@@ -149,6 +154,18 @@ def test_underflowing_atm_bracket_raises_zero_division_in_both_forms():
         hagan_vol(tiny)
     with pytest.raises(ZeroDivisionError, match="point 1"):
         hagan_vols(*columns([good, tiny, good]))
+
+
+@pytest.mark.parametrize("p", [F0_OVER_K_UNDERFLOWS, K_OVER_F0_UNDERFLOWS])
+def test_underflowing_ratio_raises_non_finite_in_both_forms(p):
+    # The log of a ratio that underflows to 0 is NaN in both forms, not
+    # math.log's ValueError.
+    good = SabrPoint(T=1.0, F0=1.0, K=1.1, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
+    for scalar, array in ((hagan_vol, hagan_vols), (features, features_array)):
+        with pytest.raises(NonFinite):
+            scalar(p)
+        with pytest.raises(NonFinite, match="point 1"):
+            array(*columns([good, p, good]))
 
 
 def test_edges_take_both_branches():

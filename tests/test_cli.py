@@ -326,6 +326,8 @@ BROKEN_ROWS = {
     # The maturity bracket goes negative: NegativeVol on a valid row.
     "valid row outside the closed form's domain": with_fields(T="5", rho="-0.95", nu="10",
                                                               valid="true"),
+    # F0/K underflows to 0: NonFinite on a valid row.
+    "valid row whose F0/K underflows": with_fields(F0="1e-200", K="1e200", valid="true"),
 }
 
 
@@ -435,6 +437,18 @@ class TestPrice:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "numerical failure: smile formula returned inf\n"
+
+    @pytest.mark.parametrize("arch, forward, strike", [("resnn", "1e-200", "1e200"),
+                                                       ("georesnn", "1e200", "1e-200")])
+    def test_underflowing_ratio_exit_3_one_line(self, tmp_path, capsys, arch, forward, strike):
+        # Valid points at which F0/K (in the closed form) or K/F0 (in the
+        # features) underflows to 0, so its log is NaN: NonFinite.
+        model = zero_model(tmp_path, arch=arch)
+        assert main(["price", "--model", str(model), "--T", "1", "--F0", forward, "--K", strike,
+                     "--alpha", "0.2", "--beta", "0.5", "--rho", "-0.2", "--nu", "0.3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("numerical failure:")
 
     def test_missing_required_flag_exit_2(self, tmp_path):
         assert main(["price", "--model", "nowhere.json"]) == 2

@@ -467,6 +467,18 @@ class TestPersistence:
         assert b",nan," in raw
         assert (tmp_path / "b.csv").read_bytes() == raw
 
+    @pytest.mark.parametrize("fields", [
+        # The closed form overflows to inf at the money (NonFinite).
+        "1,1e-158,1e-158,0.2,0,-0.8,1.2",
+        # F0/K underflows to 0, so its log is NaN (NonFinite).
+        "1,1e-200,1e200,0.2,0.5,-0.2,0.3",
+    ])
+    def test_row_flagged_invalid_loads_whatever_its_closed_form_does(self, tmp_path, fields):
+        path = tmp_path / "d.csv"
+        path.write_text(",".join(datagen.CSV_HEADER) + f"\n{fields},nan,0,none,false\n")
+        (sample,) = load_dataset(path).samples
+        assert not sample.valid and math.isnan(sample.sigma_hagan)
+
     def test_training_on_loaded_rows_writes_the_same_models(self, tmp_path):
         ds, _ = generate_dataset(12, McConfig(paths=1000), seed=23, csv_path=tmp_path / "d.csv")
         loaded = load_dataset(tmp_path / "d.csv")
