@@ -296,7 +296,11 @@ def cmd_price(args) -> int:
     bundle = net.load_model(args.model)
     point = SabrPoint(T=args.T, F0=args.F0, K=args.K, alpha=args.alpha,
                       beta=args.beta, rho=args.rho, nu=args.nu)
-    print(f"{net.predict_vol(bundle, point):.10g}")
+    # A residual output below -1 serves a negative vol, which is no price.
+    vol = net.predict_vol(bundle, point)
+    if not 0.0 < vol < np.inf:
+        raise (NegativeVol if vol <= 0.0 else NonFinite)(f"model served vol {vol!r}")
+    print(f"{vol:.10g}")
     return 0
 
 
@@ -319,7 +323,9 @@ def main(argv=None) -> int:
     code = 0
     try:
         _apply_config_file(args, argv)
-        code = args.func(args)
+        # A failing command writes one stderr line, and no numpy warning.
+        with np.errstate(all="ignore"):
+            code = args.func(args)
         # Output still buffered for a reader that has gone fails here, where
         # it is handled, and not in the interpreter's last flush.
         sys.stdout.flush()

@@ -7,8 +7,10 @@ an 11-strike smile with :func:`reference_smile`, from a single set of
 simulated terminal values. Rows whose reference vol cannot be computed
 (price outside the invertible interval, closed form outside its validity
 domain) are kept in the file but flagged invalid. The file holds only the
-Monte Carlo record and loads back exactly; the one row builder computes
-the closed form and the features from the parameters.
+Monte Carlo record and loads back exactly. A built or loaded dataset takes
+its closed form and features from one pass of the array forms over all its
+rows, so they equal what :func:`~sabrkit.net.predict_vols` computes bit for
+bit.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NonFinite, NoConvergence, PriceOutOfBounds
-from .geometry import GeomFeatures, features
-from .hagan import HAGAN_BRACKET, SABR_FIELDS, SabrPoint, hagan_vol, sabr_values
+from .geometry import GeomFeatures, features, features_array_or_nan
+from .hagan import (HAGAN_BRACKET, SABR_FIELDS, SabrPoint, hagan_vol, hagan_vols_or_nan,
+                    sabr_values, scalar_failures)
 from .mc import McConfig, implied_vol_from_estimate, price_from_terminals, simulate_terminals, usable_cores
 
 __all__ = [
@@ -59,6 +62,8 @@ CSV_HEADER = [*SABR_FIELDS, "sigma_mc", "n", "split", "valid"]
 _SPLIT = CSV_HEADER.index("split")  # the fields before it are numeric
 
 GRID_INDICES = tuple(i * 0.5 for i in range(-5, 6))
+
+_NAN_FEATS = GeomFeatures(*[math.nan] * 4)
 
 
 def year_fraction(tenor: str) -> float:
@@ -145,7 +150,8 @@ def strike_grid(F0: float, alpha: float, T: float) -> np.ndarray:
 @dataclass
 class Sample:
     """One supervised row. ``sigma_hagan`` and ``feats`` are the closed form
-    and the features of ``point``, NaN on an invalid row where they fail."""
+    and the features of ``point``, NaN on an invalid row where they fail
+    (see :func:`_closed_form_failures`)."""
 
     point: SabrPoint
     sigma_hagan: float
@@ -201,17 +207,17 @@ def reference_smile(
     return sigma, se
 
 
-def _sample(point: SabrPoint, sigma_mc: float, grid_index: float, valid: bool,
-            split: str = "none", config_index: int = 0) -> Sample:
-    """The one row builder, for built and loaded rows: the Monte Carlo record
-    plus the closed form and the features of ``point``, or an invalid row."""
-    sigma_hagan, feats = math.nan, GeomFeatures(*[math.nan] * 4)
-    try:
-        sigma_hagan = hagan_vol(point)
-        feats = features(point)
-    except (ArithmeticError, ValueError):
-        valid = False
-    return Sample(point, sigma_hagan, sigma_mc, feats, grid_index, split, valid, config_index)
+def _closed_form_failures(samples: list[Sample]) -> list[tuple[int, Exception]]:
+    """Set every row's ``sigma_hagan`` and ``feats`` from one pass of the
+    array forms, NaN where they fail, and return ``(i, exc)`` for each
+    failing row in order, ``exc`` naming its class as the scalar forms do
+    (see :func:`~sabrkit.hagan.scalar_failures`), closed form first."""
+    cols = np.array([sabr_values(s.point) for s in samples], float).reshape(-1, len(SABR_FIELDS)).T
+    sigma, feats = hagan_vols_or_nan(*cols), features_array_or_nan(*cols)
+    for s, h, f in zip(samples, sigma.tolist(), feats.tolist()):
+        s.sigma_hagan, s.feats = h, GeomFeatures(*f)
+    failed = np.flatnonzero(np.isnan(sigma) | np.isnan(feats[:, 0]))
+    return list(scalar_failures(lambda p: (hagan_vol(p), features(p)), cols, failed))
 
 
 def _build_config_rows(args) -> list[Sample]:
@@ -219,8 +225,9 @@ def _build_config_rows(args) -> list[Sample]:
     T, F0, alpha, beta, rho, nu = params
     strikes = strike_grid(F0, alpha, T)
     sigma_mc, _ = reference_smile(T, F0, alpha, beta, rho, nu, strikes, mc_cfg, config_index)
-    return [_sample(SabrPoint(T=T, F0=F0, K=K, alpha=alpha, beta=beta, rho=rho, nu=nu),
-                    mc_vol, n, math.isfinite(mc_vol), config_index=config_index)
+    return [Sample(SabrPoint(T=T, F0=F0, K=K, alpha=alpha, beta=beta, rho=rho, nu=nu),
+                   math.nan, mc_vol, _NAN_FEATS, n, valid=math.isfinite(mc_vol),
+                   config_index=config_index)
             for n, K, mc_vol in zip(GRID_INDICES, strikes.tolist(), sigma_mc.tolist())]
 
 
@@ -236,7 +243,8 @@ def build_dataset(
     worker count, and per-configuration streams depend only on the Monte
     Carlo base seed and the configuration index, so output is reproducible.
     The pool starts every process at once: ``workers`` is capped at the
-    usable cores and at ``num_configs``.
+    usable cores and at ``num_configs``. A row whose closed form or
+    features fail (:func:`_closed_form_failures`) is invalid.
     """
     if num_configs < 1:
         raise ConfigError(f"num_configs must be >= 1, got {num_configs!r}")
@@ -253,6 +261,8 @@ def build_dataset(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for rows in pool.map(_build_config_rows, jobs, chunksize=chunk):
                 dataset.samples.extend(rows)
+    for i, _ in _closed_form_failures(dataset.samples):
+        dataset.samples[i].valid = False
     return dataset
 
 
@@ -380,17 +390,17 @@ def load_dataset(csv_path) -> Dataset:
     """Read a dataset CSV written by :func:`save_dataset`.
 
     Each row is checked as it is read: the field count, the numeric fields,
-    the split label, the valid flag, the SABR parameters, finite values in
-    valid rows, and the closed form and the features (finite in valid rows;
-    an invalid row loads whatever they do, as NaN where they fail). A
-    fault, or a line the csv module cannot parse (such as a field over its
-    size limit), raises a one-line ConfigError naming the file and the line.
+    the split label, the valid flag, the SABR parameters and finite values
+    in valid rows; then the closed form and the features of all rows
+    (:func:`_closed_form_failures`) must succeed on valid rows. A fault, or
+    a line the csv module cannot parse (such as a field over its size
+    limit), raises a one-line ConfigError naming the file and the line.
 
     A row starts a new configuration index where its T, F0, alpha, beta,
     rho or nu differs from the previous row's, so the rows of one smile,
     however many, share an index.
     """
-    dataset = Dataset()
+    dataset, line_nums = Dataset(), []
     config_index, last = -1, None
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -406,8 +416,13 @@ def load_dataset(csv_path) -> Dataset:
                     config_index, last = config_index + 1, config
                 sample.config_index = config_index
                 dataset.samples.append(sample)
+                line_nums.append(reader.line_num)
         except (ConfigError, csv.Error) as exc:
             raise ConfigError(f"{csv_path}: line {reader.line_num}: {exc}") from None
+    for i, exc in _closed_form_failures(dataset.samples):
+        if dataset.samples[i].valid:
+            raise ConfigError(f"{csv_path}: line {line_nums[i]}: valid row lies outside the "
+                              f"closed form's domain ({type(exc).__name__}: {exc})")
     return dataset
 
 
@@ -430,10 +445,8 @@ def _sample_from_row(row: list[str]) -> Sample:
     if valid == "true" and not all(map(math.isfinite, vals)):
         raise ConfigError("valid row holds a non-finite value")
     *params, sigma_mc, grid_index = vals
-    sample = _sample(SabrPoint(*params), sigma_mc, grid_index, valid == "true", split)
-    if valid == "true" and not sample.valid:
-        raise ConfigError("valid row lies outside the closed form's domain")
-    return sample
+    return Sample(SabrPoint(*params), math.nan, sigma_mc, _NAN_FEATS, grid_index, split,
+                  valid == "true")
 
 
 def generate_dataset(

@@ -14,8 +14,9 @@ distance is Hagan's x(z) at zeta = q/alpha with correlation -rho (the
 hyperbolic reading of SABR, Henry-Labordere 2008), so sigma0 =
 ln(K/F0)/d_h = alpha*(zeta/x(zeta))/s stays finite through the money.
 :func:`features` takes one point; :func:`features_array` takes columns of
-them and agrees with it bit for bit. The helpers take the values of a
-valid :class:`SabrPoint`, whose construction checks the parameter domain.
+them at once with numpy's ufuncs, and agrees with it to 1e-12 relative.
+The helpers take the values of a valid :class:`SabrPoint`, whose
+construction checks the parameter domain.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import DomainError, NonFinite
-from .hagan import (SabrPoint, libm_expm1, libm_log, libm_pow, log_or_nan,
-                    raise_scalar_failure, zx_ratio, zx_ratios)
+from .hagan import SabrPoint, checked, log_or_nan, logs_or_nan, zx_ratio, zx_ratios
 
 __all__ = [
     "GEOM_FIELDS",
@@ -94,9 +94,8 @@ def features(p: SabrPoint) -> GeomFeatures:
     -rho; ``sigma0`` = ln(K/F0)/d_h = alpha*(zeta/x(zeta))/s is
     alpha*F0^(beta-1) at the money. Raises NonFinite where a value comes
     out inf or NaN, as at forwards so large that q^2 overflows, and
-    DomainError where the geodesic distance is undefined: its log's
-    argument cancels to 0 or below, or, at a vanishing alpha, zeta^2
-    overflows inside x(zeta) and z/x(z) comes out 0.
+    DomainError where the geodesic distance overflows: at a vanishing
+    alpha, zeta^2 overflows inside x(zeta) and z/x(z) comes out 0.
     """
     q, s = _flatten(p.F0, p.K, p.beta)
     smin = sigma_min(p.alpha, p.rho, q)
@@ -112,30 +111,30 @@ def features(p: SabrPoint) -> GeomFeatures:
     return GeomFeatures(q=q, sigma_min=smin, d_h=d_h, sigma0=sigma0)
 
 
-# As in hagan_vols: numpy makes inf or NaN where the scalar form raises, and
-# the check of the results raises on every such point.
 @np.errstate(all="ignore")
-def features_array(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
-    """Array form of :func:`features`: an (n, 4) array of (q, sigma_min,
-    d_h, sigma0) rows for 1-d parameter columns of valid points.
-
-    Each row equals the scalar call's bit for bit. On a row that is not
-    finite, raises what the scalar call raises on the first such point,
-    with `` (point i)`` appended (:func:`~sabrkit.hagan.raise_scalar_failure`).
-    ``T`` is unused, as in the scalar form.
-    """
-    columns = [np.asarray(c, dtype=float) for c in (T, F0, K, alpha, beta, rho, nu)]
-    _, F0, K, alpha, beta, rho, _ = columns
-    log_kf = libm_log(K / F0)
+def features_array_or_nan(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
+    """The formula body of :func:`features` on 1-d float columns, with
+    numpy's log, pow and expm1 and :func:`~sabrkit.hagan.zx_ratios`: an
+    (n, 4) array of (q, sigma_min, d_h, sigma0) rows, a row all NaN where
+    any of its values is not finite, and nothing raised, as in
+    :func:`~sabrkit.hagan.hagan_vols_or_nan`. ``T`` and ``nu`` are unused."""
+    log_kf = logs_or_nan(K / F0)
     omb = 1.0 - beta
     u = omb * log_kf
-    s = libm_pow(F0, omb) * np.where(u == 0.0, 1.0, libm_expm1(u) / u)
+    s = np.power(F0, omb) * np.where(u == 0.0, 1.0, np.expm1(u) / u)
     q = log_kf * s
     smin = np.sqrt(alpha * alpha + 2.0 * rho * alpha * q + q * q)
     zeta = q / alpha
     ratio = zx_ratios(zeta, -rho)
     out = np.column_stack((q, smin, zeta / ratio, alpha * ratio / s))
-    failed = np.flatnonzero(~np.isfinite(out).all(axis=1))
-    if failed.size:
-        raise_scalar_failure(features, columns, failed)
+    out[~np.isfinite(out).all(axis=1)] = math.nan
     return out
+
+
+def features_array(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
+    """Array form of :func:`features`: an (n, 4) array of (q, sigma_min,
+    d_h, sigma0) rows for 1-d parameter columns of valid points. It agrees
+    with the scalar form, and fails where and as it does, under the rule of
+    :func:`~sabrkit.hagan.hagan_vols`."""
+    columns = [np.asarray(c, dtype=float) for c in (T, F0, K, alpha, beta, rho, nu)]
+    return checked(features_array_or_nan(*columns), features, columns)

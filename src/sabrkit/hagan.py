@@ -8,13 +8,13 @@ closed form the residual networks correct.
 
 :func:`check_params` is the one check of the SABR parameter domain; the
 other functions take the values of a valid :class:`SabrPoint`.
-:func:`hagan_vol` prices one point; :func:`hagan_vols` prices columns of
-them at once and agrees with it bit for bit. Neither returns inf or NaN.
-Both run one formula body, with the C library's log and pow taken one
-element at a time in the array form. Some valid points leave the band
-where the formula is finite, such as forwards so small that the maturity
-bracket overflows or F0*K underflows, or a ratio F0/K that underflows to
-0; there both forms raise the same ZeroDivisionError, OverflowError or
+:func:`hagan_vol` prices one point with the C library's log and pow;
+:func:`hagan_vols` prices columns of them at once with numpy's ufuncs, and
+agrees with it to 1e-12 relative. Neither returns inf or NaN. Both run one
+formula body. Some valid points leave the band where the formula is
+finite, such as forwards so small that the maturity bracket overflows or
+F0*K underflows, or a ratio F0/K that underflows to 0; there both forms
+raise the same ZeroDivisionError, OverflowError or
 :class:`~sabrkit.errors.NonFinite`. :func:`zx_ratio` at -rho also gives
 the geometry's geodesic distance.
 """
@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NegativeVol, NonFinite
+from .errors import ConfigError, NegativeVol, NonFinite
 
 __all__ = [
     "HAGAN_BRACKET",
@@ -48,56 +47,41 @@ HAGAN_BRACKET = "numerator"
 # Below this |z| the z/x(z) ratio switches to its first-order series.
 _Z_SERIES_THRESHOLD = 1e-6
 
-# numpy's SIMD log, pow and expm1 differ from the C library's by about an
-# ulp, and cancellations such as the z/x(z) log's near |z| = 1e-6 amplify
-# that. The array forms therefore call math.log/math.pow/math.expm1 element
-# by element, like the scalar forms. Each element costs a Python-level
-# call, so callers pass only the elements whose result they read. log and
-# expm1 go through ufuncs made by np.frompyfunc and pow through np.fromiter
-# over map(math.pow, ...): for each, the faster of the two ways, as timed
-# on 1024-element arrays.
-_log = np.frompyfunc(math.log, 1, 1)
-_expm1 = np.frompyfunc(math.expm1, 1, 1)
-
 
 def log_or_nan(x: float) -> float:
-    """``math.log``, NaN where ``x <= 0``, as :func:`libm_log` element-wise:
-    a ratio that underflows to 0 fails the caller's result check."""
+    """``math.log``, NaN where ``x <= 0``: a ratio that underflows to 0
+    fails the caller's result check."""
     return math.log(x) if x > 0.0 else math.nan
 
 
-def libm_log(x: np.ndarray) -> np.ndarray:
-    """Element-wise ``math.log``, NaN where ``x <= 0``: there math.log
-    raises, and a caller's result check finds the point instead."""
-    return _log(np.where(x > 0.0, x, np.nan)).astype(float)
+def logs_or_nan(x: np.ndarray) -> np.ndarray:
+    """``np.log``, NaN where ``x <= 0``, as :func:`log_or_nan` element-wise."""
+    return np.log(x, out=np.full_like(x, np.nan), where=x > 0.0)
 
 
-def libm_expm1(x: np.ndarray) -> np.ndarray:
-    """Element-wise ``math.expm1``. It raises OverflowError only above
-    ln(DBL_MAX), which no (1-b)*ln(K/F0) of finite K/F0 exceeds."""
-    return _expm1(x).astype(float)
-
-
-def libm_pow(x: np.ndarray, y) -> np.ndarray:
-    """Element-wise ``math.pow`` of a 1-d array and a scalar or an array of
-    the same length."""
-    x = np.asarray(x, dtype=float)
-    ys = y.tolist() if isinstance(y, np.ndarray) else repeat(float(y))
-    return np.fromiter(map(math.pow, x.tolist(), ys), float, x.size)
-
-
-def raise_scalar_failure(scalar, columns, failed) -> None:
-    """Raise what ``scalar`` raises on the first point, among the indices
-    ``failed`` in order, whose array-form result is not finite, with
-    `` (point i)`` appended; NonFinite if none raises. The points are
-    built from Python floats, since numpy scalars divide by zero without
-    raising."""
-    for i in failed:
+def scalar_failures(scalar, columns, failed):
+    """``(i, exc)`` for each index ``i`` of ``failed`` in order: ``exc`` is
+    what ``scalar`` raises on point ``i`` (built from Python floats, since
+    numpy scalars divide by zero without raising), or NonFinite where it
+    returns, as the two forms can differ by an ulp at the finite band's edge."""
+    for i in failed.tolist():
         try:
             scalar(SabrPoint(*(float(c[i]) for c in columns)))
-        except (ArithmeticError, ValueError) as exc:
-            raise type(exc)(f"{exc} (point {i})") from None
-    raise NonFinite(f"array form returned a non-finite value (point {failed[0]})")
+            exc = NonFinite("array form returned a non-finite value")
+        except (ArithmeticError, ValueError) as raised:
+            exc = raised
+        yield i, exc
+
+
+def checked(values: np.ndarray, scalar, columns) -> np.ndarray:
+    """``values``, the array form's results on ``columns``, if no row holds
+    NaN; else raise the class :func:`scalar_failures` names for the first
+    such row, with `` (point i)`` appended to its message."""
+    failed = np.flatnonzero(np.isnan(values).any(axis=tuple(range(1, values.ndim))))
+    if failed.size:
+        i, exc = next(scalar_failures(scalar, columns, failed))
+        raise type(exc)(f"{exc} (point {i})")
+    return values
 
 
 def check_params(T, F0, alpha, beta, rho, nu, K=None) -> None:
@@ -141,32 +125,28 @@ def zx_ratio(z: float, rho: float) -> float:
 
     Continuous at z = 0 with value 1. For |z| < 1e-6 the closed form
     cancels catastrophically, so the first-order expansion
-    z/x(z) = 1 - rho*z/2 + O(z^2) is used there. Raises DomainError where
-    the discriminant is negative or, at very negative z, the log's argument
-    cancels to 0 or below. Where z*z overflows, x(z) is inf and the factor
-    comes out +-0. At -rho, x(q/alpha) is the geometry's geodesic distance.
+    z/x(z) = 1 - rho*z/2 + O(z^2) is used there. Below z = rho the log's
+    argument is the equal (1+rho)/(sqrt(...)-z+rho), free of the
+    cancellation of sqrt(...)+z at very negative z, so it is positive at
+    every finite z. Where z*z overflows it is inf or 0 (log -inf), and the
+    factor +-0. At -rho, x(q/alpha) is the geometry's geodesic distance.
     """
     if abs(z) < _Z_SERIES_THRESHOLD:
         return 1.0 - 0.5 * rho * z
-    disc = 1.0 - 2.0 * rho * z + z * z
-    if disc < 0.0:
-        raise DomainError(f"1 - 2*rho*z + z^2 = {disc!r} < 0 at z={z!r}, rho={rho!r}")
-    arg = (math.sqrt(disc) + z - rho) / (1.0 - rho)
-    if arg <= 0.0:
-        raise DomainError(f"x(z) log argument {arg!r} <= 0 at z={z!r}, rho={rho!r}")
-    return z / math.log(arg)
+    root = math.sqrt(1.0 - 2.0 * rho * z + z * z)
+    arg = (1.0 + rho) / (root - z + rho) if z < rho else (root + z - rho) / (1.0 - rho)
+    return z / (math.log(arg) if arg > 0.0 else -math.inf)
 
 
 def zx_ratios(z: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Array form of :func:`zx_ratio` over 1-d columns, equal to it bit for
-    bit and NaN where it raises: sqrt of a negative discriminant is NaN, and
-    so is :func:`libm_log` of an argument <= 0. The log is taken only where
-    |z| >= 1e-6."""
+    """Array form of :func:`zx_ratio` over 1-d columns. The log is taken
+    only where |z| >= 1e-6."""
     ratio = 1.0 - 0.5 * rho * z
-    disc = 1.0 - 2.0 * rho * z + z * z
     closed = np.abs(z) >= _Z_SERIES_THRESHOLD
     zc, rc = z[closed], rho[closed]
-    ratio[closed] = zc / libm_log((np.sqrt(disc[closed]) + zc - rc) / (1.0 - rc))
+    root = np.sqrt(1.0 - 2.0 * rc * zc + zc * zc)
+    arg = np.where(zc < rc, (1.0 + rc) / (root - zc + rc), (root + zc - rc) / (1.0 - rc))
+    ratio[closed] = zc / np.log(arg)
     return ratio
 
 
@@ -180,7 +160,7 @@ def _smile(T, F0, K, alpha, beta, rho, nu, log, pow, zx):
     fk_pow_half = pow(fk, 0.5 * omb)
     fk_pow_1mb = pow(fk, omb)
     # A vanishing alpha can send z*z to inf; both forms overflow silently
-    # there. Where zx raises, the array form's NaN fails its check.
+    # there, and z/x(z) comes out +-0.
     ratio = zx(nu / alpha * fk_pow_half * log_fk, rho)
     log2 = log_fk * log_fk
     money = 1.0 + omb * omb / 24.0 * log2 + pow(omb, 4.0) / 1920.0 * log2 * log2
@@ -209,22 +189,21 @@ def hagan_vol(p: SabrPoint) -> float:
     return sigma
 
 
-# Outside the finite band numpy divides by zero, overflows or makes NaN
-# where the scalar form raises or returns inf; the check of the results
-# raises on every such point, so no floating-point warning is needed.
 @np.errstate(all="ignore")
+def hagan_vols_or_nan(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
+    """The formula body of :func:`hagan_vol` on 1-d float columns, with
+    numpy's log and pow and :func:`zx_ratios`: NaN where the result is not
+    finite and positive (where the scalar form raises), and neither an
+    exception nor a floating-point warning."""
+    sigma = _smile(T, F0, K, alpha, beta, rho, nu, logs_or_nan, np.power, zx_ratios)
+    return np.where((sigma > 0.0) & (sigma < math.inf), sigma, math.nan)
+
+
 def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
-    """Array form of :func:`hagan_vol`: its formula body on 1-d columns that
-    hold the fields of valid :class:`SabrPoint` values, with :func:`libm_log`,
-    :func:`libm_pow` and :func:`zx_ratios`, so each result equals the scalar
-    call's bit for bit. On a result that is not finite and positive, raises
-    what the scalar call raises on the first such point (see
-    :func:`raise_scalar_failure`); no libm call raises first, as
-    :func:`libm_log` gives NaN where math.log would raise.
-    """
+    """Array form of :func:`hagan_vol` on 1-d columns of valid points: it
+    agrees with the scalar form to 1e-12 relative, not bit for bit, as
+    numpy's ufuncs and the C library differ by about an ulp. The array form
+    decides every value and which points fail; the scalar form runs only on
+    the first failing point, to name the class raised (:func:`checked`)."""
     columns = [np.asarray(c, dtype=float) for c in (T, F0, K, alpha, beta, rho, nu)]
-    sigma = _smile(*columns, libm_log, libm_pow, zx_ratios)
-    failed = np.flatnonzero(~np.isfinite(sigma) | (sigma <= 0.0))
-    if failed.size:
-        raise_scalar_failure(hagan_vol, columns, failed)
-    return sigma
+    return checked(hagan_vols_or_nan(*columns), hagan_vol, columns)

@@ -648,8 +648,8 @@ def predict_vol(bundle: ModelBundle, p: SabrPoint) -> float:
     """Corrected implied vol for one pricing configuration, through the
     scalar formulas and a one-row :func:`forward`. It agrees with its entry
     in :func:`predict_vols` on any batch holding ``p`` to within 1e-12 times
-    the largest |vol| in that batch: the one-row and batched products sum
-    in different orders, and a direct-mode output can lie near zero."""
+    the largest |vol| in that batch: the formulas' forms differ by ulps, the
+    products sum in different orders, and a direct output can lie near 0."""
     target_mode, names = ARCHS[bundle.arch]
     row = sabr_values(p)
     if len(names) > len(SABR_FIELDS):

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -452,6 +453,33 @@ class TestPrice:
 
     def test_missing_required_flag_exit_2(self, tmp_path):
         assert main(["price", "--model", "nowhere.json"]) == 2
+
+    def test_negative_served_vol_exit_3_one_line(self, tmp_path, capsys):
+        # An output bias of -2 serves -1 times the closed form.
+        bundle = zero_output(init_bundle("resnn", seed=0))
+        bundle.layers[-1].b[:] = -2.0
+        save_model(bundle, tmp_path / "resnn.json")
+        assert main(["price", "--model", str(tmp_path / "resnn.json"), "--K", "1.1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("numerical failure: model served vol -")
+
+    def test_overflowing_forward_exit_3_one_line(self, tmp_path, capsys):
+        # A valid point whose K near 1e308 overflows the first layer's dot
+        # product: numpy's warning, an error here, is off while the command
+        # runs, and the NaN closed form ends it with one line.
+        model = tmp_path / "resnn.json"
+        save_model(init_bundle("resnn", seed=0), model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["price", "--model", str(model), "--T", "6.096359085174444",
+                         "--F0", "1.9431402358292322e-198", "--K", "9.833214986876883e+307",
+                         "--alpha", "4.288010113395358e-163", "--beta", "1",
+                         "--rho", "0.5001457842538533", "--nu", "1.0738153609261267"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("numerical failure:")
 
 
 @pytest.mark.parametrize("argv", [

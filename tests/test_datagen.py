@@ -29,14 +29,16 @@ from sabrkit.datagen import (
     SPLIT_NAMES,
     SPLIT_WEIGHTS,
     _build_config_rows,
+    _closed_form_failures,
     _largest_remainder,
-    _sample,
 )
 from sabrkit.errors import ConfigError, NoConvergence, NonFinite, PriceOutOfBounds
-from sabrkit.geometry import features, geom_values
-from sabrkit.hagan import SabrPoint, hagan_vol, sabr_values
+from sabrkit.geometry import GeomFeatures, features, features_array, geom_values
+from sabrkit.hagan import SabrPoint, hagan_vol, hagan_vols, sabr_values
 from sabrkit.mc import McConfig, implied_vol_from_estimate, price_from_terminals, simulate_terminals
-from sabrkit.net import ARCHS, TrainConfig, init_bundle, save_model, train
+from sabrkit.net import ARCHS, TrainConfig, init_bundle, predict_vols, save_model, train
+
+from bundles import zero_output
 
 
 def make_sample(residual, idx=0, valid=True, split="none"):
@@ -46,6 +48,10 @@ def make_sample(residual, idx=0, valid=True, split="none"):
     return Sample(point=point, sigma_hagan=base, sigma_mc=base + residual,
                   feats=features(point), grid_index=0.0, valid=valid,
                   split=split, config_index=idx)
+
+
+def columns(rows):
+    return np.array([sabr_values(s.point) for s in rows]).T
 
 
 def row_fields(dataset):
@@ -176,9 +182,14 @@ class TestBuildDataset:
             assert abs(s.sigma_mc - 0.2) <= 1e-10
 
     def test_hagan_recompute_consistency(self):
+        # The array forms of the rows' own columns, bit for bit, and the
+        # scalar forms to 1e-12 relative.
         ds = build_dataset(6, McConfig(paths=2000), seed=11)
-        for s in ds.valid_samples():
-            assert s.sigma_hagan == pytest.approx(hagan_vol(s.point), rel=1e-15)
+        rows = ds.valid_samples()
+        assert [s.sigma_hagan for s in rows] == hagan_vols(*columns(rows)).tolist()
+        assert [list(geom_values(s.feats)) for s in rows] == features_array(*columns(rows)).tolist()
+        for s in rows:
+            assert s.sigma_hagan == pytest.approx(hagan_vol(s.point), rel=1e-12)
 
     def test_workers_do_not_change_output(self, monkeypatch):
         # Two blocks per config: one process and one thread against two
@@ -422,12 +433,11 @@ class TestPersistence:
 
     def test_persisted_hagan_recompute(self, tmp_path):
         # The file keeps the parameters exactly and load recomputes the
-        # closed form from them.
+        # closed form from them with the array form.
         cfg = McConfig(paths=1000)
         generate_dataset(4, cfg, seed=29, csv_path=tmp_path / "d.csv")
-        loaded = load_dataset(tmp_path / "d.csv")
-        for s in loaded.valid_samples():
-            assert s.sigma_hagan == hagan_vol(s.point)
+        rows = load_dataset(tmp_path / "d.csv").valid_samples()
+        assert [s.sigma_hagan for s in rows] == hagan_vols(*columns(rows)).tolist()
 
     def test_lf_line_endings_and_header(self, tmp_path):
         ds = Dataset([make_sample(0.001 * i, idx=i) for i in range(12)])
@@ -449,12 +459,16 @@ class TestPersistence:
         params, strikes = UNINVERTIBLE
         sigma_mc, _ = reference_smile(*params, strikes, cfg)
         T, F0, alpha, beta, rho, nu = params
+        nan_feats = GeomFeatures(*[math.nan] * 4)
         for n, K, mc_vol in zip((-1.0, 0.0, 1.0), strikes, sigma_mc):
             point = SabrPoint(T=T, F0=F0, K=K, alpha=alpha, beta=beta, rho=rho, nu=nu)
-            ds.samples.append(_sample(point, float(mc_vol), n, math.isfinite(mc_vol),
-                                      config_index=2))
-        # A row whose closed form failed, as the row builder records it.
-        ds.samples.append(_sample(NEGATIVE_ATM, float("nan"), 2.5, True, config_index=3))
+            ds.samples.append(Sample(point, math.nan, float(mc_vol), nan_feats, n,
+                                     valid=math.isfinite(mc_vol), config_index=2))
+        # A row whose closed form fails, flagged as build_dataset flags it.
+        ds.samples.append(Sample(NEGATIVE_ATM, math.nan, math.nan, nan_feats, 2.5,
+                                 config_index=3))
+        for i, _ in _closed_form_failures(ds.samples):
+            ds.samples[i].valid = False
         assert not ds.samples[-1].valid
         filter_outliers(ds)
         split_dataset(ds, seed=42)
@@ -491,6 +505,19 @@ class TestPersistence:
                 save_model(bundle, tmp_path / "model.json")
                 models.append((tmp_path / "model.json").read_bytes())
             assert models[0] == models[1], arch
+
+    def test_zero_output_residual_models_serve_the_rows_closed_form(self, tmp_path):
+        # Criterion 9d at small scale: the dataset's closed form and batch
+        # inference come from the same array form, so a zero-output residual
+        # model serves each row's sigma_hagan bit for bit, before and after
+        # a save and load, on a subset of the rows as on all of them.
+        ds, _ = generate_dataset(6, McConfig(paths=1000), seed=31, csv_path=tmp_path / "d.csv")
+        loaded = load_dataset(tmp_path / "d.csv")
+        for arch in ("resnn", "georesnn"):
+            bundle = zero_output(init_bundle(arch, seed=0))
+            for rows in (ds.valid_samples(), ds.split_samples("test"), loaded.valid_samples()):
+                served = predict_vols(bundle, [s.point for s in rows])
+                assert served.tolist() == [s.sigma_hagan for s in rows], arch
 
     def test_byte_identical_regeneration(self, tmp_path):
         # The manifest holds no timestamp, so one seed gives the same bytes
