@@ -15,8 +15,9 @@ formula body. Some valid points leave the band where the formula is
 finite, such as forwards so small that the maturity bracket overflows or
 F0*K underflows, or a ratio F0/K that underflows to 0; there both forms
 raise the same ZeroDivisionError, OverflowError or
-:class:`~sabrkit.errors.NonFinite`. :func:`zx_ratio` at -rho also gives
-the geometry's geodesic distance.
+:class:`~sabrkit.errors.NonFinite`. The factor z/x(z) is one expression,
+free of cancellation at every z, the money included; :func:`zx_ratio` at
+-rho also gives the geometry's geodesic distance.
 """
 
 from __future__ import annotations
@@ -43,9 +44,6 @@ __all__ = [
 # The placement of the log-moneyness bracket in the formula below, as model
 # files and dataset manifests record it.
 HAGAN_BRACKET = "numerator"
-
-# Below this |z| the z/x(z) ratio switches to its first-order series.
-_Z_SERIES_THRESHOLD = 1e-6
 
 
 def log_or_nan(x: float) -> float:
@@ -121,33 +119,30 @@ sabr_values = attrgetter(*SABR_FIELDS)
 
 
 def zx_ratio(z: float, rho: float) -> float:
-    """The factor z/x(z) with x(z) = ln((sqrt(1-2*rho*z+z^2)+z-rho)/(1-rho)).
+    """The factor z/x(z) with x(z) = ln((R+z-rho)/(1-rho)), R =
+    sqrt(1-2*rho*z+z^2), in a form exact to an ulp at every z.
 
-    Continuous at z = 0 with value 1. For |z| < 1e-6 the closed form
-    cancels catastrophically, so the first-order expansion
-    z/x(z) = 1 - rho*z/2 + O(z^2) is used there. Below z = rho the log's
-    argument is the equal (1+rho)/(sqrt(...)-z+rho), free of the
-    cancellation of sqrt(...)+z at very negative z, so it is positive at
-    every finite z. Where z*z overflows it is inf or 0 (log -inf), and the
-    factor +-0. At -rho, x(q/alpha) is the geometry's geodesic distance.
+    With s = +1 where z >= rho and -1 below (x(z; rho) = -x(-z; -rho)),
+    and R-1 = z*(z-2*rho)/(R+1), x = s*log1p((z*(z-2*rho)/(R+1) + s*z) /
+    (1-s*rho)): no term cancels, beside z = 0 nor at large |z|. The factor
+    is 1 where x is 0, at z = 0 or a subnormal z. R = hypot(z-rho,
+    sqrt(1-rho^2)) stays finite where z*z overflows; there x is +-inf and
+    the factor 0. At -rho, x(q/alpha) is the geometry's geodesic distance.
     """
-    if abs(z) < _Z_SERIES_THRESHOLD:
-        return 1.0 - 0.5 * rho * z
-    root = math.sqrt(1.0 - 2.0 * rho * z + z * z)
-    arg = (1.0 + rho) / (root - z + rho) if z < rho else (root + z - rho) / (1.0 - rho)
-    return z / (math.log(arg) if arg > 0.0 else -math.inf)
+    s = 1.0 if z >= rho else -1.0
+    root = math.hypot(z - rho, math.sqrt(1.0 - rho * rho))
+    x = s * math.log1p((z * (z - 2.0 * rho) / (root + 1.0) + s * z) / (1.0 - s * rho))
+    return z / x if x else 1.0
 
 
 def zx_ratios(z: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Array form of :func:`zx_ratio` over 1-d columns. The log is taken
-    only where |z| >= 1e-6."""
-    ratio = 1.0 - 0.5 * rho * z
-    closed = np.abs(z) >= _Z_SERIES_THRESHOLD
-    zc, rc = z[closed], rho[closed]
-    root = np.sqrt(1.0 - 2.0 * rc * zc + zc * zc)
-    arg = np.where(zc < rc, (1.0 + rc) / (root - zc + rc), (root + zc - rc) / (1.0 - rc))
-    ratio[closed] = zc / np.log(arg)
-    return ratio
+    """Array form of :func:`zx_ratio` over 1-d columns: the same expression
+    in numpy's ufuncs. Where x is 0 it divides 0 by 0 before taking 1, so
+    callers ignore floating-point errors."""
+    s = np.where(z >= rho, 1.0, -1.0)
+    root = np.hypot(z - rho, np.sqrt(1.0 - rho * rho))
+    x = s * np.log1p((z * (z - 2.0 * rho) / (root + 1.0) + s * z) / (1.0 - s * rho))
+    return np.where(x == 0.0, 1.0, z / x)
 
 
 def _smile(T, F0, K, alpha, beta, rho, nu, log, pow, zx):
@@ -159,8 +154,8 @@ def _smile(T, F0, K, alpha, beta, rho, nu, log, pow, zx):
     fk = F0 * K
     fk_pow_half = pow(fk, 0.5 * omb)
     fk_pow_1mb = pow(fk, omb)
-    # A vanishing alpha can send z*z to inf; both forms overflow silently
-    # there, and z/x(z) comes out +-0.
+    # A vanishing alpha can send z*z past the float range; both forms
+    # overflow silently there, x(z) is +-inf and z/x(z) comes out 0.
     ratio = zx(nu / alpha * fk_pow_half * log_fk, rho)
     log2 = log_fk * log_fk
     money = 1.0 + omb * omb / 24.0 * log2 + pow(omb, 4.0) / 1920.0 * log2 * log2
@@ -174,12 +169,12 @@ def _smile(T, F0, K, alpha, beta, rho, nu, log, pow, zx):
 def hagan_vol(p: SabrPoint) -> float:
     """SABR implied volatility for one strike.
 
-    One formula at every strike: at K = F0, z = 0, :func:`zx_ratio` takes
-    its series branch and gives 1, and the moneyness bracket is 1, so the
-    result is the at-the-money formula alpha/F0^(1-b) times the maturity
-    bracket (Hagan et al. 2002), and near the money it varies with K as the
-    smile does. Raises NegativeVol on a nonpositive result and NonFinite on
-    inf or NaN, as where F0/K underflows to 0 and its log is NaN.
+    One formula at every strike: at K = F0, z = 0, :func:`zx_ratio` gives
+    1 and the moneyness bracket is 1, so the result is the at-the-money
+    formula alpha/F0^(1-b) times the maturity bracket (Hagan et al. 2002),
+    and near the money it varies with K as the smile does. Raises
+    NegativeVol on a nonpositive result and NonFinite on inf or NaN, as
+    where F0/K underflows to 0 and its log is NaN.
     """
     sigma = _smile(p.T, p.F0, p.K, p.alpha, p.beta, p.rho, p.nu, log_or_nan, math.pow, zx_ratio)
     if sigma <= 0.0:

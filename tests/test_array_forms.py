@@ -25,9 +25,10 @@ ZERO_GEODESIC = SabrPoint(T=1.0, F0=1.0, K=0.5, alpha=1e-300, beta=0.0, rho=0.0,
 
 # F0^(2(1-b)) underflows to 0 in the ATM bracket: ZeroDivisionError.
 UNDERFLOWING_ATM = SabrPoint(T=1.0, F0=1e-170, K=1e-170, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
-# z = -4.6e23, where (sqrt(1-2*rho*z+z^2)+z-rho)/(1-rho), the x(z) log's
-# argument, cancels to -3; its cancellation-free form below z = rho prices
-# the point at 0.028712740247078213, as a 100-digit transcription does.
+# z = -4.6e23, where (sqrt(1-2*rho*z+z^2)+z-rho)/(1-rho), the textbook x(z)
+# log's argument, cancels to -3; the closed form's cancellation-free x(z)
+# prices the point at 0.028712740247078213, as the transcription in
+# test_hagan.py does.
 CANCELLED_LOG = SabrPoint(T=1.0, F0=1e22, K=2.5e22, alpha=0.05, beta=0.0, rho=0.75, nu=1.6)
 
 # q^2 overflows in sigma_min: NonFinite from features.
@@ -39,8 +40,8 @@ OVERFLOWING_ATM = SabrPoint(T=1.0, F0=1e-310, K=1e-310, alpha=0.2, beta=0.0, rho
 F0_OVER_K_UNDERFLOWS = SabrPoint(T=1.0, F0=1e-200, K=1e200, alpha=0.2, beta=0.5, rho=-0.2, nu=0.3)
 K_OVER_F0_UNDERFLOWS = SabrPoint(T=1.0, F0=1e200, K=1e-200, alpha=0.2, beta=0.5, rho=-0.2, nu=0.3)
 
-# Either side of |ln(F0/K)| = 1e-8, the former at-the-money switch of the
-# features, and of the z/x(z) series switch.
+# Either side of |ln(F0/K)| = 1e-8 and of |z| = 1e-6: near-money points,
+# where a log of the textbook x(z) argument would lose ~1e-16/|z|.
 SIDES = (1.0 - 1e-3, 1.0 + 1e-3)
 
 
@@ -57,7 +58,7 @@ def quadruple(p):
 def generator_points(draw):
     """A configuration from the dataset generator, at a grid strike or at an
     edge: beta at 0, at 1 or just below 1, K == F0, |ln(F0/K)| beside 1e-8
-    or |z| beside its switch."""
+    or |z| beside 1e-6."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     T, F0, alpha, beta, rho, nu = sample_config(rng)
     beta = draw(st.sampled_from((beta, beta, 0.0, 1.0, 1.0 - 1e-8, 1.0 - 1e-10)))
@@ -112,12 +113,14 @@ def test_features_array_equal_scalar(points):
 def log_uniform_points(draw):
     """A valid point whose F0 is log-uniform on 1e-320 to 1e300, from
     subnormal forwards, where F0*K and the maturity bracket leave the
-    finite band, to forwards near overflow; K is F0 or within a factor e."""
+    finite band, to forwards near overflow; K is F0 or within a factor e.
+    alpha is uniform on [1e-3, 1] or log-uniform down to 1e-300, where z*z
+    overflows inside x(z) and z/x(z) comes out 0."""
     F0 = 10.0 ** draw(st.floats(-320.0, 300.0))
     K = draw(st.sampled_from((F0, F0 * math.exp(draw(st.floats(-1.0, 1.0))))))
     beta = draw(st.sampled_from((0.0, 1.0, draw(st.floats(0.0, 1.0)))))
-    return SabrPoint(T=draw(st.floats(0.01, 10.0)), F0=F0, K=K,
-                     alpha=draw(st.floats(1e-3, 1.0)), beta=beta,
+    alpha = draw(st.sampled_from((draw(st.floats(1e-3, 1.0)), 10.0 ** draw(st.floats(-300.0, 0.0)))))
+    return SabrPoint(T=draw(st.floats(0.01, 10.0)), F0=F0, K=K, alpha=alpha, beta=beta,
                      rho=draw(st.floats(-0.95, 0.95)), nu=draw(st.floats(0.0, 2.0)))
 
 
@@ -177,15 +180,12 @@ def test_underflowing_ratio_raises_non_finite_in_both_forms(p):
 
 
 def test_edges_take_both_branches():
-    # The edge points above really sit on both sides of each switch.
+    # The edge points above really sit on both sides of |ln(F0/K)| = 1e-8.
     F0, alpha, nu = 0.03, 0.02, 0.3
     for side in SIDES:
         p = SabrPoint(T=1.0, F0=F0, K=F0 * math.exp(side * 1e-8),
                       alpha=alpha, beta=1.0, rho=-0.3, nu=nu)
         assert (abs(math.log(F0 / p.K)) < 1e-8) == (side < 1.0)
-        K = F0 * math.exp(-side * 1e-6 * alpha / nu)
-        z = nu / alpha * math.log(F0 / K)
-        assert (abs(z) < 1e-6) == (side < 1.0)
 
 
 def first_failure(fn, points):
@@ -224,7 +224,7 @@ def test_failing_points_fail_in_scalar_form():
 
 def test_vanishing_alpha_overflows_silently():
     # z ~ 1e290 beside the money, so z*z overflows to inf as in the scalar
-    # form, z/x(z) comes out -0 and both forms raise NegativeVol, as far
+    # form, z/x(z) comes out 0 and both forms raise NegativeVol, as far
     # from the money. At the money z = 0 and the vol stays finite.
     atm = SabrPoint(T=1.0, F0=1.0, K=1.0, alpha=1e-300, beta=0.5, rho=0.0, nu=0.1)
     near, off = (SabrPoint(T=1.0, F0=1.0, K=K, alpha=1e-300, beta=0.5, rho=0.0, nu=0.1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sabrkit.errors import NegativeVol
-from sabrkit.hagan import SabrPoint, hagan_vol, hagan_vols, sabr_values, zx_ratio
+from sabrkit.hagan import SabrPoint, hagan_vol, hagan_vols, sabr_values, zx_ratio, zx_ratios
 
 from atm import atm_vol
 
@@ -14,17 +14,24 @@ mp.mp.dps = 40
 TABLE1 = dict(T=1.0, F0=1.0, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
 
 
+def mp_zx(z, rho):
+    """z/x(z) with the textbook x(z) = ln((sqrt(1-2*rho*z+z^2)+z-rho)/(1-rho)),
+    at 40 digits plus twice the decimal exponent of |z|: the log's argument
+    loses about 2*log10|z| digits to cancellation at large negative z, and
+    lies within |z| of 1 at small |z|."""
+    z, rho = mp.mpf(z), mp.mpf(rho)
+    if z == 0:
+        return mp.mpf(1)
+    with mp.workdps(40 + 2 * abs(int(mp.log10(abs(z))))):
+        return z / mp.log((mp.sqrt(1 - 2 * rho * z + z * z) + z - rho) / (1 - rho))
+
+
 def mp_smile_vol(T, F0, K, alpha, beta, rho, nu):
     """Independent arbitrary-precision transcription of the smile formula."""
     T, F0, K, alpha, beta, rho, nu = [mp.mpf(repr(v)) for v in (T, F0, K, alpha, beta, rho, nu)]
     ln_fk = mp.log(F0 / K)
     fk_half = (F0 * K) ** ((1 - beta) / 2)
-    z = nu / alpha * fk_half * ln_fk
-    if z == 0:
-        ratio = mp.mpf(1)
-    else:
-        x = mp.log((mp.sqrt(1 - 2 * rho * z + z * z) + z - rho) / (1 - rho))
-        ratio = z / x
+    ratio = mp_zx(nu / alpha * fk_half * ln_fk, rho)
     money = 1 + (1 - beta) ** 2 / 24 * ln_fk**2 + (1 - beta) ** 4 / 1920 * ln_fk**4
     tail = 1 + T * (
         (1 - beta) ** 2 * alpha**2 / (24 * (F0 * K) ** (1 - beta))
@@ -45,22 +52,28 @@ class TestZxRatio:
     def test_large_negative_rho(self):
         value = zx_ratio(3.4969, -0.8)
         assert value == pytest.approx(2.2300, abs=5e-4)
-        z, rho = mp.mpf("3.4969"), mp.mpf("-0.8")
-        oracle = z / mp.log((mp.sqrt(1 - 2 * rho * z + z * z) + z - rho) / (1 - rho))
-        assert value == pytest.approx(float(oracle), abs=1e-9)
+        assert value == pytest.approx(float(mp_zx(3.4969, -0.8)), abs=1e-9)
 
-    @pytest.mark.parametrize("rho", [-0.9, -0.4, 0.0, 0.4, 0.9])
+    @pytest.mark.parametrize("rho", [-0.95, -0.5, 0.0, 0.3, 0.95])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_series_meets_closed_form(self, rho, sign):
-        # Truncation error of the first-order series at the switch point is
-        # |(2-3*rho^2)/12| * z^2 <= 1.7e-13; evaluate the closed form in
-        # exact arithmetic to keep the comparison noise-free.
-        z = sign * 1e-6
-        zm, rm = mp.mpf(repr(z)), mp.mpf(repr(rho))
-        closed = float(zm / mp.log((mp.sqrt(1 - 2 * rm * zm + zm * zm) + zm - rm) / (1 - rm)))
-        series = 1.0 - 0.5 * rho * z
-        assert abs(series - closed) <= 1e-10
-        assert zx_ratio(0.999 * z, rho) == pytest.approx(1.0 - 0.5 * rho * 0.999 * z, abs=1e-15)
+    def test_both_forms_against_exact_arithmetic(self, rho, sign):
+        # One cancellation-free expression from |z| = 1e-300 to 1e150, in
+        # both forms: within 1e-15 of mp_zx (2.7e-16 worst). A log of the
+        # textbook argument loses ~1e-16/|z| beside z = 0.
+        def both_forms(z):
+            with np.errstate(all="ignore"):
+                batch = zx_ratios(z, np.full_like(z, rho))
+            return np.array([zx_ratio(v, rho) for v in z.tolist()]), batch
+
+        z = sign * np.array([1e-300, 1e-200, 1e-16, 1e-12, 1e-8, 1e-6, 1e-3, 0.5, 1.0, 3.0,
+                             1e3, 1e8, 1e17, 1e100, 1e150])
+        exact = np.array([float(mp_zx(v, rho)) for v in z.tolist()])
+        for form in both_forms(z):
+            assert np.max(np.abs(form - exact) / exact) <= 1e-15
+        # x(z) is 0 at z = 0 and at a subnormal z, where the factor is 1;
+        # where z*z overflows x(z) is +-inf, and the factor 0.
+        for form in both_forms(sign * np.array([0.0, 5e-324, 1e160])):
+            assert list(form) == [1.0, 1.0, 0.0]
 
     def test_continuity_across_series_threshold(self):
         # Genuine slope rho/2 plus closed-form cancellation noise (~1e-10
@@ -204,8 +217,8 @@ def grid_points():
 
 def stressed_points():
     """400 points at beta = 0 and rho = +-0.95 with F0 up to 1e16, where z
-    reaches -1e17: there (sqrt(1-2*rho*z+z^2)+z-rho)/(1-rho), the x(z) log's
-    argument, cancels to garbage, and only its form below z = rho prices."""
+    reaches -1e17: there (sqrt(1-2*rho*z+z^2)+z-rho)/(1-rho), the textbook
+    x(z) log's argument, cancels to garbage in floating point."""
     rng = np.random.default_rng(1)
     points = []
     for i in range(400):
@@ -216,18 +229,24 @@ def stressed_points():
     return points
 
 
-# The worst relative error of the closed form taken with the C library's log
-# and pow one element at a time, against a 100-digit transcription (40
-# digits cancel to 1.4e-8 at z ~ -1e17): 2.29e-12 on the grid, near the
-# money where z/x(z) cancels above its series switch, and 7.91e-14 on the
-# stressed points. Each bound is that error rounded up; the scalar and the
-# array form must both meet it.
-@pytest.mark.parametrize("points, bound", [(grid_points, 3e-12), (stressed_points, 1e-13)],
+# The worst relative error of the closed form against the transcription,
+# in either form: 7.96e-16 on the grid, where z/x(z) is exact beside the
+# money as elsewhere, and 2.95e-14 on the stressed points. Each bound is
+# the error rounded up; the scalar and the array form must both meet it.
+@pytest.mark.parametrize("points, bound", [(grid_points, 4e-15), (stressed_points, 1e-13)],
                          ids=["grid", "stressed"])
 def test_both_forms_against_transcription(points, bound):
     points = points()
     batch = hagan_vols(*np.array([sabr_values(p) for p in points]).T)
-    with mp.workdps(100):
-        exact = np.array([mp_smile_vol(*sabr_values(p)) for p in points])
+    exact = np.array([mp_smile_vol(*sabr_values(p)) for p in points])
     for form in (np.array([hagan_vol(p) for p in points]), batch):
         assert np.max(np.abs(form - exact) / exact) <= bound
+
+
+def test_transcription_holds_where_the_textbook_argument_cancels():
+    # z = -4.6e23: at a fixed 40 digits the textbook x(z) argument cancels
+    # to 0 and the transcription would read 0.0; mp_zx raises the precision
+    # with |z|, and the closed form meets it.
+    p = SabrPoint(T=1.0, F0=1e22, K=2.5e22, alpha=0.05, beta=0.0, rho=0.75, nu=1.6)
+    assert mp_smile_vol(*sabr_values(p)) == 0.028712740247078213
+    assert hagan_vol(p) == pytest.approx(0.028712740247078213, rel=1e-13)
