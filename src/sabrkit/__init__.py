@@ -1,8 +1,8 @@
 """SABR implied volatility toolkit.
 
 Analytic smile formulas, a variance-reduced Monte Carlo reference engine,
-hyperbolic-geometry smile features, dataset generation, and from-scratch
-residual neural correctors with an evaluation harness.
+the hyperbolic-geometry feature quadruple ``features``, dataset generation,
+and from-scratch residual neural correctors with an evaluation harness.
 """
 
 from . import datagen, evaluation, net
@@ -19,7 +19,7 @@ from .errors import (
     SabrkitError,
     ShapeMismatch,
 )
-from .geometry import GeomFeatures, features, q_transform, sigma_min
+from .geometry import GeomFeatures, features
 from .hagan import SabrPoint, check_params, hagan_vol, zx_ratio
 from .mc import McConfig, Terminals, simulate_terminals
 from .pricing import black_price, black_vega, implied_vol, norm_cdf, norm_pdf

@@ -342,6 +342,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # A path or strike budget the machine cannot allocate.
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

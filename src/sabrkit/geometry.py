@@ -15,8 +15,8 @@ hyperbolic reading of SABR, Henry-Labordere 2008), so sigma0 =
 ln(K/F0)/d_h = alpha*(zeta/x(zeta))/s stays finite through the money.
 :func:`features` takes one point; :func:`features_array` takes columns of
 them at once with numpy's ufuncs, and agrees with it to 1e-12 relative.
-The helpers take the values of a valid :class:`SabrPoint`, whose
-construction checks the parameter domain.
+Both run one formula body. The helpers take the values of a valid
+:class:`SabrPoint`, whose construction checks the parameter domain.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ __all__ = [
     "features",
     "features_array",
     "geom_values",
-    "q_transform",
-    "sigma_min",
 ]
 
 
@@ -61,48 +59,50 @@ GEOM_FIELDS = tuple(f.name for f in fields(GeomFeatures))
 geom_values = attrgetter(*GEOM_FIELDS)
 
 
-def _flatten(F0: float, K: float, beta: float) -> tuple[float, float]:
-    """(q, s): q = ln(K/F0)*s, with s = F0^(1-b)*expm1(u)/u and u =
-    (1-b)*ln(K/F0). The factor expm1(u)/u is 1 at u = 0, which covers the
-    money and beta = 1, and has no cancellation near either."""
-    log_kf = log_or_nan(K / F0)
+def _expm1_ratio(u: float) -> float:
+    """expm1(u)/u, 1 at u = 0 (the money and beta = 1), with no
+    cancellation near either."""
+    return math.expm1(u) / u if u else 1.0
+
+
+def _expm1_ratios(u: np.ndarray) -> np.ndarray:
+    """Array form of :func:`_expm1_ratio`."""
+    return np.where(u == 0.0, 1.0, np.expm1(u) / u)
+
+
+def _quadruple(F0, K, alpha, beta, rho, log, pow, expm1_ratio, sqrt, zx):
+    """The feature formulas for floats or 1-d columns, given the scalar or
+    the array ``log``, ``pow``, ``expm1_ratio``, ``sqrt`` and ``zx``:
+    (q, sigma_min, zeta, z/x(zeta), s), whence d_h = zeta/(z/x) and sigma0
+    = alpha*(z/x)/s, divided by the caller once z/x is checked."""
+    log_kf = log(K / F0)
     omb = 1.0 - beta
-    u = omb * log_kf
-    s = F0**omb * (math.expm1(u) / u if u else 1.0)
-    return log_kf * s, s
-
-
-def q_transform(F0: float, K: float, beta: float) -> float:
-    """CEV-flattened strike coordinate, the integral of f^(-beta) from F0 to K."""
-    return _flatten(F0, K, beta)[0]
-
-
-def sigma_min(alpha: float, rho: float, q: float) -> float:
-    """Terminal volatility minimizing the hyperbolic action to the strike.
-
-    Closed form sqrt(alpha^2 + 2*rho*alpha*q + q^2); bounded below by
-    alpha*sqrt(1-rho^2).
-    """
-    return math.sqrt(alpha * alpha + 2.0 * rho * alpha * q + q * q)
+    s = pow(F0, omb) * expm1_ratio(omb * log_kf)
+    q = log_kf * s
+    smin = sqrt(alpha * alpha + 2.0 * rho * alpha * q + q * q)
+    zeta = q / alpha
+    return q, smin, zeta, zx(zeta, -rho), s
 
 
 def features(p: SabrPoint) -> GeomFeatures:
     """Full feature quadruple for one pricing configuration.
 
-    ``d_h`` = ln((sigma_min + rho*alpha + q) / ((1+rho)*alpha)) is x(zeta)
-    of :func:`~sabrkit.hagan.zx_ratio` at zeta = q/alpha and correlation
-    -rho; ``sigma0`` = ln(K/F0)/d_h = alpha*(zeta/x(zeta))/s is
-    alpha*F0^(beta-1) at the money. Raises NonFinite where a value comes
-    out inf or NaN, as at forwards so large that q^2 overflows, and
-    DomainError where the geodesic distance overflows: at a vanishing
-    alpha, zeta^2 overflows inside x(zeta) and z/x(z) comes out 0.
+    ``q`` is the CEV-flattened strike, the integral of f^(-beta) from F0
+    to K; ``sigma_min`` = sqrt(alpha^2 + 2*rho*alpha*q + q^2) is the
+    terminal vol minimizing the hyperbolic action to the strike, at least
+    alpha*sqrt(1-rho^2). ``d_h`` = ln((sigma_min + rho*alpha + q) /
+    ((1+rho)*alpha)) is x(zeta) of :func:`~sabrkit.hagan.zx_ratio` at
+    zeta = q/alpha and correlation -rho; ``sigma0`` = ln(K/F0)/d_h =
+    alpha*(zeta/x(zeta))/s is alpha*F0^(beta-1) at the money. Raises
+    NonFinite where a value comes out inf or NaN, as at forwards so large
+    that q^2 overflows, and DomainError where the geodesic distance
+    overflows: at a vanishing alpha, zeta^2 overflows inside x(zeta) and
+    z/x(z) comes out 0.
     """
-    q, s = _flatten(p.F0, p.K, p.beta)
-    smin = sigma_min(p.alpha, p.rho, q)
+    q, smin, zeta, ratio, s = _quadruple(p.F0, p.K, p.alpha, p.beta, p.rho, log_or_nan,
+                                         math.pow, _expm1_ratio, math.sqrt, zx_ratio)
     if not math.isfinite(smin):
         raise NonFinite(f"features returned q={q!r}, sigma_min={smin!r}")
-    zeta = q / p.alpha
-    ratio = zx_ratio(zeta, -p.rho)
     if ratio == 0.0:
         raise DomainError(f"geodesic distance overflows at q/alpha={zeta!r}")
     d_h, sigma0 = zeta / ratio, p.alpha * ratio / s
@@ -114,18 +114,12 @@ def features(p: SabrPoint) -> GeomFeatures:
 @np.errstate(all="ignore")
 def features_array_or_nan(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
     """The formula body of :func:`features` on 1-d float columns, with
-    numpy's log, pow and expm1 and :func:`~sabrkit.hagan.zx_ratios`: an
-    (n, 4) array of (q, sigma_min, d_h, sigma0) rows, a row all NaN where
-    any of its values is not finite, and nothing raised, as in
+    numpy's log, pow, expm1 and sqrt and :func:`~sabrkit.hagan.zx_ratios`:
+    an (n, 4) array of (q, sigma_min, d_h, sigma0) rows, a row all NaN
+    where any of its values is not finite, and nothing raised, as in
     :func:`~sabrkit.hagan.hagan_vols_or_nan`. ``T`` and ``nu`` are unused."""
-    log_kf = logs_or_nan(K / F0)
-    omb = 1.0 - beta
-    u = omb * log_kf
-    s = np.power(F0, omb) * np.where(u == 0.0, 1.0, np.expm1(u) / u)
-    q = log_kf * s
-    smin = np.sqrt(alpha * alpha + 2.0 * rho * alpha * q + q * q)
-    zeta = q / alpha
-    ratio = zx_ratios(zeta, -rho)
+    q, smin, zeta, ratio, s = _quadruple(F0, K, alpha, beta, rho, logs_or_nan, np.power,
+                                         _expm1_ratios, np.sqrt, zx_ratios)
     out = np.column_stack((q, smin, zeta / ratio, alpha * ratio / s))
     out[~np.isfinite(out).all(axis=1)] = math.nan
     return out

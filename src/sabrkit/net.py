@@ -116,8 +116,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.lr0 <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("lr0, batch_size and epochs must be positive")
+        if not 0.0 < self.lr0 < math.inf or self.batch_size < 1 or self.epochs < 1:
+            raise ConfigError("lr0, batch_size and epochs must be finite and positive")
 
 
 @dataclass

@@ -7,8 +7,6 @@ rotate them into the half-plane to check distances against arccosh.
 import math
 from dataclasses import dataclass
 
-from sabrkit.geometry import sigma_min
-
 
 @dataclass(frozen=True)
 class HalfPlanePoint:
@@ -23,6 +21,12 @@ def to_halfplane(q: float, sigma: float, rho: float) -> HalfPlanePoint:
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     return HalfPlanePoint(u=(q - rho * sigma) / math.sqrt(1.0 - rho * rho), v=sigma)
+
+
+def sigma_min(alpha: float, rho: float, q: float) -> float:
+    """The terminal vol minimizing the hyperbolic action from (0, alpha)
+    to the strike manifold at flattened strike q."""
+    return math.sqrt(alpha * alpha + 2.0 * rho * alpha * q + q * q)
 
 
 def geodesic_distance(alpha: float, rho: float, q: float) -> float:

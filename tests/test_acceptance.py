@@ -18,7 +18,7 @@ import pytest
 
 from sabrkit.datagen import build_dataset, filter_outliers, sample_config, split_dataset, strike_grid
 from sabrkit.evaluation import latency_bench, r2
-from sabrkit.geometry import features, q_transform, sigma_min
+from sabrkit.geometry import features
 from sabrkit.hagan import SabrPoint, hagan_vol
 from sabrkit.mc import (
     McConfig,
@@ -42,7 +42,7 @@ from sabrkit.pricing import black_price, black_vega, implied_vol
 
 from atm import atm_vol
 from bundles import zero_output
-from halfplane import geodesic_distance, to_halfplane
+from halfplane import to_halfplane
 from plain_mc import cv_price, plain_price_from_terminals
 
 WIDE = dict(T=1.0, F0=1.0, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
@@ -124,10 +124,8 @@ def test_criterion_2_hagan_exactness():
 
 
 def test_criterion_3_geometry():
-    q = q_transform(1.0, 1.21, 0.5)
-    smin = sigma_min(0.2, -0.8, q)
-    d = geodesic_distance(0.2, -0.8, q)
-    s0 = math.log(1.21) / d
+    f = features(SabrPoint(K=1.21, **WIDE))
+    q, smin, d, s0 = f.q, f.sigma_min, f.d_h, f.sigma0
     # The quoted distance constant 1.42600 truncates the derived value
     # 1.4260624... (confirmed by the half-plane oracle); it carries the
     # documented 1e-4 example tolerance while everything else meets 1e-5.
@@ -137,22 +135,27 @@ def test_criterion_3_geometry():
     assert abs(d - 1.42600) <= 1e-4
     assert abs(s0 - 0.133674) <= 1e-5
 
-    def oracle(alpha, rho, qv):
+    def oracle(alpha, rho, f):
         p1 = to_halfplane(0.0, alpha, rho)
-        p2 = to_halfplane(qv, sigma_min(alpha, rho, qv), rho)
+        p2 = to_halfplane(f.q, f.sigma_min, rho)
         return math.acosh(1.0 + ((p2.u - p1.u) ** 2 + (p2.v - p1.v) ** 2)
                           / (2.0 * p1.v * p2.v))
 
+    # The strike of flattened coordinate qv from F0 = 2 at each beta; at
+    # beta = 0, K = 2 + qv stays positive for |qv| <= 1.8.
     rng = np.random.default_rng(81)
     worst = 0.0
     for _ in range(10_000):
         alpha = rng.uniform(0.005, 0.6)
         rho = rng.uniform(-0.95, 0.95)
         qv = rng.uniform(-3 * alpha, 3 * alpha)
-        worst = max(worst, abs(abs(geodesic_distance(alpha, rho, qv))
-                               - oracle(alpha, rho, qv)))
+        for beta in (1.0, 0.5, 0.0):
+            omb = 1.0 - beta
+            K = 2.0 * math.exp(qv) if omb == 0.0 else (2.0**omb + omb * qv) ** (1.0 / omb)
+            f = features(SabrPoint(T=1.0, F0=2.0, K=K, alpha=alpha, beta=beta, rho=rho, nu=0.3))
+            worst = max(worst, abs(abs(f.d_h) - oracle(alpha, rho, f)))
     _gate("3", worst <= 1e-9,
-          f"quadruple reproduced, oracle agreement {worst:.1e} over 1e4 points")
+          f"quadruple reproduced, oracle agreement {worst:.1e} over 3e4 points")
     assert worst <= 1e-9
 
 

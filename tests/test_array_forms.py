@@ -179,8 +179,9 @@ def test_underflowing_ratio_raises_non_finite_in_both_forms(p):
             array(*columns([good, p, good]))
 
 
-def test_edges_take_both_branches():
-    # The edge points above really sit on both sides of |ln(F0/K)| = 1e-8.
+def test_log_edges_sit_on_both_sides():
+    # The "log" edge points above really sit on both sides of
+    # |ln(F0/K)| = 1e-8.
     F0, alpha, nu = 0.03, 0.02, 0.3
     for side in SIDES:
         p = SabrPoint(T=1.0, F0=F0, K=F0 * math.exp(side * 1e-8),

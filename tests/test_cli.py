@@ -57,6 +57,17 @@ class TestSmile:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("invalid input:")
 
+    @pytest.mark.parametrize("flag", ["--paths", "--n-strikes"])
+    def test_unallocatable_budget_exit_2_one_line(self, tmp_path, capsys, flag):
+        # 1e15 float64 values take 7 PiB, beyond the x86-64 address space,
+        # so the first array of that length fails at once.
+        out = tmp_path / "out"
+        assert main(["smile", flag, "1000000000000000", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("out of memory:")
+        assert not out.exists()
+
     def test_tiny_forward_exit_3_one_line(self, tmp_path, capsys):
         # A valid point whose F0*K underflows: the closed form divides by
         # zero before the simulation starts.
@@ -161,6 +172,15 @@ class TestTrainEvaluate:
         payload = json.loads((tmp_path / "model_ndn.json").read_text())
         assert payload["arch"] == "ndn"
         assert payload["manifest"]["best_epoch"] <= 3
+
+    @pytest.mark.parametrize("lr0", ["0", "nan", "inf"])
+    def test_bad_lr0_exit_2_one_line(self, small_dataset, tmp_path, capsys, lr0):
+        out = tmp_path / "out"
+        assert main(["train", "--dataset", str(small_dataset), "--arch", "ndn",
+                     "--epochs", "1", "--lr0", lr0, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "invalid input: lr0, batch_size and epochs must be finite and positive\n"
+        assert not out.exists()
 
     def test_train_deterministic(self, small_dataset, tmp_path):
         for sub in ("a", "b"):

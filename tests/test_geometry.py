@@ -6,10 +6,10 @@ import pytest
 from scipy.integrate import quad
 
 from sabrkit.datagen import sample_config, strike_grid
-from sabrkit.geometry import features, q_transform, sigma_min
+from sabrkit.geometry import features
 from sabrkit.hagan import SabrPoint
 
-from halfplane import geodesic_distance, to_halfplane
+from halfplane import geodesic_distance, sigma_min, to_halfplane
 
 
 def hyp_dist(u1, v1, u2, v2):
@@ -36,6 +36,11 @@ def relative_errors(f, exact):
     return np.array([float(abs(g - w) / abs(w)) if w else abs(g) for g, w in zip(got, exact)])
 
 
+def served(F0=1.0, K=1.21, beta=0.5, alpha=0.2, rho=-0.8):
+    """The served quadruple at one strike; T and nu do not enter it."""
+    return features(SabrPoint(T=1.0, F0=F0, K=K, alpha=alpha, beta=beta, rho=rho, nu=0.4))
+
+
 def oracle_distance(alpha, rho, q, sigma):
     """Distance from the spot point (q=0, sigma=alpha) to (q, sigma)."""
     p1 = to_halfplane(0.0, alpha, rho)
@@ -45,40 +50,42 @@ def oracle_distance(alpha, rho, q, sigma):
 
 class TestQTransform:
     def test_atm_is_zero(self):
-        assert q_transform(1.3, 1.3, 0.42) == 0.0
+        assert served(F0=1.3, K=1.3, beta=0.42).q == 0.0
 
     def test_power_branch_vs_quadrature(self):
-        val = q_transform(1.0, 1.21, 0.5)
+        val = served(F0=1.0, K=1.21, beta=0.5).q
         oracle, _ = quad(lambda f: f**-0.5, 1.0, 1.21, epsabs=1e-14)
         assert val == pytest.approx(oracle, abs=1e-11)
         assert val == pytest.approx(0.2, abs=1e-12)
 
     def test_log_branch(self):
-        assert q_transform(1.0, math.e, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert served(F0=1.0, K=math.e, beta=1.0).q == pytest.approx(1.0, abs=1e-15)
 
     def test_near_one_beta_matches_log(self):
-        assert q_transform(1.0, 1.5, 1.0 - 1e-12) == pytest.approx(math.log(1.5), rel=1e-9)
+        assert served(F0=1.0, K=1.5, beta=1.0 - 1e-12).q == pytest.approx(math.log(1.5), rel=1e-9)
 
     def test_negative_below_forward(self):
-        assert q_transform(1.0, 0.8, 0.5) < 0.0
+        assert served(F0=1.0, K=0.8, beta=0.5).q < 0.0
 
 
 class TestSigmaMin:
     def test_atm(self):
-        assert sigma_min(0.37, -0.6, 0.0) == 0.37
+        assert served(F0=1.3, K=1.3, alpha=0.37, rho=-0.6).sigma_min == 0.37
 
     def test_documented_point_vs_minimization_oracle(self):
-        val = sigma_min(0.2, -0.8, 0.2)
+        f = served()
+        val = f.sigma_min
         assert val == pytest.approx(0.12649110640673518, abs=1e-12)
         grid = np.linspace(1e-4, 1.0, 200_001)
-        dists = [oracle_distance(0.2, -0.8, 0.2, s) for s in grid[:: 1000]]
+        dists = [oracle_distance(0.2, -0.8, f.q, s) for s in grid[:: 1000]]
         coarse_best = grid[::1000][int(np.argmin(dists))]
         fine = np.linspace(coarse_best - 0.01, coarse_best + 0.01, 4001)
-        dists = [oracle_distance(0.2, -0.8, 0.2, s) for s in fine]
+        dists = [oracle_distance(0.2, -0.8, f.q, s) for s in fine]
         assert fine[int(np.argmin(dists))] == pytest.approx(val, abs=1e-5)
 
     def test_pythagorean_case(self):
-        assert sigma_min(0.3, 0.0, 0.4) == pytest.approx(0.5, abs=1e-15)
+        f = served(K=math.exp(0.4), beta=1.0, alpha=0.3, rho=0.0)
+        assert f.sigma_min == pytest.approx(0.5, abs=1e-15)
 
     def test_lower_bound_never_violated(self):
         rng = np.random.default_rng(11)
@@ -86,7 +93,8 @@ class TestSigmaMin:
             alpha = rng.uniform(0.005, 0.6)
             rho = rng.uniform(-0.95, 0.95)
             q = rng.uniform(-3 * alpha, 3 * alpha)
-            assert sigma_min(alpha, rho, q) >= alpha * math.sqrt(1 - rho * rho) - 1e-15
+            f = served(K=math.exp(q), beta=1.0, alpha=alpha, rho=rho)
+            assert f.sigma_min >= alpha * math.sqrt(1 - rho * rho) - 1e-15
 
 
 class TestGeodesicDistance:
@@ -140,10 +148,9 @@ class TestSigma0:
         assert features(p2).sigma0 == pytest.approx(0.02 * 0.04**-0.5, rel=1e-14)
 
     def test_documented_composition(self):
-        p = SabrPoint(T=1.0, F0=1.0, K=1.21, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
-        q = q_transform(1.0, 1.21, 0.5)
-        d = geodesic_distance(0.2, -0.8, q)
-        val = features(p).sigma0
+        f = served()
+        d = geodesic_distance(0.2, -0.8, f.q)
+        val = f.sigma0
         assert val == pytest.approx(math.log(1.21) / d, rel=1e-14)
         assert val == pytest.approx(0.13366901364779517, abs=1e-10)
 

@@ -75,9 +75,9 @@ class TestZxRatio:
         for form in both_forms(sign * np.array([0.0, 5e-324, 1e160])):
             assert list(form) == [1.0, 1.0, 0.0]
 
-    def test_continuity_across_series_threshold(self):
-        # Genuine slope rho/2 plus closed-form cancellation noise (~1e-10
-        # at |z| ~ 1e-6) bound the gap across the switch point.
+    def test_continuous_beside_zero(self):
+        # z/x(z) = 1 + rho*z/2 + O(z^2): from z = 0.999e-6 to 1.001e-6 it
+        # moves only by its genuine slope, rho/2 * 2e-9 = 8e-10 at rho = -0.8.
         for rho in (-0.8, 0.3):
             below = zx_ratio(0.999e-6, rho)
             above = zx_ratio(1.001e-6, rho)
@@ -167,10 +167,9 @@ class TestSmile:
         assert abs(hagan_vol(wide) - atm_vol(wide)) <= 1e-6 * atm_vol(wide)
 
     def test_continuous_through_the_money(self):
-        # Across |ln(F0/K)| = 1e-8, where geometry's sigma0 switches to its
-        # at-the-money limit, the vol moves only by the smile's own slope
-        # (~1e-10 relative here), and at K = F0 it is the ATM formula to a
-        # few ulp and the exact-arithmetic transcription to 1e-12.
+        # Across |ln(F0/K)| = 1e-8 the vol moves only by the smile's own
+        # slope (~1e-10 relative here), and at K = F0 it is the ATM formula
+        # to a few ulp and the exact-arithmetic transcription to 1e-12.
         from sabrkit.datagen import sample_config
 
         rng = np.random.default_rng(11)
