@@ -13,6 +13,7 @@ import os
 import sys
 
 from sabrkit.cli import main as cli_main
+from sabrkit.net import ARCHS
 
 
 def run(argv):
@@ -32,7 +33,7 @@ def main():
     parser.add_argument("--train-seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--stress", action="store_true",
-                        help="also run stress scenarios and the maturity sweep")
+                        help="also run the stress suite (stressed smiles and maturity slices)")
     args = parser.parse_args()
 
     data_dir = os.path.join(args.out, "data")
@@ -44,7 +45,7 @@ def main():
 
     dataset = os.path.join(data_dir, "dataset.csv")
     models = []
-    for arch in ("ndn", "geonn", "resnn", "georesnn"):
+    for arch in ARCHS:
         run(["train", "--dataset", dataset, "--arch", arch,
              "--epochs", str(args.epochs), "--seed", str(args.train_seed),
              "--out", model_dir])
@@ -53,7 +54,7 @@ def main():
     eval_args = ["evaluate", "--models", *models, "--dataset", dataset,
                  "--out", report_dir, "--bench"]
     if args.stress:
-        eval_args += ["--stress", "--sweep"]
+        eval_args.append("--stress")
     run(eval_args)
 
     print("\nsummary")

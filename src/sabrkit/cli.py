@@ -8,8 +8,10 @@ one Hagan baseline, :func:`~sabrkit.hagan.hagan_vol`, so ``price`` and
 ``evaluate`` correct the same closed form. A JSON config file can pre-set
 any long flag (--config file); explicitly passed flags win over file
 values. Flags are spelled in full; argparse's prefix matching is off.
-``evaluate --stress`` and ``--sweep`` report stress records and write one
-CSV per scenario, none for a scenario whose reference failed. The
+``evaluate --stress`` runs the eleven-scenario stress suite once for all
+``--models``: each report holds its model's records, and each model gets
+one CSV per scenario (``T,K,sigma_mc,sigma_hagan,sigma_model``), none for
+a scenario that failed. The
 :mod:`~sabrkit.datagen` writers make ``--out`` with a command's first
 file, so a command that fails before it leaves none. Every command writes
 its files before it prints, so one whose stdout closes early (``| head``)
@@ -27,7 +29,6 @@ import io
 import json
 import os
 import sys
-from itertools import repeat
 
 import numpy as np
 
@@ -123,8 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", type=str, default=None)
     _add_mc_flags(p, default_paths=200_000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--stress", action="store_true", help="run the stress scenario suite")
-    p.add_argument("--sweep", action="store_true", help="run the maturity sweep")
+    p.add_argument("--stress", action="store_true",
+                   help="run the stress suite: stressed smiles and maturity slices")
     p.add_argument("--bench", action="store_true", help="run the latency benchmark")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_evaluate, required=("models", "dataset", "out"))
@@ -257,37 +258,30 @@ def cmd_evaluate(args) -> int:
     for i, bundle in enumerate(bundles):
         if any(other.arch == bundle.arch for other in bundles[:i]):
             raise ConfigError(f"two models of arch {bundle.arch!r}; their reports share one name")
-    # Smile diagnostics: flag and report key, CSV prefix, runner and the n
-    # column of its CSVs, empty for stress strikes (not all on the grid).
-    diagnostics = [("stress", "stress", evaluation.stress_suite, repeat("")),
-                   ("sweep", "slice", evaluation.maturity_sweep, datagen.GRID_INDICES)]
+    metrics = [evaluation.evaluate_model(bundle, test_rows) for bundle in bundles]
+    suites = (evaluation.stress_suite(bundles, mc_cfg) if args.stress
+              else [None] * len(bundles))
     lines = []
-    for bundle in bundles:
-        metrics = evaluation.evaluate_model(bundle, test_rows)
+    for bundle, m, records in zip(bundles, metrics, suites):
         report = {"dataset": args.dataset, "dataset_sha256_12": tag,
-                  "metrics": dataclasses.asdict(metrics), "mc_config": None,
-                  "stress": None, "sweep": None, "latency": None}
-        if args.stress or args.sweep or args.bench:
-            report["mc_config"] = mc_cfg.record()
-        for key, prefix, run, ns in diagnostics:
-            if not getattr(args, key):
-                continue
-            records = run(bundle, mc_cfg)
-            report[key] = [vars(r) for r in records]
-            for r in records:
-                if r.error is None:
-                    datagen.write_csv(
-                        os.path.join(args.out, f"{prefix}_{bundle.arch}_{tag}_{r.scenario_id}.csv"),
-                        ["T", "K", "n", "sigma_mc", "sigma_hagan", "sigma_model"],
-                        ((r.T, k, n, *vols) for k, n, *vols in zip(
-                            r.strikes, ns, r.sigma_mc, r.sigma_hagan, r.sigma_model)))
+                  "metrics": dataclasses.asdict(m),
+                  "mc_config": mc_cfg.record() if args.stress or args.bench else None,
+                  "stress": None if records is None else [vars(r) for r in records],
+                  "latency": None}
+        for r in records or ():
+            if r.error is None:
+                datagen.write_csv(
+                    os.path.join(args.out, f"stress_{bundle.arch}_{tag}_{r.scenario_id}.csv"),
+                    ["T", "K", "sigma_mc", "sigma_hagan", "sigma_model"],
+                    ((r.T, *vols) for vols in zip(
+                        r.strikes, r.sigma_mc, r.sigma_hagan, r.sigma_model)))
         if args.bench:
             stats = evaluation.latency_bench(bundle, mc_cfg=mc_cfg)
             report["latency"] = vars(stats)
         out_path = os.path.join(args.out, f"metrics_{bundle.arch}_{tag}.json")
         datagen.write_json(out_path, report)
-        lines.append(f"{bundle.arch}: r2_global={metrics.r2_global:.4f} "
-                     f"rmse_rel={metrics.rmse_rel:.4f} -> {out_path}")
+        lines.append(f"{bundle.arch}: r2_global={m.r2_global:.4f} "
+                     f"rmse_rel={m.rmse_rel:.4f} -> {out_path}")
     print("\n".join(lines))
     return 0
 

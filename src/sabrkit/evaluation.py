@@ -1,14 +1,14 @@
 """Model diagnostics: global and regional accuracy against Monte Carlo
-references, stress scenarios, a maturity sweep and an inference benchmark.
+references, a stress suite and an inference benchmark.
 
 Regions are keyed off the dataset's strike-grid index (ITM n < 0, ATM
 n = 0, OTM n > 0), because generated strikes are maturity scaled.
 
-The stress suite and the maturity sweep are both lists of
-:class:`StressScenario` priced by one runner, and both return
-:class:`StressRecord` lists; a sweep record's scenario id is ``T<T>``. A
-scenario whose reference fails keeps the error in its record, with empty
-vol lists.
+The stress suite is one list of :class:`StressScenario`: six stressed
+smiles, then five maturity slices at fixed parameters (ids ``T<T>``).
+Each smile's Monte Carlo reference and Hagan vols are computed once and
+shared by every model's :class:`StressRecord`. A scenario that fails
+keeps the error in its record, with empty vol lists.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "default_stress_scenarios",
     "evaluate_model",
     "latency_bench",
-    "maturity_sweep",
     "r2",
     "rmse_rel",
     "stress_suite",
@@ -46,7 +45,7 @@ REGION_NAMES = ("itm", "atm", "otm")
 # statistics.
 LATENCY_WARMUP = 100
 
-# The maturity sweep's smile parameters and maturities.
+# The maturity slices' smile parameters and maturities.
 SWEEP_PARAMS = dict(F0=0.03, alpha=0.035, beta=0.5, rho=-0.25, nu=0.35)
 SWEEP_MATURITIES = (0.25, 0.5, 1.0, 2.0, 5.0)
 
@@ -136,7 +135,9 @@ def _on_grid(scenario_id, T, F0, alpha, beta, rho, nu) -> StressScenario:
 
 
 def default_stress_scenarios() -> list[StressScenario]:
-    """Fixed six-scenario list spanning the documented stress axes.
+    """Fixed eleven-scenario list: six smiles spanning the documented
+    stress axes, then one maturity slice per ``SWEEP_MATURITIES`` at
+    ``SWEEP_PARAMS``, ids ``T<T>``.
 
     Bucket medians are midpoints of the sampling ranges; the wide-smile
     scenario uses a flat 16-strike grid from half to twice the forward,
@@ -150,6 +151,7 @@ def default_stress_scenarios() -> list[StressScenario]:
         _on_grid("beta_zero_short_tenor", 17.5 / 365.0, 0.0175, 0.0125, 0.0, 0.0, 0.125),
         _on_grid("lognormal_flat_sanity", 1.0, 1.0, 0.2, 1.0, 0.0, 0.0),
         _on_grid("alpha_above_bucket", 0.875, 0.03, 0.08, 0.5, -0.2, 0.3),
+        *(_on_grid(f"T{T:g}", T, **SWEEP_PARAMS) for T in SWEEP_MATURITIES),
     ]
 
 
@@ -167,56 +169,55 @@ class StressRecord:
     error: str | None = None
 
 
-def _run_scenarios(bundle, mc_cfg, scenarios, first_index) -> list[StressRecord]:
-    """Price each scenario's smile against fresh Monte Carlo (config index
-    ``first_index`` + position), the Hagan formula and the bundle.
+def _record(sc, mc_vols, hagan_vols, model_vols, error) -> StressRecord:
+    errs_model = [abs(m - r) for m, r in zip(model_vols, mc_vols) if math.isfinite(r)]
+    errs_hagan = [abs(h - r) for h, r in zip(hagan_vols, mc_vols) if math.isfinite(r)]
+    return StressRecord(
+        scenario_id=sc.scenario_id,
+        T=sc.T,
+        strikes=list(sc.strikes),
+        sigma_mc=mc_vols,
+        sigma_hagan=hagan_vols,
+        sigma_model=model_vols,
+        max_abs_err_model=max(errs_model, default=float("nan")),
+        max_abs_err_hagan=max(errs_hagan, default=float("nan")),
+        failed_strikes=len(sc.strikes) - len(errs_model),
+        error=error,
+    )
 
-    A scenario that raises a :class:`SabrkitError` is recorded with the
-    error and empty vol lists, not raised, so one pathological regime
-    cannot abort the run.
+
+def stress_suite(bundles: list[ModelBundle], mc_cfg: McConfig) -> list[list[StressRecord]]:
+    """Each bundle against fresh Monte Carlo on every one of
+    :func:`default_stress_scenarios`, scenario i at config index i; one
+    record list per bundle, in order.
+
+    Each smile's reference and Hagan vols are computed once for all
+    bundles. A :class:`SabrkitError` is recorded with empty vol lists, not
+    raised, so one pathological regime cannot abort the run: a failing
+    reference or closed form in every bundle's record, a failing
+    prediction in that bundle's alone.
     """
-    records = []
-    for idx, sc in enumerate(scenarios, start=first_index):
-        strikes, error = list(sc.strikes), None
+    suites = [[] for _ in bundles]
+    for idx, sc in enumerate(default_stress_scenarios()):
+        shared = None
         try:
-            mc_vols, _ = reference_smile(sc.T, sc.F0, sc.alpha, sc.beta, sc.rho, sc.nu,
-                                         strikes, mc_cfg, idx)
-            mc_vols = mc_vols.tolist()
+            mc_vols = reference_smile(sc.T, sc.F0, sc.alpha, sc.beta, sc.rho, sc.nu,
+                                      sc.strikes, mc_cfg, idx)[0].tolist()
             points = [SabrPoint(T=sc.T, F0=sc.F0, K=k, alpha=sc.alpha, beta=sc.beta,
-                                rho=sc.rho, nu=sc.nu) for k in strikes]
+                                rho=sc.rho, nu=sc.nu) for k in sc.strikes]
             hagan_vols = [hagan_vol(point) for point in points]
-            model_vols = predict_vols(bundle, points).tolist()
         except SabrkitError as exc:
-            mc_vols, hagan_vols, model_vols, error = [], [], [], str(exc)
-        errs_model = [abs(m - r) for m, r in zip(model_vols, mc_vols) if math.isfinite(r)]
-        errs_hagan = [abs(h - r) for h, r in zip(hagan_vols, mc_vols) if math.isfinite(r)]
-        records.append(StressRecord(
-            scenario_id=sc.scenario_id,
-            T=sc.T,
-            strikes=strikes,
-            sigma_mc=mc_vols,
-            sigma_hagan=hagan_vols,
-            sigma_model=model_vols,
-            max_abs_err_model=max(errs_model, default=float("nan")),
-            max_abs_err_hagan=max(errs_hagan, default=float("nan")),
-            failed_strikes=len(strikes) - len(errs_model),
-            error=error,
-        ))
-    return records
-
-
-def stress_suite(bundle: ModelBundle, mc_cfg: McConfig) -> list[StressRecord]:
-    """The bundle against fresh Monte Carlo on each of
-    :func:`default_stress_scenarios`, at config indexes 0-5."""
-    return _run_scenarios(bundle, mc_cfg, default_stress_scenarios(), first_index=0)
-
-
-def maturity_sweep(bundle: ModelBundle, mc_cfg: McConfig) -> list[StressRecord]:
-    """One smile per maturity in ``SWEEP_MATURITIES`` at ``SWEEP_PARAMS`` on
-    the standard 11-strike grid, scenario ids ``T<T>``, at config indexes
-    1000 + i."""
-    scenarios = [_on_grid(f"T{T:g}", T, **SWEEP_PARAMS) for T in SWEEP_MATURITIES]
-    return _run_scenarios(bundle, mc_cfg, scenarios, first_index=1000)
+            shared = str(exc)
+        for bundle, records in zip(bundles, suites):
+            vols, error = ([], [], []), shared
+            if shared is None:
+                try:
+                    vols = (list(mc_vols), list(hagan_vols),
+                            predict_vols(bundle, points).tolist())
+                except SabrkitError as exc:
+                    error = str(exc)
+            records.append(_record(sc, *vols, error))
+    return suites
 
 
 @dataclass

@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sabrkit import evaluation
+from sabrkit import datagen, evaluation
 from sabrkit.cli import main
 from sabrkit.datagen import CSV_HEADER, load_dataset
-from sabrkit.errors import NonFinite
+from sabrkit.errors import NonFinite, PriceOutOfBounds
 from sabrkit.evaluation import default_stress_scenarios
 from sabrkit.hagan import SabrPoint, hagan_vol
 from sabrkit.net import ARCHS, init_bundle, load_model, predict_from_rows, predict_vol, save_model
@@ -48,6 +48,16 @@ class TestSmile:
 
     def test_invalid_params_exit_2(self):
         assert main(["smile", "--beta", "2.0", "--paths", "2000"]) == 2
+
+    @pytest.mark.parametrize("argv", [["--n-strikes", "0"], ["--k-min", "2", "--k-max", "1"]],
+                             ids=["no-strikes", "reversed-range"])
+    def test_bad_strike_range_exit_2_one_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(["smile", *argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid input: need n_strikes >= 1 and 0 < k_min < k_max\n"
+        assert not out.exists()
 
     def test_bad_strike_rejected_before_simulating(self, capsys):
         # At the default 1M paths a simulation would take seconds; the
@@ -136,6 +146,26 @@ class TestGenerate:
         ma = json.loads((tmp_path / "a" / "manifest.json").read_text())
         mb = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert ma["csv_sha256"] == mb["csv_sha256"]
+
+    def test_low_validity_exit_3_after_writing(self, tmp_path, capsys, monkeypatch):
+        # Every strike above the forward fails to price, so 5 rows in 11
+        # are invalid; the CSV and the manifest are still written whole.
+        price_from_terminals = datagen.price_from_terminals
+
+        def otm_fails(terminals, K):
+            if K > terminals.F0:
+                raise PriceOutOfBounds("forced")
+            return price_from_terminals(terminals, K)
+
+        monkeypatch.setattr(datagen, "price_from_terminals", otm_fails)
+        assert main(["generate", "--configs", "4", "--paths", "2000", "--workers", "1",
+                     "--out", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "validity below 99%, flagging run as failed\n"
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert (manifest["rows"], manifest["valid_rows"]) == (44, 24)
+        assert len(read_csv(tmp_path / "dataset.csv")) == 45
+        assert captured.out.startswith(f"wrote {tmp_path / 'dataset.csv'}: 44 rows, 24 valid")
 
     def test_bad_mc_config_leaves_no_out_dir(self, tmp_path, capsys):
         # The directory is made only once the rows are split, so no failure
@@ -235,7 +265,7 @@ class TestTrainEvaluate:
     def test_evaluate_records_full_mc_config(self, small_dataset, tmp_path):
         model = zero_model(tmp_path)
         assert main(["evaluate", "--models", str(model), "--dataset", str(small_dataset),
-                     "--cv-vol", "effective-atm", "--sweep", "--paths", "2000",
+                     "--cv-vol", "effective-atm", "--stress", "--paths", "2000",
                      "--out", str(tmp_path)]) == 0
         report = json.loads(next(tmp_path.glob("metrics_georesnn_*.json")).read_text())
         assert report["mc_config"] == {
@@ -250,9 +280,13 @@ class TestTrainEvaluate:
         scenarios = default_stress_scenarios()
         assert [(r["scenario_id"], r["T"]) for r in report["stress"]] == [
             (sc.scenario_id, sc.T) for sc in scenarios]
+        assert "sweep" not in report
+        assert len(list(tmp_path.glob("*.csv"))) == len(scenarios) == 11
         for sc in scenarios:
             rows = read_csv(next(tmp_path.glob(f"stress_georesnn_*_{sc.scenario_id}.csv")))
-            assert rows[0][0] == "T" and len(rows) == 1 + len(sc.strikes)
+            assert rows[0] == ["T", "K", "sigma_mc", "sigma_hagan", "sigma_model"]
+            assert len(rows) == 1 + len(sc.strikes)
+            assert all(field for row in rows for field in row)
             for row in rows[1:]:
                 assert float(row[0]) == pytest.approx(sc.T, rel=1e-11)
 
@@ -260,7 +294,7 @@ class TestTrainEvaluate:
         model = zero_model(tmp_path)
         out = tmp_path / "out"
         assert main(["evaluate", "--models", str(model), "--dataset", str(small_dataset),
-                     "--sweep", "--paths", "500", "--out", str(out)]) == 2
+                     "--stress", "--paths", "500", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("invalid input: paths must be >= 1000")
         assert not out.exists()
 
@@ -273,10 +307,44 @@ class TestTrainEvaluate:
         model = zero_model(tmp_path)
         out = tmp_path / "out"
         assert main(["evaluate", "--models", str(model), "--dataset", str(small_dataset),
-                     "--stress", "--sweep", "--paths", "2000", "--out", str(out)]) == 0
+                     "--stress", "--paths", "2000", "--out", str(out)]) == 0
         report = json.loads(next(out.glob("metrics_georesnn_*.json")).read_text())
-        assert [r["error"] for r in report["stress"] + report["sweep"]] == ["no reference"] * 11
+        assert [r["error"] for r in report["stress"]] == ["no reference"] * 11
         assert not list(out.glob("*.csv"))
+
+    def test_stress_references_are_simulated_once_for_all_models(self, small_dataset, tmp_path,
+                                                                 monkeypatch):
+        calls = []
+        reference_smile = evaluation.reference_smile
+        monkeypatch.setattr(evaluation, "reference_smile",
+                            lambda *args: calls.append(args) or reference_smile(*args))
+        models = [zero_model(tmp_path, "georesnn"), zero_model(tmp_path, "resnn")]
+        out = tmp_path / "out"
+        assert main(["evaluate", "--models", *map(str, models), "--dataset", str(small_dataset),
+                     "--stress", "--paths", "2000", "--out", str(out)]) == 0
+        assert len(calls) == 11
+        a, b = (json.loads(next(out.glob(f"metrics_{arch}_*.json")).read_text())["stress"]
+                for arch in ("georesnn", "resnn"))
+        assert [r["error"] for r in a + b] == [None] * 22
+        for key in ("sigma_mc", "sigma_hagan"):
+            assert [r[key] for r in a] == [r[key] for r in b]
+        assert len(list(out.glob("stress_*.csv"))) == 22
+
+    def test_no_test_rows_exit_2_one_line(self, small_dataset, tmp_path, capsys):
+        rows = read_csv(small_dataset)
+        split = CSV_HEADER.index("split")
+        for row in rows[1:]:
+            if row[split] == "test":
+                row[split] = "train"
+        no_test = tmp_path / "dataset.csv"
+        with open(no_test, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        out = tmp_path / "out"
+        assert main(["evaluate", "--models", str(zero_model(tmp_path)), "--dataset",
+                     str(no_test), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "invalid input: dataset has no test rows; generate with splits first\n")
+        assert not out.exists()
 
     def test_broken_model_leaves_no_out_dir(self, small_dataset, tmp_path, capsys):
         good = zero_model(tmp_path)

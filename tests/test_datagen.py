@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -32,7 +33,7 @@ from sabrkit.datagen import (
     _closed_form_failures,
     _largest_remainder,
 )
-from sabrkit.errors import ConfigError, NoConvergence, NonFinite, PriceOutOfBounds
+from sabrkit.errors import ConfigError, NegativeVol, NoConvergence, NonFinite, PriceOutOfBounds
 from sabrkit.geometry import GeomFeatures, features, features_array, geom_values
 from sabrkit.hagan import SabrPoint, hagan_vol, hagan_vols, sabr_values
 from sabrkit.mc import McConfig, implied_vol_from_estimate, price_from_terminals, simulate_terminals
@@ -190,6 +191,27 @@ class TestBuildDataset:
         assert [list(geom_values(s.feats)) for s in rows] == features_array(*columns(rows)).tolist()
         for s in rows:
             assert s.sigma_hagan == pytest.approx(hagan_vol(s.point), rel=1e-12)
+
+    def test_rows_whose_closed_form_fails_stay_invalid(self, monkeypatch):
+        # The second configuration is NEGATIVE_ATM's, where the closed form
+        # is negative at every grid strike.
+        p, calls, sample = NEGATIVE_ATM, itertools.count(), datagen.sample_config
+        monkeypatch.setattr(datagen, "sample_config", lambda rng: (
+            (p.T, p.F0, p.alpha, p.beta, p.rho, p.nu) if next(calls) == 1 else sample(rng)))
+        ds = build_dataset(3, McConfig(paths=1000), seed=7)
+        failing = []
+        for s in ds.samples:
+            try:
+                hagan_vol(s.point)
+            except NegativeVol:
+                failing.append(s)
+                # The reference is finite: only the closed form flags the row.
+                assert math.isfinite(s.sigma_mc)
+                assert not s.valid and math.isnan(s.sigma_hagan)
+        assert [s.config_index for s in failing] == [1] * 11
+        split_dataset(filter_outliers(ds), seed=7)
+        assert {s.split for s in failing} == {"none"}
+        assert {s.split for s in ds.samples if s.config_index != 1} >= {"train", "val", "test"}
 
     def test_workers_do_not_change_output(self, monkeypatch):
         # Two blocks per config: one process and one thread against two

@@ -10,7 +10,6 @@ from sabrkit.evaluation import (
     default_stress_scenarios,
     evaluate_model,
     latency_bench,
-    maturity_sweep,
     r2,
     rmse_rel,
     stress_suite,
@@ -99,19 +98,20 @@ class TestRegions:
 
 
 class TestStress:
-    def test_six_records(self):
+    def test_one_record_per_scenario(self):
         bundle = zero_output(init_bundle("georesnn", seed=6))
-        records = stress_suite(bundle, McConfig(paths=2000))
-        assert len(records) == 6
-        assert [r.scenario_id for r in records] == [s.scenario_id for s in default_stress_scenarios()]
-        for r, sc in zip(records, default_stress_scenarios()):
+        [records] = stress_suite([bundle], McConfig(paths=2000))
+        scenarios = default_stress_scenarios()
+        assert len(records) == len(scenarios) == 11
+        assert [r.scenario_id for r in records] == [s.scenario_id for s in scenarios]
+        for r, sc in zip(records, scenarios):
             assert r.error is None
             assert r.T == sc.T
             assert len(r.sigma_model) == len(r.strikes)
 
     def test_flat_lognormal_scenario_is_exact(self):
         bundle = zero_output(init_bundle("georesnn", seed=7))
-        records = stress_suite(bundle, McConfig(paths=2000))
+        [records] = stress_suite([bundle], McConfig(paths=2000))
         sanity = next(r for r in records if r.scenario_id == "lognormal_flat_sanity")
         # control variate cancels every path: reference equals alpha exactly
         for mc in sanity.sigma_mc:
@@ -126,9 +126,40 @@ class TestStress:
             raise NonFinite("no reference")
 
         monkeypatch.setattr(evaluation, "reference_smile", broken)
-        records = stress_suite(init_bundle("ndn", seed=6), McConfig(paths=2000))
-        assert [(r.T, r.error) for r in records] == [
-            (s.T, "no reference") for s in default_stress_scenarios()]
+        suites = stress_suite([init_bundle("ndn", seed=6), init_bundle("resnn", seed=6)],
+                              McConfig(paths=2000))
+        expected = [(s.T, "no reference", [], [], [], len(s.strikes))
+                    for s in default_stress_scenarios()]
+        for records in suites:
+            assert [(r.T, r.error, r.sigma_mc, r.sigma_hagan, r.sigma_model, r.failed_strikes)
+                    for r in records] == expected
+
+    def test_reference_is_shared_and_a_failed_prediction_stays_in_its_model(self, monkeypatch):
+        calls = []
+        reference_smile = evaluation.reference_smile
+        monkeypatch.setattr(evaluation, "reference_smile",
+                            lambda *args: calls.append(args) or reference_smile(*args))
+        good, bad = zero_output(init_bundle("georesnn", seed=6)), init_bundle("ndn", seed=6)
+        predict_vols = evaluation.predict_vols
+
+        def predict(bundle, points):
+            if bundle is bad and points[0].T == 1.0:
+                raise NonFinite("no prediction")
+            return predict_vols(bundle, points)
+
+        monkeypatch.setattr(evaluation, "predict_vols", predict)
+        ok, failed = stress_suite([good, bad], McConfig(paths=2000))
+        assert [args[-1] for args in calls] == list(range(11))
+        failing = [s.T == 1.0 for s in default_stress_scenarios()]
+        assert sum(failing) == 3
+        for a, b, fails in zip(ok, failed, failing):
+            assert a.error is None and a.sigma_mc and a.sigma_model
+            if fails:
+                assert (b.error, b.sigma_mc, b.sigma_hagan, b.sigma_model) == (
+                    "no prediction", [], [], [])
+            else:
+                assert b.error is None
+                assert (b.sigma_mc, b.sigma_hagan) == (a.sigma_mc, a.sigma_hagan)
 
     def test_wide_smile_uses_16_strikes(self):
         scenarios = default_stress_scenarios()
@@ -139,7 +170,9 @@ class TestStress:
 class TestSweep:
     def test_slice_shapes(self):
         bundle = zero_output(init_bundle("georesnn", seed=8))
-        slices = maturity_sweep(bundle, McConfig(paths=2000))
+        [records] = stress_suite([bundle], McConfig(paths=2000))
+        # The maturity slices follow the six stressed smiles.
+        slices = records[6:]
         assert tuple(s.T for s in slices) == evaluation.SWEEP_MATURITIES
         assert [s.scenario_id for s in slices] == ["T0.25", "T0.5", "T1", "T2", "T5"]
         for s in slices:
@@ -152,7 +185,8 @@ class TestSweep:
             raise NonFinite("no reference")
 
         monkeypatch.setattr(evaluation, "reference_smile", broken)
-        slices = maturity_sweep(init_bundle("ndn", seed=8), McConfig(paths=2000))
+        [records] = stress_suite([init_bundle("ndn", seed=8)], McConfig(paths=2000))
+        slices = records[6:]
         assert [(s.T, s.error, s.sigma_mc, s.failed_strikes) for s in slices] == [
             (T, "no reference", [], 11) for T in evaluation.SWEEP_MATURITIES]
 
@@ -168,8 +202,8 @@ class TestLatency:
         assert stats.batch_points_per_s > 0
 
     def test_timed_strikes_span_the_grid(self, monkeypatch):
-        # A fixed mid-grid index would put every timed point at K == F0 and
-        # time only the at-the-money shortcut.
+        # A fixed mid-grid index would put every timed point at K == F0, so
+        # every one would sit at z = 0 and none would time the smile's wings.
         timed = []
         monkeypatch.setattr(evaluation, "predict_vol", lambda bundle, p: timed.append(p))
         latency_bench(init_bundle("ndn", seed=9), n_points=440,

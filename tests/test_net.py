@@ -771,6 +771,7 @@ def _edit(path, value=None, drop=False):
 BROKEN_MODELS = {
     "no layers": _edit(["layers"], drop=True),
     "no manifest": _edit(["manifest"], drop=True),
+    "manifest not an object": _edit(["manifest"], []),
     "wrong format": _edit(["format"], "sabrkit-model-v0"),
     "unknown arch": _edit(["arch"], "mlp"),
     "target mode against arch": _edit(["target_mode"], "direct"),
@@ -791,6 +792,7 @@ BROKEN_MODELS = {
     "hidden layer without batch norm": _edit(["layers", 1, "bn"], None),
     "batch norm without running_var": _edit(["layers", 2, "bn", "running_var"], drop=True),
     "negative eps": _edit(["layers", 0, "bn", "eps"], -1e-5),
+    "negative running_var": _edit(["layers", 1, "bn", "running_var", 5], -1e-3),
     # Training runs batch norm at one momentum and eps; a file with others
     # describes a network this package does not train or run.
     "other momentum": _edit(["layers", 0, "bn", "momentum"], 0.2),
