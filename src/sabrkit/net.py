@@ -31,15 +31,14 @@ after the first layer each layer is one matrix product and a ReLU.
 :func:`load_model` and :func:`train` fold once and keep the result on the
 bundle.
 
-While :func:`train` runs, the bundle carries a :class:`Workspace`: the
-gradient views, and per batch size (the full batch, the last partial batch
-and the validation split) the arrays that a training :func:`forward`,
-:func:`backward` and the eval-mode validation pass write, with ``out=`` or
-in place, in the operations and order of a call without one, so a step
-writes into the same memory each time and computes the same bits. The
-caches a training forward returns are views into that memory: they stay
-valid until the next forward at that batch size. Outputs are always new
-arrays. Outside train, each call writes new arrays.
+While :func:`train` runs, the bundle carries a :class:`Workspace` of
+training caches and gradients only: the gradient views and, per batch size
+(the full and the last partial batch), the arrays that a training
+:func:`forward` and :func:`backward` write with ``out=`` or in place, in
+the operations and order of a call without one, so each step computes the
+same bits. Those caches stay valid until the next training forward at that
+size. Eval mode, the validation pass included, runs in blocks of 128 rows
+and keeps no state; outputs are always new arrays.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ import copy
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import attrgetter
 from typing import Sequence
 
@@ -169,23 +167,22 @@ class ModelBundle:
 
 @dataclass
 class Workspace:
-    """The arrays :func:`train` reuses from step to step.
+    """The arrays :func:`train` reuses from step to step: only training
+    caches and gradients, as an eval-mode :func:`forward` keeps no state.
 
     ``grads`` are reshaped views of train's one gradient vector, in
     :func:`trainable_params` order, which :func:`backward` fills. ``kept``
-    maps ``(training, rows)`` to what :func:`forward` writes at that batch
-    size: the caches of :func:`_training_caches` or the hidden activations
-    of :func:`_eval_outs`, made on first use.
+    maps a batch size to the :func:`_training_caches` that a training
+    :func:`forward` writes at that size, made on first use.
     """
 
     grads: list[np.ndarray]
-    kept: dict[tuple[bool, int], list] = field(default_factory=dict)
+    kept: dict[int, list[dict]] = field(default_factory=dict)
 
-    def buffers(self, bundle: ModelBundle, training: bool, n: int) -> list:
-        key = (training, n)
-        if key not in self.kept:
-            self.kept[key] = (_training_caches if training else _eval_outs)(bundle, n)
-        return self.kept[key]
+    def buffers(self, bundle: ModelBundle, n: int) -> list[dict]:
+        if n not in self.kept:
+            self.kept[n] = _training_caches(bundle, n)
+        return self.kept[n]
 
 
 def _training_caches(bundle: ModelBundle, n: int) -> list[dict]:
@@ -209,16 +206,22 @@ def _training_caches(bundle: ModelBundle, n: int) -> list[dict]:
     return caches
 
 
-# An eval-mode forward's outs when no workspace is kept: every next() gives
-# None, so one shared iterator serves every call.
-_NEW_ARRAYS = repeat(None)
+# Rows per block of an eval-mode forward. A hidden activation of 1,024 rows
+# (1,024 x 65 x 8 B = 532 KB) is above glibc's 128 KB mmap threshold, so each
+# call mapped, faulted in and zeroed fresh pages. On a 2-vCPU VM
+# (OPENBLAS_NUM_THREADS=1, q25 of 200 repetitions), the forward of 1,024
+# georesnn rows took 715-721 us as one matrix and 378-379 us in 128-row
+# blocks, against 431-435 us in 64-row and 403-405 us in 256-row blocks.
+_EVAL_ROWS = 128
 
 
-def _eval_outs(bundle: ModelBundle, n: int) -> list:
-    """The ``out=`` of each matrix product in an eval-mode forward of ``n``
-    rows: a hidden activation, with the carried unit's column, per hidden
-    layer, then None, so that the output is a new array."""
-    return [*(np.empty((n, layer.w.shape[1] + 1)) for layer in bundle.layers[:-1]), None]
+def _eval_chain(x: np.ndarray, w0: np.ndarray, b0: np.ndarray, rest) -> np.ndarray:
+    a = np.dot(x, w0)
+    a += b0
+    for w in rest:
+        np.maximum(a, 0.0, out=a)
+        a = np.dot(a, w)
+    return a[:, 0]
 
 
 def init_bundle(
@@ -305,14 +308,15 @@ def forward(bundle: ModelBundle, x: np.ndarray, training: bool = False):
     and returns the intermediates :func:`backward` needs. Eval mode runs
     the folded network (:func:`fold_layers`), the bundle's stored one when
     it has one: a matrix product and bias add for the first layer, then a
-    ReLU and one matrix product for each later layer, the same calls at
-    every batch size. It returns None for the caches.
+    ReLU and one matrix product for each later layer, in blocks of 128
+    rows from row 0 (a lone last row joins the block before it), so it
+    keeps no state and its memory does not grow with the batch. It returns
+    None for the caches.
 
     With a :class:`Workspace` on the bundle (while :func:`train` runs),
-    both modes write their full-batch arrays into the workspace's arrays
-    for this batch size, so the caches are valid only until the next
-    training forward at that batch size; without one, they are new arrays.
-    The outputs are a new array either way.
+    training mode writes its full-batch arrays into the workspace's caches
+    for this batch size, valid until the next training forward at that
+    size; without one, they are new arrays. Outputs are always new arrays.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -321,20 +325,20 @@ def forward(bundle: ModelBundle, x: np.ndarray, training: bool = False):
     if x.shape[1] != n_inputs:
         raise ShapeMismatch(f"arch {bundle.arch!r} expects {n_inputs} features, got {x.shape[1]}")
     n = x.shape[0]
-    ws = bundle.workspace
     if not training:
         w0, b0, rest = bundle.folded if bundle.folded is not None else fold_layers(bundle)
-        # np.dot's third argument is its out; passed by position, it costs
-        # the one-row call nothing when it is None.
-        outs = _NEW_ARRAYS if ws is None else iter(ws.buffers(bundle, False, n))
-        a = np.dot(x, w0, next(outs))
-        a += b0
-        for w in rest:
-            np.maximum(a, 0.0, out=a)
-            a = np.dot(a, w, next(outs))
-        return a[:, 0], None
+        if n <= _EVAL_ROWS:
+            return _eval_chain(x, w0, b0, rest), None
+        # Equal-size blocks, or a one-row last block, would change the bits:
+        # a row's products sum by its place in the BLAS kernel's tiles.
+        y = np.empty(n)
+        ends = [*range(0, n - 1, _EVAL_ROWS), n]
+        for start, end in zip(ends, ends[1:]):
+            y[start:end] = _eval_chain(x[start:end], w0, b0, rest)
+        return y, None
     bundle.folded = None
-    caches = _training_caches(bundle, n) if ws is None else ws.buffers(bundle, True, n)
+    ws = bundle.workspace
+    caches = _training_caches(bundle, n) if ws is None else ws.buffers(bundle, n)
     a = np.subtract(x, bundle.x_mean, out=caches[0]["x"])
     a /= bundle.x_std
     for layer, cache, after in zip(bundle.layers[:-1], caches, caches[1:]):
@@ -543,10 +547,6 @@ class EpochRecord:
     lr: float
 
 
-def _snapshot_weights(bundle: ModelBundle) -> list[DenseLayer]:
-    return copy.deepcopy(bundle.layers)
-
-
 def train(
     bundle: ModelBundle,
     train_samples,
@@ -584,7 +584,7 @@ def train(
     history: list[EpochRecord] = []
     best_val = math.inf
     best_epoch = 0
-    best_layers = _snapshot_weights(bundle)
+    best_layers = copy.deepcopy(bundle.layers)
     n = len(train_samples)
     lr = cfg.lr0
     try:
@@ -611,7 +611,7 @@ def train(
             if val_loss < best_val:
                 best_val = val_loss
                 best_epoch = epoch
-                best_layers = _snapshot_weights(bundle)
+                best_layers = copy.deepcopy(bundle.layers)
     finally:
         bundle.workspace = None
     bundle.layers = best_layers

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,42 @@ class TestFoldedForward:
         bundle = load_model(tmp_path / "m.json")
         forward(bundle, design_matrix([s.point for s in rows[:8]], "ndn"), training=True)
         assert bundle.folded is None
+
+
+class TestBlockedForward:
+    """Eval mode runs in 128-row blocks from row 0, a lone last row joining
+    the block before it: the bits of one whole-matrix chain, in memory that
+    does not grow with the batch."""
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_blocks_keep_the_whole_matrix_bits(self, loaded_models, arch):
+        bundle = loaded_models[arch]
+        x = design_matrix([s.point for s in synthetic_rows(1025, seed=86)[:1025]], arch)
+        w0, b0, rest = fold_layers(bundle)
+        changed = []
+        for n in (1, 2, 127, 128, 129, 130, 255, 256, 257, 883, 1024, 1025):
+            a = np.dot(x[:n], w0)
+            a += b0
+            for w in rest:
+                a = np.dot(np.maximum(a, 0.0), w)
+            if forward(bundle, x[:n])[0].tobytes() != a[:, 0].tobytes():
+                changed.append(n)
+        assert changed == []
+
+    def test_eval_memory_does_not_grow_with_the_batch(self, loaded_models):
+        bundle = loaded_models["georesnn"]
+        x = np.random.default_rng(87).normal(size=(22_000, 11))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            forward(bundle, x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # 0.32 MB in blocks: the 176 KB output and one block's activations.
+        # One whole-matrix chain would peak at 22.9 MB.
+        assert peak < 1_000_000
 
 
 class TestLoss:
@@ -575,8 +612,9 @@ class TestTrainOracle:
 
 
 class TestWorkspace:
-    """While train runs, forward, backward and the validation pass write into
-    the bundle's workspace; they compute the bits of calls without one."""
+    """While train runs, a training forward and backward write into the
+    bundle's workspace; they compute the bits of calls without one. The
+    eval-mode validation pass keeps nothing there."""
 
     def test_reused_caches_give_the_same_gradients(self):
         rng = np.random.default_rng(81)
@@ -593,7 +631,7 @@ class TestWorkspace:
                 results.append([y1, y2, *backward(bundle, second, d_out)])
                 caches.append((first, second))
             (kept_first, kept_second), (fresh_first, fresh_second) = caches
-            assert kept_first is kept_second is kept.workspace.kept[(True, n)]
+            assert kept_first is kept_second is kept.workspace.kept[n]
             assert fresh_first is not fresh_second
             assert results[0][2] is kept.workspace.grads[0]
             for a, b in zip(*results):
