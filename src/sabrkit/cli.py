@@ -187,8 +187,8 @@ def cmd_smile(args) -> int:
                       rho=args.rho, nu=args.nu)
     k_min = args.k_min if args.k_min is not None else 0.5 * args.F0
     k_max = args.k_max if args.k_max is not None else 2.0 * args.F0
-    if args.n_strikes < 1 or k_min <= 0 or k_max <= k_min:
-        raise ConfigError("need n_strikes >= 1 and 0 < k_min < k_max")
+    if args.n_strikes < 1 or not 0.0 < k_min < k_max < np.inf:
+        raise ConfigError("need n_strikes >= 1 and 0 < k_min < k_max < inf")
     strikes = np.linspace(k_min, k_max, args.n_strikes)
     # Every strike is checked before the simulation starts.
     hagan_vols = [hagan_vol(SabrPoint(K=float(k), **point_args)) for k in strikes]

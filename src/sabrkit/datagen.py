@@ -267,11 +267,11 @@ def build_dataset(
 
 
 def filter_outliers(dataset: Dataset) -> Dataset:
-    """Flag rows whose reference vol sits more than ten standard deviations
-    from the closed-form baseline.
+    """Flag rows whose residual sigma_mc - sigma_hagan lies more than ten
+    standard deviations from the residuals' mean.
 
-    The threshold uses the residual standard deviation over the pre-filter
-    valid population, computed once. A degenerate population (std below
+    Both are taken once, over the pre-filter valid population, so an offset
+    that every row shares flags none. A degenerate population (std below
     1e-12) disables the filter instead of removing everything.
     """
     valid = dataset.valid_samples()
@@ -281,9 +281,9 @@ def filter_outliers(dataset: Dataset) -> Dataset:
     std = float(residuals.std())
     if std < 1e-12:
         return dataset
-    threshold = 10.0 * std
-    for s in valid:
-        if abs(s.sigma_mc - s.sigma_hagan) > threshold:
+    far = np.abs(residuals - residuals.mean()) > 10.0 * std
+    for s, out in zip(valid, far):
+        if out:
             s.valid = False
             s.split = "none"
     return dataset
@@ -356,6 +356,7 @@ def save_dataset(
     mc_cfg: McConfig | None = None,
     sample_seed: int | None = None,
     split_seed: int | None = None,
+    split_by_config: bool = False,
 ) -> dict:
     """Write the dataset CSV and its manifest with :func:`write_csv` and
     :func:`write_json`.
@@ -376,6 +377,7 @@ def save_dataset(
         },
         "sample_seed": sample_seed,
         "split_seed": split_seed,
+        "split_by_config": split_by_config,
         "hagan_bracket": HAGAN_BRACKET,
         "mc_config": None if mc_cfg is None else mc_cfg.record(),
         "buckets": [asdict(b) for b in BUCKETS],
@@ -467,6 +469,6 @@ def generate_dataset(
     split_dataset(dataset, seed=split_seed, by_config=by_config_split)
     manifest = save_dataset(
         dataset, csv_path, manifest_path, mc_cfg=mc_cfg, sample_seed=seed,
-        split_seed=split_seed,
+        split_seed=split_seed, split_by_config=by_config_split,
     )
     return dataset, manifest

@@ -37,8 +37,10 @@ training caches and gradients only: the gradient views and, per batch size
 :func:`forward` and :func:`backward` write with ``out=`` or in place, in
 the operations and order of a call without one, so each step computes the
 same bits. Those caches stay valid until the next training forward at that
-size. Eval mode, the validation pass included, runs in blocks of 128 rows
-and keeps no state; outputs are always new arrays.
+size. Nothing else is kept, as nothing else makes a whole training run
+faster: :func:`backward` reads the ReLU's mask off the kept activation,
+and Adam keeps only its moments. Eval mode, the validation pass included,
+runs in blocks of 128 rows and keeps no state; outputs are always new arrays.
 """
 
 from __future__ import annotations
@@ -173,7 +175,8 @@ class Workspace:
     ``grads`` are reshaped views of train's one gradient vector, in
     :func:`trainable_params` order, which :func:`backward` fills. ``kept``
     maps a batch size to the :func:`_training_caches` that a training
-    :func:`forward` writes at that size, made on first use.
+    :func:`forward` writes at that size, made on first use: the only
+    buffers whose reuse makes a whole ``train`` run faster.
     """
 
     grads: list[np.ndarray]
@@ -190,17 +193,18 @@ def _training_caches(bundle: ModelBundle, n: int) -> list[dict]:
 
     A hidden layer's cache holds its input ``x`` (the standardized rows, or
     the previous layer's activation), ``z_hat`` (z, then z - mu, then z_hat,
-    in place), the ReLU ``mask``, a scratch array ``tmp`` and ``d_a``, the
-    gradient wrt its activation that :func:`backward` receives; its
-    activation is the next cache's ``x``, and :func:`forward` adds the
-    batch's ``inv_std``. The output layer's cache holds only its input.
+    in place), a scratch array ``tmp`` and ``d_a``, the gradient wrt its
+    activation that :func:`backward` receives; its activation is the next
+    cache's ``x``, whose positive entries are the ReLU's mask, and
+    :func:`forward` adds the batch's ``inv_std``. The output layer's cache
+    holds only its input.
     """
     x = np.empty((n, bundle.layers[0].w.shape[0]))
     caches = []
     for layer in bundle.layers[:-1]:
         shape = (n, layer.w.shape[1])
-        caches.append({"x": x, "z_hat": np.empty(shape), "mask": np.empty(shape, dtype=bool),
-                       "tmp": np.empty(shape), "d_a": np.empty(shape)})
+        caches.append({"x": x, "z_hat": np.empty(shape), "tmp": np.empty(shape),
+                       "d_a": np.empty(shape)})
         x = np.empty(shape)
     caches.append({"x": x})
     return caches
@@ -357,7 +361,6 @@ def forward(bundle: ModelBundle, x: np.ndarray, training: bool = False):
         pre_act = np.multiply(bn.scale, z, out=tmp)
         pre_act += bn.shift
         np.maximum(pre_act, 0.0, out=after["x"])
-        np.greater(pre_act, 0.0, out=cache["mask"])
     last = bundle.layers[-1]
     y = (caches[-1]["x"] @ last.w + last.b)[:, 0]
     return y, caches
@@ -389,7 +392,8 @@ def backward(bundle: ModelBundle, caches: list, d_out: np.ndarray) -> list[np.nd
             # d_a becomes d_pre, then d_zhat, in place; tmp takes each
             # full-batch product, then d_z.
             z_hat, d_z = cache["z_hat"], cache["tmp"]
-            d_a *= cache["mask"]
+            # The activation is > 0 exactly where the pre-activation is.
+            d_a *= caches[i + 1]["x"] > 0.0
             np.multiply(d_a, z_hat, out=d_z).sum(axis=0, out=grads[k + 1])
             d_a.sum(axis=0, out=grads[k + 2])
             d_a *= bn.scale
@@ -469,25 +473,24 @@ def design_matrix(points: Sequence[SabrPoint], arch: str) -> np.ndarray:
 
 @dataclass
 class AdamState:
+    """Adam's first and second moment estimates and its step count."""
+
     m: np.ndarray
     v: np.ndarray
-    # Two vectors of the parameters' shape, which each step overwrites.
-    scratch: tuple[np.ndarray, np.ndarray]
     t: int = 0
 
     @classmethod
     def for_params(cls, theta: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta),
-                   scratch=(np.empty_like(theta), np.empty_like(theta)))
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
 def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray,
               lr: float) -> AdamState:
-    """One bias-corrected Adam update, applied to ``theta`` in place.
+    """One bias-corrected Adam update (Kingma & Ba 2015), applied to
+    ``theta`` and the state's moments in place.
 
     :func:`train` passes its one parameter vector and the gradient vector
-    of the same layout, which :func:`backward` fills. Every full-length
-    intermediate goes into the state's two scratch vectors.
+    of the same layout, which :func:`backward` fills.
     """
     if not np.all(np.isfinite(grad)):
         raise NonFinite("non-finite gradient")
@@ -495,21 +498,11 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray,
     correct1 = 1.0 - ADAM_BETA1**state.t
     correct2 = 1.0 - ADAM_BETA2**state.t
     m, v = state.m, state.v
-    step, denom = state.scratch
     m *= ADAM_BETA1
-    m += np.multiply(1.0 - ADAM_BETA1, grad, out=step)
+    m += (1.0 - ADAM_BETA1) * grad
     v *= ADAM_BETA2
-    np.multiply(1.0 - ADAM_BETA2, grad, out=step)
-    step *= grad
-    v += step
-    # theta -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
-    np.divide(m, correct1, out=step)
-    np.multiply(lr, step, out=step)
-    np.divide(v, correct2, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += ADAM_EPS
-    step /= denom
-    theta -= step
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    theta -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
     return state
 
 

@@ -15,7 +15,7 @@ import pytest
 from sabrkit import datagen, evaluation
 from sabrkit.cli import main
 from sabrkit.datagen import CSV_HEADER, load_dataset
-from sabrkit.errors import NonFinite, PriceOutOfBounds
+from sabrkit.errors import ConfigError, NonFinite, PriceOutOfBounds
 from sabrkit.evaluation import default_stress_scenarios
 from sabrkit.hagan import SabrPoint, hagan_vol
 from sabrkit.net import ARCHS, init_bundle, load_model, predict_from_rows, predict_vol, save_model
@@ -49,14 +49,15 @@ class TestSmile:
     def test_invalid_params_exit_2(self):
         assert main(["smile", "--beta", "2.0", "--paths", "2000"]) == 2
 
-    @pytest.mark.parametrize("argv", [["--n-strikes", "0"], ["--k-min", "2", "--k-max", "1"]],
-                             ids=["no-strikes", "reversed-range"])
+    @pytest.mark.parametrize("argv", [["--n-strikes", "0"], ["--k-min", "2", "--k-max", "1"],
+                                      ["--k-max", "inf"]],
+                             ids=["no-strikes", "reversed-range", "infinite-k-max"])
     def test_bad_strike_range_exit_2_one_line(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert main(["smile", *argv, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "invalid input: need n_strikes >= 1 and 0 < k_min < k_max\n"
+        assert captured.err == "invalid input: need n_strikes >= 1 and 0 < k_min < k_max < inf\n"
         assert not out.exists()
 
     def test_bad_strike_rejected_before_simulating(self, capsys):
@@ -167,19 +168,54 @@ class TestGenerate:
         assert len(read_csv(tmp_path / "dataset.csv")) == 45
         assert captured.out.startswith(f"wrote {tmp_path / 'dataset.csv'}: 44 rows, 24 valid")
 
-    def test_bad_mc_config_leaves_no_out_dir(self, tmp_path, capsys):
+    def test_bad_mc_config_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch):
         # The directory is made only once the rows are split, so no failure
-        # before that leaves an empty one behind.
+        # before that, in the config checks or after the simulation, leaves
+        # an empty one behind. The split always fails here; the first two
+        # runs fail before it.
+        def no_split(*args, **kwargs):
+            raise ConfigError("forced split failure")
+
+        monkeypatch.setattr(datagen, "split_dataset", no_split)
         out = tmp_path / "out"
         for configs, paths, message in [
             ("2", "500", "paths must be >= 1000"),
             ("0", "1000", "num_configs must be >= 1"),
-            ("1", "1000", "need at least 10 valid rows to split, got 1"),
+            ("1", "1000", "forced split failure"),
         ]:
             assert main(["generate", "--configs", configs, "--paths", paths,
                          "--out", str(out)]) == 2
             assert capsys.readouterr().err.startswith(f"invalid input: {message}")
             assert not out.exists()
+
+    def generate(self, out, *flags):
+        assert main(["generate", "--configs", "4", "--paths", "1000", "--workers", "1",
+                     *flags, "--out", str(out)]) == 0
+        return load_dataset(out / "dataset.csv"), json.loads((out / "manifest.json").read_text())
+
+    def test_split_seed_reaches_manifest_and_tags(self, tmp_path):
+        default, default_manifest = self.generate(tmp_path / "a")
+        seeded, manifest = self.generate(tmp_path / "b", "--split-seed", "7")
+        assert (default_manifest["split_seed"], manifest["split_seed"]) == (42, 7)
+        tags = [s.split for s in seeded.samples]
+        assert [s.split for s in default.samples] != tags
+        datagen.split_dataset(default, seed=7)
+        assert [s.split for s in default.samples] == tags
+
+    def test_split_by_config_keeps_configs_whole(self, tmp_path):
+        dataset, manifest = self.generate(tmp_path, "--split-by-config")
+        assert manifest["split_by_config"] is True
+        tags = {}
+        for s in dataset.valid_samples():
+            tags.setdefault(s.config_index, set()).add(s.split)
+        assert len(tags) == 4
+        assert all(len(split) == 1 for split in tags.values())
+        assert len(set.union(*tags.values())) > 1
+
+    def test_steps_per_year_reaches_manifest(self, tmp_path):
+        _, manifest = self.generate(tmp_path, "--steps-per-year", "20")
+        assert manifest["mc_config"]["steps_per_year"] == 20
+        assert manifest["split_by_config"] is False
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +238,12 @@ class TestTrainEvaluate:
         payload = json.loads((tmp_path / "model_ndn.json").read_text())
         assert payload["arch"] == "ndn"
         assert payload["manifest"]["best_epoch"] <= 3
+
+    def test_batch_size_reaches_model_manifest(self, small_dataset, tmp_path):
+        assert main(["train", "--dataset", str(small_dataset), "--arch", "ndn",
+                     "--epochs", "1", "--batch-size", "32", "--out", str(tmp_path)]) == 0
+        model = json.loads((tmp_path / "model_ndn.json").read_text())
+        assert model["manifest"]["batch_size"] == 32
 
     @pytest.mark.parametrize("lr0", ["0", "nan", "inf"])
     def test_bad_lr0_exit_2_one_line(self, small_dataset, tmp_path, capsys, lr0):

@@ -300,6 +300,18 @@ class TestFilter:
         assert flags[:1000] == [True] * 1000
         assert flags[1000] is False
 
+    def test_shared_offset_is_not_an_outlier(self):
+        # Every residual sits near 0.5, far above ten standard deviations
+        # from zero: only the row far from their mean is flagged.
+        rng = np.random.default_rng(2)
+        ds = Dataset([make_sample(r, idx=i) for i, r in
+                      enumerate(0.5 + rng.normal(0.0, 0.01, size=1000))])
+        ds.samples.append(make_sample(1.0, idx=1000))
+        filter_outliers(ds)
+        flags = [s.valid for s in ds.samples]
+        assert flags[:1000] == [True] * 1000
+        assert flags[1000] is False
+
     def test_degenerate_population_untouched(self):
         ds = Dataset([make_sample(0.002, idx=i) for i in range(50)])
         filter_outliers(ds)
