@@ -52,7 +52,7 @@ def main():
         models.append(os.path.join(model_dir, f"model_{arch}.json"))
 
     eval_args = ["evaluate", "--models", *models, "--dataset", dataset,
-                 "--out", report_dir, "--bench"]
+                 "--out", report_dir]
     if args.stress:
         eval_args.append("--stress")
     run(eval_args)

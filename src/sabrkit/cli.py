@@ -126,7 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--stress", action="store_true",
                    help="run the stress suite: stressed smiles and maturity slices")
-    p.add_argument("--bench", action="store_true", help="run the latency benchmark")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_evaluate, required=("models", "dataset", "out"))
 
@@ -151,7 +150,7 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
         with open(args.config) as fh:
             try:
                 overrides = json.load(fh)
-            except (json.JSONDecodeError, RecursionError) as exc:
+            except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"{args.config}: not a JSON file ({exc})") from None
         if not isinstance(overrides, dict):
             raise ConfigError(f"{args.config}: config file must hold a JSON object")
@@ -265,9 +264,8 @@ def cmd_evaluate(args) -> int:
     for bundle, m, records in zip(bundles, metrics, suites):
         report = {"dataset": args.dataset, "dataset_sha256_12": tag,
                   "metrics": dataclasses.asdict(m),
-                  "mc_config": mc_cfg.record() if args.stress or args.bench else None,
-                  "stress": None if records is None else [vars(r) for r in records],
-                  "latency": None}
+                  "mc_config": mc_cfg.record() if args.stress else None,
+                  "stress": None if records is None else [vars(r) for r in records]}
         for r in records or ():
             if r.error is None:
                 datagen.write_csv(
@@ -275,9 +273,6 @@ def cmd_evaluate(args) -> int:
                     ["T", "K", "sigma_mc", "sigma_hagan", "sigma_model"],
                     ((r.T, *vols) for vols in zip(
                         r.strikes, r.sigma_mc, r.sigma_hagan, r.sigma_model)))
-        if args.bench:
-            stats = evaluation.latency_bench(bundle, mc_cfg=mc_cfg)
-            report["latency"] = vars(stats)
         out_path = os.path.join(args.out, f"metrics_{bundle.arch}_{tag}.json")
         datagen.write_json(out_path, report)
         lines.append(f"{bundle.arch}: r2_global={m.r2_global:.4f} "

@@ -396,7 +396,8 @@ def load_dataset(csv_path) -> Dataset:
     in valid rows; then the closed form and the features of all rows
     (:func:`_closed_form_failures`) must succeed on valid rows. A fault, or
     a line the csv module cannot parse (such as a field over its size
-    limit), raises a one-line ConfigError naming the file and the line.
+    limit), raises a one-line ConfigError naming the file and the line; a
+    byte the text codec cannot decode raises one naming the file.
 
     A row starts a new configuration index where its T, F0, alpha, beta,
     rho or nu differs from the previous row's, so the rows of one smile,
@@ -421,6 +422,9 @@ def load_dataset(csv_path) -> Dataset:
                 line_nums.append(reader.line_num)
         except (ConfigError, csv.Error) as exc:
             raise ConfigError(f"{csv_path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # Text is decoded ahead of the csv reader, so no line is known.
+            raise ConfigError(f"{csv_path}: not a text file ({exc})") from None
     for i, exc in _closed_form_failures(dataset.samples):
         if dataset.samples[i].valid:
             raise ConfigError(f"{csv_path}: line {line_nums[i]}: valid row lies outside the "

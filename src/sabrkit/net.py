@@ -266,16 +266,17 @@ def fold_layers(bundle: ModelBundle) -> tuple[np.ndarray, np.ndarray, tuple[np.n
     followed by ReLU.
 
     Standardization folds into the first layer and each batch norm, at its
-    running statistics, into its dense layer (Ioffe & Szegedy 2015): a hidden
-    layer's bias is ``(b - running_mean) * s + shift``, with ``s`` the scale
-    over the running std and ``b`` zero, or ``-(x_mean / x_std) @ w`` on
-    layer 0. Each bias after the first rides inside its matrix (the bias
-    trick; Bishop 2006, section 5.1): ``b0`` ends in a constant unit 1.0,
-    whose weight column is zero and which ReLU keeps at 1; every later
-    matrix reads the unit in an extra last row holding its bias, and every
-    hidden one passes it on in an extra last column, zero but for that
-    row's 1.0. A network with no hidden layer is the plain pair ``(w, b)``
-    and no rest.
+    running statistics, into its dense layer (Ioffe & Szegedy 2015). A
+    hidden layer's matrix is the block
+    ``[[w*s, 0], [(b - mean)*s + shift, 1]]``, with ``s`` the scale over the
+    running std and ``b`` zero, or ``-(x_mean / x_std) @ w`` on layer 0;
+    the output layer's is ``[[w], [b]]``. So each bias after the first rides
+    inside its matrix (the bias trick; Bishop 2006, section 5.1): ``b0``
+    ends in a constant unit 1.0, which ReLU keeps at 1, every later matrix
+    reads the unit in its last row, and every hidden one passes it on in
+    its last column. Layer 0's matrix is returned split into ``w0`` and its
+    last row ``b0``. A network with no hidden layer is the plain pair
+    ``(w, b)`` and no rest.
     """
     mats = []
     for i, layer in enumerate(bundle.layers):
@@ -284,22 +285,14 @@ def fold_layers(bundle: ModelBundle) -> tuple[np.ndarray, np.ndarray, tuple[np.n
         if i == 0:
             b = b - (bundle.x_mean / bundle.x_std) @ w
             w = w / bundle.x_std[:, None]
-        n_in, n_out = w.shape
-        # The weights, the bias as the last row and, on a hidden layer,
-        # the unit's column: one array, whose last row is b0 on layer 0.
-        m = np.empty((n_in + 1, n_out + (bn is not None)))
         if bn is None:
-            m[:n_in] = w
-            m[n_in] = b
+            m = np.vstack((w, b))
         else:
             s = bn.scale * (1.0 / np.sqrt(bn.running_var + BN_EPS))
-            np.multiply(w, s, out=m[:n_in, :n_out])
-            bias = m[n_in, :n_out]
-            np.subtract(b, bn.running_mean, out=bias)
-            bias *= s
-            bias += bn.shift
-            m[:, n_out] = 0.0
-            m[n_in, n_out] = 1.0
+            m = np.zeros((w.shape[0] + 1, w.shape[1] + 1))
+            m[:-1, :-1] = w * s
+            m[-1, :-1] = (b - bn.running_mean) * s + bn.shift
+            m[-1, -1] = 1.0
         mats.append(m)
     return mats[0][:-1], mats[0][-1], tuple(mats[1:])
 
@@ -785,7 +778,7 @@ def load_model(path) -> ModelBundle:
     with open(path) as fh:
         try:
             payload = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: not a JSON file ({exc})") from None
     try:
         bundle = _bundle_from_payload(payload)

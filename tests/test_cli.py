@@ -272,6 +272,7 @@ class TestTrainEvaluate:
         report = json.loads(reports[0].read_text())
         assert "r2_global" in report["metrics"]
         assert set(report["metrics"]["regions"]) == {"itm", "atm", "otm"}
+        assert report["mc_config"] is None and "latency" not in report
         # deterministic given bundle, dataset and seeds
         first = reports[0].read_bytes()
         assert main(["evaluate", "--models", str(tmp_path / "model_georesnn.json"),
@@ -331,6 +332,21 @@ class TestTrainEvaluate:
             assert all(field for row in rows for field in row)
             for row in rows[1:]:
                 assert float(row[0]) == pytest.approx(sc.T, rel=1e-11)
+
+    def test_stress_run_writes_the_same_bytes_twice(self, small_dataset, tmp_path):
+        # Two runs of one evaluate command write the same report and the
+        # same 11 stress CSVs, byte for byte.
+        model = tmp_path / "georesnn.json"
+        save_model(init_bundle("georesnn", seed=0), model)
+        outs = [tmp_path / sub for sub in ("a", "b")]
+        for out in outs:
+            assert main(["evaluate", "--models", str(model), "--dataset", str(small_dataset),
+                         "--stress", "--paths", "2000", "--out", str(out)]) == 0
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert len(names) == 12
+        assert sorted(path.name for path in outs[1].iterdir()) == names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_bad_mc_config_leaves_no_out_dir(self, small_dataset, tmp_path, capsys):
         model = zero_model(tmp_path)
@@ -459,6 +475,8 @@ BROKEN_ROWS = {
                                                               valid="true"),
     # F0/K underflows to 0: NonFinite on a valid row.
     "valid row whose F0/K underflows": with_fields(F0="1e-200", K="1e200", valid="true"),
+    # Written as the byte 0xff, which UTF-8 cannot decode; no line is known.
+    "non-UTF-8 byte": with_fields(alpha="0.2\xff"),
 }
 
 
@@ -467,13 +485,14 @@ def test_broken_dataset_exit_2_one_line(small_dataset, tmp_path, capsys, fault):
     rows = read_csv(small_dataset)
     rows[1] = BROKEN_ROWS[fault](rows[1])
     bad = tmp_path / "dataset.csv"
-    with open(bad, "w", newline="") as fh:
+    with open(bad, "w", newline="", encoding="latin-1") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
     assert main(["train", "--dataset", str(bad), "--arch", "ndn", "--epochs", "1",
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("invalid input:")
-    assert f"{bad}: line 2:" in err
+    assert str(bad) in err
+    assert fault == "non-UTF-8 byte" or f"{bad}: line 2:" in err
 
 
 def test_file_with_stored_closed_form_exit_2(tmp_path, capsys):
@@ -509,6 +528,8 @@ BROKEN_MODELS = {
     "bn eps": edited(lambda payload: payload["layers"][1]["bn"].update(eps=1e-3)),
     "v1 format": edited(to_v1),
     "nested JSON": lambda payload: DEEP_JSON,
+    # Written as the byte 0xff, which UTF-8 cannot decode.
+    "non-UTF-8 byte": lambda payload: "\xff" + json.dumps(payload),
 }
 
 
@@ -543,7 +564,8 @@ class TestPrice:
     @pytest.mark.parametrize("fault", sorted(BROKEN_MODELS))
     def test_broken_model_exit_2_one_line(self, tmp_path, capsys, fault):
         model = zero_model(tmp_path)
-        model.write_text(BROKEN_MODELS[fault](json.loads(model.read_text())))
+        model.write_text(BROKEN_MODELS[fault](json.loads(model.read_text())),
+                         encoding="latin-1")
         assert main(["price", "--model", str(model), "--K", "1.1"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("invalid input:")
@@ -627,9 +649,10 @@ class TestPrice:
      "--sigma-scheme", "log-exact"],
     ["bench", "--model", "MODEL", "--points", "150", "--paths", "2000",
      "--sigma-scheme", "log-exact"],
+    ["evaluate", "--models", "MODEL", "--dataset", "DATA", "--out", "OUT", "--bench"],
 ], ids=["smile bracket", "generate bracket", "train bracket", "evaluate region mode",
         "smile sigma scheme", "generate sigma scheme", "evaluate sigma scheme",
-        "bench sigma scheme"])
+        "bench sigma scheme", "evaluate bench"])
 def test_removed_flag_exit_2(small_dataset, tmp_path, capsys, argv):
     out = tmp_path / "out"
     names = {"OUT": str(out), "DATA": str(small_dataset), "MODEL": str(zero_model(tmp_path))}
@@ -674,11 +697,14 @@ class TestConfigOverlay:
         (json.dumps({"pathz": 2000}), ["generate", "--configs", "2", "--out", "OUT"]),
         ("{not json", ["generate", "--configs", "2", "--out", "OUT"]),
         (DEEP_JSON, ["smile", "--paths", "2000", "--out", "OUT"]),
+        # Written as the byte 0xff, which UTF-8 cannot decode.
+        ('{"paths": 2000\xff}', ["smile", "--paths", "2000", "--out", "OUT"]),
     ], ids=["top-level list", "wrong-typed paths", "wrong-typed epochs", "bad choice",
-            "removed sigma scheme", "unknown option", "JSON syntax", "nested JSON"])
+            "removed sigma scheme", "unknown option", "JSON syntax", "nested JSON",
+            "non-UTF-8 byte"])
     def test_bad_config_file_exit_2_one_line(self, tmp_path, capsys, text, argv):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(text)
+        cfg.write_text(text, encoding="latin-1")
         out = tmp_path / "out"
         assert main(["--config", str(cfg), *[str(out) if a == "OUT" else a for a in argv]]) == 2
         err = capsys.readouterr().err
