@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,46 @@ class TestThreadedBlocks:
         with pytest.raises(BlockFailed, match="block 1"):
             simulate_terminals(cfg=McConfig(paths=4 * BLOCK), **WIDE)
         assert threading.active_count() == before
+
+
+CHUNK = mc._VOL_CHUNK_STEPS
+
+
+class TestVolChunks:
+    """A block draws its dw normals whole and the vol factor's normals
+    CHUNK steps at a time; the terminals still equal the serial oracle's."""
+
+    @pytest.mark.parametrize("n_steps", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("beta", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_chunk_boundaries_equal_serial_oracle(self, monkeypatch, n_steps, beta, threads):
+        monkeypatch.setattr(mc, "_thread_count", lambda n_blocks, path_steps: threads)
+        cfg = McConfig(paths=3 * BLOCK + 17, steps_per_year=n_steps, base_seed=4)
+        assert cfg.n_steps(1.0) == n_steps
+        params = dict(T=1.0, F0=0.04, alpha=0.3 * 0.04 ** (1.0 - beta), beta=beta,
+                      rho=-0.6, nu=0.9)
+        with np.errstate(all="ignore"):
+            got = simulate_terminals(cfg=cfg, config_index=2, **params)
+            want = serial_terminals(cfg=cfg, config_index=2, **params)
+        assert_same_terminals(got, want)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_memory_holds_one_draw_array_per_thread(self, monkeypatch, threads):
+        # The dw array, n_steps x 4096 float64, is the one draw array a
+        # thread holds whole; the chunk, scratch row and terminals fit in
+        # the other quarter. Holding the vol draws whole doubles the peak.
+        monkeypatch.setattr(mc, "_thread_count", lambda n_blocks, path_steps: threads)
+        cfg = McConfig(paths=threads * BLOCK)
+        n_steps = cfg.n_steps(5.0)
+        # A first call in the process imports modules worth about 1 MB.
+        simulate_terminals(0.1, 0.03, 0.02, 0.5, -0.3, 0.6, McConfig(paths=1000))
+        tracemalloc.start()
+        try:
+            simulate_terminals(5.0, 0.03, 0.02, 0.5, -0.3, 0.6, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * threads * n_steps * BLOCK * 8
 
 
 class TestSchemes:
