@@ -26,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NonFinite, NoConvergence, PriceOutOfBounds
-from .geometry import GeomFeatures, features, features_array_or_nan
-from .hagan import (HAGAN_BRACKET, SABR_FIELDS, SabrPoint, hagan_vol, hagan_vols_or_nan,
-                    sabr_values, scalar_failures)
+# hagan_vol and features never run here: perfbench's INTERNAL table rebinds them by name.
+from .geometry import GeomFeatures, features, features_array
+from .hagan import HAGAN_BRACKET, SABR_FIELDS, SabrPoint, hagan_vol, hagan_vols, sabr_values
 from .mc import McConfig, implied_vol_from_estimate, price_from_terminals, simulate_terminals, usable_cores
 
 __all__ = [
@@ -150,8 +150,8 @@ def strike_grid(F0: float, alpha: float, T: float) -> np.ndarray:
 @dataclass
 class Sample:
     """One supervised row. ``sigma_hagan`` and ``feats`` are the closed form
-    and the features of ``point``, NaN on an invalid row where they fail
-    (see :func:`_closed_form_failures`)."""
+    and the features of ``point``, NaN where the scalar forms raise (then
+    the row is invalid, see :func:`_closed_form_failures`)."""
 
     point: SabrPoint
     sigma_hagan: float
@@ -207,17 +207,15 @@ def reference_smile(
     return sigma, se
 
 
-def _closed_form_failures(samples: list[Sample]) -> list[tuple[int, Exception]]:
+def _closed_form_failures(samples: list[Sample]) -> np.ndarray:
     """Set every row's ``sigma_hagan`` and ``feats`` from one pass of the
-    array forms, NaN where they fail, and return ``(i, exc)`` for each
-    failing row in order, ``exc`` naming its class as the scalar forms do
-    (see :func:`~sabrkit.hagan.scalar_failures`), closed form first."""
+    array forms, NaN where they fail, and return the indices of the rows
+    where either fails, in order."""
     cols = np.array([sabr_values(s.point) for s in samples], float).reshape(-1, len(SABR_FIELDS)).T
-    sigma, feats = hagan_vols_or_nan(*cols), features_array_or_nan(*cols)
+    sigma, feats = hagan_vols(*cols), features_array(*cols)
     for s, h, f in zip(samples, sigma.tolist(), feats.tolist()):
         s.sigma_hagan, s.feats = h, GeomFeatures(*f)
-    failed = np.flatnonzero(np.isnan(sigma) | np.isnan(feats[:, 0]))
-    return list(scalar_failures(lambda p: (hagan_vol(p), features(p)), cols, failed))
+    return np.flatnonzero(np.isnan(sigma) | np.isnan(feats[:, 0]))
 
 
 def _build_config_rows(args) -> list[Sample]:
@@ -261,7 +259,7 @@ def build_dataset(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for rows in pool.map(_build_config_rows, jobs, chunksize=chunk):
                 dataset.samples.extend(rows)
-    for i, _ in _closed_form_failures(dataset.samples):
+    for i in _closed_form_failures(dataset.samples).tolist():
         dataset.samples[i].valid = False
     return dataset
 
@@ -340,12 +338,22 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _finite_or_null(value):
+    """``value`` with each non-finite float in it, at any depth, as None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(path, payload) -> None:
-    """Write an artifact JSON: sorted keys, two-space indent, a final
-    newline, LF endings; the file's directory is made first."""
+    """Write an artifact JSON: strict, a non-finite float as ``null``, sorted
+    keys, two-space indent, a final newline, LF endings; the file's
+    directory is made first."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -394,7 +402,7 @@ def load_dataset(csv_path) -> Dataset:
     Each row is checked as it is read: the field count, the numeric fields,
     the split label, the valid flag, the SABR parameters and finite values
     in valid rows; then the closed form and the features of all rows
-    (:func:`_closed_form_failures`) must succeed on valid rows. A fault, or
+    (:func:`_closed_form_failures`) must not be NaN on valid rows. A fault, or
     a line the csv module cannot parse (such as a field over its size
     limit), raises a one-line ConfigError naming the file and the line; a
     byte the text codec cannot decode raises one naming the file.
@@ -425,10 +433,10 @@ def load_dataset(csv_path) -> Dataset:
         except UnicodeDecodeError as exc:
             # Text is decoded ahead of the csv reader, so no line is known.
             raise ConfigError(f"{csv_path}: not a text file ({exc})") from None
-    for i, exc in _closed_form_failures(dataset.samples):
+    for i in _closed_form_failures(dataset.samples).tolist():
         if dataset.samples[i].valid:
             raise ConfigError(f"{csv_path}: line {line_nums[i]}: valid row lies outside the "
-                              f"closed form's domain ({type(exc).__name__}: {exc})")
+                              "closed form's domain")
     return dataset
 
 

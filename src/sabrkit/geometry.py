@@ -15,8 +15,8 @@ hyperbolic reading of SABR, Henry-Labordere 2008), so sigma0 =
 ln(K/F0)/d_h = alpha*(zeta/x(zeta))/s stays finite through the money.
 :func:`features` takes one point; :func:`features_array` takes columns of
 them at once with numpy's ufuncs, and agrees with it to 1e-12 relative.
-Both run one formula body. The helpers take the values of a valid
-:class:`SabrPoint`, whose construction checks the parameter domain.
+Both run one formula body; the array form gives a NaN row where the
+scalar form raises. The helpers take the values of a valid :class:`SabrPoint`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import DomainError, NonFinite
-from .hagan import SabrPoint, checked, log_or_nan, logs_or_nan, zx_ratio, zx_ratios
+from .hagan import SabrPoint, log_or_nan, logs_or_nan, zx_ratio, zx_ratios
 
 __all__ = [
     "GEOM_FIELDS",
@@ -97,7 +97,7 @@ def features(p: SabrPoint) -> GeomFeatures:
     NonFinite where a value comes out inf or NaN, as at forwards so large
     that q^2 overflows, and DomainError where the geodesic distance
     overflows: at a vanishing alpha, zeta^2 overflows inside x(zeta) and
-    z/x(z) comes out 0.
+    z/x(z) comes out 0. :func:`features_array` gives a NaN row there.
     """
     q, smin, zeta, ratio, s = _quadruple(p.F0, p.K, p.alpha, p.beta, p.rho, log_or_nan,
                                          math.pow, _expm1_ratio, math.sqrt, zx_ratio)
@@ -112,23 +112,12 @@ def features(p: SabrPoint) -> GeomFeatures:
 
 
 @np.errstate(all="ignore")
-def features_array_or_nan(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
-    """The formula body of :func:`features` on 1-d float columns, with
-    numpy's log, pow, expm1 and sqrt and :func:`~sabrkit.hagan.zx_ratios`:
-    an (n, 4) array of (q, sigma_min, d_h, sigma0) rows, a row all NaN
-    where any of its values is not finite, and nothing raised, as in
-    :func:`~sabrkit.hagan.hagan_vols_or_nan`. ``T`` and ``nu`` are unused."""
+def features_array(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
+    """Array form of :func:`features`: (n, 4) rows of (q, sigma_min, d_h,
+    sigma0), all NaN where it raises, under the rule of
+    :func:`~sabrkit.hagan.hagan_vols`. ``T`` and ``nu`` are unused."""
     q, smin, zeta, ratio, s = _quadruple(F0, K, alpha, beta, rho, logs_or_nan, np.power,
                                          _expm1_ratios, np.sqrt, zx_ratios)
     out = np.column_stack((q, smin, zeta / ratio, alpha * ratio / s))
     out[~np.isfinite(out).all(axis=1)] = math.nan
     return out
-
-
-def features_array(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
-    """Array form of :func:`features`: an (n, 4) array of (q, sigma_min,
-    d_h, sigma0) rows for 1-d parameter columns of valid points. It agrees
-    with the scalar form, and fails where and as it does, under the rule of
-    :func:`~sabrkit.hagan.hagan_vols`."""
-    columns = [np.asarray(c, dtype=float) for c in (T, F0, K, alpha, beta, rho, nu)]
-    return checked(features_array_or_nan(*columns), features, columns)

@@ -10,14 +10,12 @@ closed form the residual networks correct.
 other functions take the values of a valid :class:`SabrPoint`.
 :func:`hagan_vol` prices one point with the C library's log and pow;
 :func:`hagan_vols` prices columns of them at once with numpy's ufuncs, and
-agrees with it to 1e-12 relative. Neither returns inf or NaN. Both run one
-formula body. Some valid points leave the band where the formula is
-finite, such as forwards so small that the maturity bracket overflows or
-F0*K underflows, or a ratio F0/K that underflows to 0; there both forms
-raise the same ZeroDivisionError, OverflowError or
-:class:`~sabrkit.errors.NonFinite`. The factor z/x(z) is one expression,
-free of cancellation at every z, the money included; :func:`zx_ratio` at
--rho also gives the geometry's geodesic distance.
+agrees with it to 1e-12 relative. Both run one formula body. Where a valid
+point leaves the band where the formula is finite and positive (tiny
+forwards, or F0/K underflowing to 0), the scalar form raises and the
+array form gives NaN; :func:`checked` raises DomainError at the first NaN.
+The factor z/x(z) is one expression, free of cancellation at every z, the
+money included; :func:`zx_ratio` at -rho also gives the geodesic distance.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import ConfigError, NegativeVol, NonFinite
+from .errors import ConfigError, DomainError, NegativeVol, NonFinite
 
 __all__ = [
     "HAGAN_BRACKET",
@@ -57,28 +55,12 @@ def logs_or_nan(x: np.ndarray) -> np.ndarray:
     return np.log(x, out=np.full_like(x, np.nan), where=x > 0.0)
 
 
-def scalar_failures(scalar, columns, failed):
-    """``(i, exc)`` for each index ``i`` of ``failed`` in order: ``exc`` is
-    what ``scalar`` raises on point ``i`` (built from Python floats, since
-    numpy scalars divide by zero without raising), or NonFinite where it
-    returns, as the two forms can differ by an ulp at the finite band's edge."""
-    for i in failed.tolist():
-        try:
-            scalar(SabrPoint(*(float(c[i]) for c in columns)))
-            exc = NonFinite("array form returned a non-finite value")
-        except (ArithmeticError, ValueError) as raised:
-            exc = raised
-        yield i, exc
-
-
-def checked(values: np.ndarray, scalar, columns) -> np.ndarray:
-    """``values``, the array form's results on ``columns``, if no row holds
-    NaN; else raise the class :func:`scalar_failures` names for the first
-    such row, with `` (point i)`` appended to its message."""
-    failed = np.flatnonzero(np.isnan(values).any(axis=tuple(range(1, values.ndim))))
-    if failed.size:
-        i, exc = next(scalar_failures(scalar, columns, failed))
-        raise type(exc)(f"{exc} (point {i})")
+def checked(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, an array form's results with one row per point, if no row
+    holds NaN; else raise DomainError naming ``what`` and the first such row."""
+    nan = np.isnan(values)
+    if nan.any():
+        raise DomainError(f"{what} fails at point {np.argwhere(nan)[0, 0]}")
     return values
 
 
@@ -173,8 +155,8 @@ def hagan_vol(p: SabrPoint) -> float:
     1 and the moneyness bracket is 1, so the result is the at-the-money
     formula alpha/F0^(1-b) times the maturity bracket (Hagan et al. 2002),
     and near the money it varies with K as the smile does. Raises
-    NegativeVol on a nonpositive result and NonFinite on inf or NaN, as
-    where F0/K underflows to 0 and its log is NaN.
+    NegativeVol, NonFinite, ZeroDivisionError or OverflowError where the
+    result is not finite and positive; :func:`hagan_vols` is NaN there.
     """
     sigma = _smile(p.T, p.F0, p.K, p.alpha, p.beta, p.rho, p.nu, log_or_nan, math.pow, zx_ratio)
     if sigma <= 0.0:
@@ -185,20 +167,9 @@ def hagan_vol(p: SabrPoint) -> float:
 
 
 @np.errstate(all="ignore")
-def hagan_vols_or_nan(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
-    """The formula body of :func:`hagan_vol` on 1-d float columns, with
-    numpy's log and pow and :func:`zx_ratios`: NaN where the result is not
-    finite and positive (where the scalar form raises), and neither an
-    exception nor a floating-point warning."""
+def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
+    """Array form of :func:`hagan_vol` on 1-d float columns of valid points:
+    NaN where it raises, with no exception or warning, and elsewhere within
+    1e-12 relative of it, as numpy's ufuncs and libm differ by an ulp."""
     sigma = _smile(T, F0, K, alpha, beta, rho, nu, logs_or_nan, np.power, zx_ratios)
     return np.where((sigma > 0.0) & (sigma < math.inf), sigma, math.nan)
-
-
-def hagan_vols(T, F0, K, alpha, beta, rho, nu) -> np.ndarray:
-    """Array form of :func:`hagan_vol` on 1-d columns of valid points: it
-    agrees with the scalar form to 1e-12 relative, not bit for bit, as
-    numpy's ufuncs and the C library differ by about an ulp. The array form
-    decides every value and which points fail; the scalar form runs only on
-    the first failing point, to name the class raised (:func:`checked`)."""
-    columns = [np.asarray(c, dtype=float) for c in (T, F0, K, alpha, beta, rho, nu)]
-    return checked(hagan_vols_or_nan(*columns), hagan_vol, columns)

@@ -57,7 +57,7 @@ import numpy as np
 from .datagen import write_json
 from .errors import ConfigError, Diverged, NonFinite, ShapeMismatch
 from .geometry import GEOM_FIELDS, features, features_array, geom_values
-from .hagan import HAGAN_BRACKET, SABR_FIELDS, SabrPoint, hagan_vol, hagan_vols, sabr_values
+from .hagan import HAGAN_BRACKET, SABR_FIELDS, SabrPoint, checked, hagan_vol, hagan_vols, sabr_values
 
 __all__ = [
     "ARCHS",
@@ -451,16 +451,16 @@ def targets(samples, target_mode: str) -> np.ndarray:
 
 def design_matrix(points: Sequence[SabrPoint], arch: str) -> np.ndarray:
     """The inputs of ``arch`` for a batch of points, one row each: a column
-    per point field, then on the geometry archs the
-    :func:`~sabrkit.geometry.features_array` columns of those. The one builder
-    of batched inputs, for :func:`train` and :func:`predict_vols` alike."""
+    per point field, then on the geometry archs the features_array columns
+    of those, DomainError at a NaN row (:func:`~sabrkit.hagan.checked`). The
+    one builder of batched inputs, for :func:`train` and :func:`predict_vols`."""
     names = ARCHS[arch][1]
     n, k = len(points), len(SABR_FIELDS)
     x = np.empty((n, len(names)))
     for j, name in enumerate(SABR_FIELDS):
         x[:, j] = np.fromiter(map(attrgetter(name), points), float, n)
     if len(names) > k:
-        x[:, k:] = features_array(*x[:, :k].T)
+        x[:, k:] = checked(features_array(*x[:, :k].T), "feature quadruple")
     return x
 
 
@@ -621,12 +621,13 @@ def predict_vols(bundle: ModelBundle, points: Sequence[SabrPoint]) -> np.ndarray
     Residual modes return sigma_hagan * (1 + network output); direct modes
     return the raw output. The inputs of one :func:`forward` come from
     :func:`design_matrix`, and :func:`~sabrkit.hagan.hagan_vols` takes its
-    parameter columns whole.
+    parameter columns whole. Raises DomainError at the first point where
+    the features or the closed form are NaN (:func:`~sabrkit.hagan.checked`).
     """
     x = design_matrix(points, bundle.arch)
     out, _ = forward(bundle, x, training=False)
     if bundle.target_mode == "residual_ratio":
-        return hagan_vols(*x[:, :len(SABR_FIELDS)].T) * (1.0 + out)
+        return checked(hagan_vols(*x[:, :len(SABR_FIELDS)].T), "closed form") * (1.0 + out)
     return out
 
 

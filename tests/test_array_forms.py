@@ -1,7 +1,9 @@
 """The array forms of the smile and the feature quadruple against the
-scalar forms, which are their reference: within 1e-12 relative on every
-point (numpy's ufuncs and the C library differ by about an ulp), and the
-same exception class when a point leaves the formulas' domain."""
+scalar forms, which are their reference. Point by point, an array form is
+NaN exactly where its scalar form raises, with neither an exception nor a
+warning, and within 1e-12 relative of it elsewhere (numpy's ufuncs and the
+C library differ by about an ulp). A served batch fails as a whole:
+predict_vols raises DomainError naming the first point that fails."""
 
 import math
 import warnings
@@ -12,9 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sabrkit.datagen import GRID_INDICES, sample_config, strike_grid
-from sabrkit.errors import DomainError, NegativeVol, NonFinite, SabrkitError
+from sabrkit.errors import DomainError, NegativeVol, NonFinite
 from sabrkit.geometry import features, features_array
 from sabrkit.hagan import SabrPoint, hagan_vol, hagan_vols
+from sabrkit.net import init_bundle, predict_vols
+
+from bundles import zero_output
+
+GOOD = SabrPoint(T=1.0, F0=1.0, K=1.1, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
 
 # Points outside the formulas' domain; the scalar calls raise on them.
 NEGATIVE_ATM = SabrPoint(T=2.0, F0=1.0, K=1.0, alpha=0.5, beta=1.0, rho=-0.95, nu=3.0)
@@ -22,6 +29,7 @@ NEGATIVE_WING = SabrPoint(T=2.0, F0=1.0, K=1.05, alpha=0.5, beta=1.0, rho=-0.95,
 # A vanishing alpha far from the money: zeta = q/alpha is so large that
 # zeta^2 overflows inside x(zeta), and z/x(z) comes out 0.
 ZERO_GEODESIC = SabrPoint(T=1.0, F0=1.0, K=0.5, alpha=1e-300, beta=0.0, rho=0.0, nu=0.0)
+OUT_OF_DOMAIN = (NEGATIVE_ATM, NEGATIVE_WING, ZERO_GEODESIC)
 
 # F0^(2(1-b)) underflows to 0 in the ATM bracket: ZeroDivisionError.
 UNDERFLOWING_ATM = SabrPoint(T=1.0, F0=1e-170, K=1e-170, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
@@ -39,6 +47,13 @@ OVERFLOWING_ATM = SabrPoint(T=1.0, F0=1e-310, K=1e-310, alpha=0.2, beta=0.0, rho
 # F0/K, then K/F0, underflows to 0, so its log is NaN: NonFinite.
 F0_OVER_K_UNDERFLOWS = SabrPoint(T=1.0, F0=1e-200, K=1e200, alpha=0.2, beta=0.5, rho=-0.2, nu=0.3)
 K_OVER_F0_UNDERFLOWS = SabrPoint(T=1.0, F0=1e200, K=1e-200, alpha=0.2, beta=0.5, rho=-0.2, nu=0.3)
+
+# The bracket's alpha^2 / (F0*K)^(1-b) term overflows the smile to inf at
+# tiny forwards, at and off the money (NonFinite); smaller still, F0*K
+# underflows to 0 and the bracket divides by zero (ZeroDivisionError).
+INFINITE_ATM = SabrPoint(T=1.0, F0=1e-158, K=1e-158, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
+INFINITE_WING = SabrPoint(T=1.0, F0=1e-150, K=2e-150, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
+UNDERFLOWING_PRODUCT = SabrPoint(T=1.0, F0=1e-310, K=1e-310, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
 
 # Either side of |ln(F0/K)| = 1e-8 and of |z| = 1e-6: near-money points,
 # where a log of the textbook x(z) argument would lose ~1e-16/|z|.
@@ -77,36 +92,41 @@ def generator_points(draw):
     return SabrPoint(T=T, F0=F0, K=K, alpha=alpha, beta=beta, rho=rho, nu=nu)
 
 
-def outcome(fn):
-    """The value ``fn()`` returns, or the class of what it raises."""
-    try:
-        return fn()
-    except Exception as exc:
-        return type(exc)
+# Generator points with out-of-domain points anywhere among them, one in
+# four on average.
+GENERATOR_BATCHES = st.lists(
+    st.one_of(generator_points(), generator_points(), generator_points(),
+              st.sampled_from(OUT_OF_DOMAIN)),
+    min_size=1, max_size=24)
 
 
-def assert_forms_agree(scalar, array, points):
-    """The class the scalar form raises on the first point where it raises,
-    or finite values within 1e-12 times each |scalar value|."""
-    want = outcome(lambda: np.array([scalar(p) for p in points]))
-    got = outcome(lambda: array(*columns(points)))
-    if isinstance(want, type) or isinstance(got, type):
-        assert got is want, (scalar.__name__, got, want)
-    else:
-        assert np.isfinite(got).all(), scalar.__name__
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), scalar.__name__
+def assert_nan_where_scalar_raises(scalar, array, points):
+    """At every point, the array form's row is NaN where the scalar form
+    raises, and finite within 1e-12 times each |scalar value| elsewhere;
+    the array form itself neither raises nor warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = array(*columns(points)).reshape(len(points), -1)
+    for i, (p, row) in enumerate(zip(points, got)):
+        try:
+            want = np.atleast_1d(scalar(p))
+        except (ArithmeticError, ValueError):
+            assert np.isnan(row).all(), (scalar.__name__, i, row)
+        else:
+            assert np.isfinite(row).all(), (scalar.__name__, i, row)
+            assert np.all(np.abs(row - want) <= 1e-12 * np.abs(want)), (scalar.__name__, i)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(generator_points(), min_size=1, max_size=24))
+@given(GENERATOR_BATCHES)
 def test_hagan_vols_equal_scalar(points):
-    assert_forms_agree(hagan_vol, hagan_vols, points)
+    assert_nan_where_scalar_raises(hagan_vol, hagan_vols, points)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(generator_points(), min_size=1, max_size=24))
+@given(GENERATOR_BATCHES)
 def test_features_array_equal_scalar(points):
-    assert_forms_agree(quadruple, features_array, points)
+    assert_nan_where_scalar_raises(quadruple, features_array, points)
 
 
 @st.composite
@@ -130,12 +150,12 @@ def log_uniform_points(draw):
 @example([UNDERFLOWING_ATM, CANCELLED_LOG])
 @example([HUGE_FORWARD, OVERFLOWING_ATM])
 @example([F0_OVER_K_UNDERFLOWS, K_OVER_F0_UNDERFLOWS])
+@example([GOOD, INFINITE_ATM, GOOD, INFINITE_WING, UNDERFLOWING_PRODUCT, GOOD])
 def test_forms_agree_at_every_magnitude(points):
-    # Values within 1e-12 relative, or the class the scalar form raises on
-    # the first point where it raises: neither form fails on a point the
-    # other prices, at any magnitude.
+    # Neither form fails on a point the other prices, at any magnitude,
+    # and a failing point leaves the points after it as they are.
     for scalar, array in ((hagan_vol, hagan_vols), (quadruple, features_array)):
-        assert_forms_agree(scalar, array, points)
+        assert_nan_where_scalar_raises(scalar, array, points)
 
 
 @settings(max_examples=300, deadline=None)
@@ -143,40 +163,11 @@ def test_forms_agree_at_every_magnitude(points):
 def test_features_are_finite_or_raise(p):
     # An inf or NaN feature, as where q^2 overflows at huge forwards,
     # raises NonFinite; no quadruple holds a non-finite value.
-    got = outcome(lambda: quadruple(p))
-    assert isinstance(got, type) or all(map(math.isfinite, got))
-
-
-def test_non_finite_features_raise_in_both_forms():
-    good = SabrPoint(T=1.0, F0=1.0, K=1.1, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
-    with pytest.raises(NonFinite):
-        features(HUGE_FORWARD)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NonFinite, match="point 1"):
-            features_array(*columns([good, HUGE_FORWARD, good]))
-
-
-def test_underflowing_atm_bracket_raises_zero_division_in_both_forms():
-    # F0^(2(1-b)) underflows to 0 in the ATM bracket's alpha^2 term.
-    tiny = SabrPoint(T=1.0, F0=1e-170, K=1e-170, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
-    good = SabrPoint(T=1.0, F0=1.0, K=1.1, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
-    with pytest.raises(ZeroDivisionError):
-        hagan_vol(tiny)
-    with pytest.raises(ZeroDivisionError, match="point 1"):
-        hagan_vols(*columns([good, tiny, good]))
-
-
-@pytest.mark.parametrize("p", [F0_OVER_K_UNDERFLOWS, K_OVER_F0_UNDERFLOWS])
-def test_underflowing_ratio_raises_non_finite_in_both_forms(p):
-    # The log of a ratio that underflows to 0 is NaN in both forms, not
-    # math.log's ValueError.
-    good = SabrPoint(T=1.0, F0=1.0, K=1.1, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
-    for scalar, array in ((hagan_vol, hagan_vols), (features, features_array)):
-        with pytest.raises(NonFinite):
-            scalar(p)
-        with pytest.raises(NonFinite, match="point 1"):
-            array(*columns([good, p, good]))
+    try:
+        got = quadruple(p)
+    except (ArithmeticError, ValueError):
+        return
+    assert all(map(math.isfinite, got))
 
 
 def test_log_edges_sit_on_both_sides():
@@ -189,70 +180,56 @@ def test_log_edges_sit_on_both_sides():
         assert (abs(math.log(F0 / p.K)) < 1e-8) == (side < 1.0)
 
 
-def first_failure(fn, points):
-    for p in points:
-        try:
-            fn(p)
-        except SabrkitError as exc:
-            return type(exc)
-    return None
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(generator_points(), min_size=0, max_size=12),
-       st.sampled_from((NEGATIVE_ATM, NEGATIVE_WING, ZERO_GEODESIC)),
-       st.integers(0, 12))
-def test_out_of_domain_point_raises_as_scalar(points, bad, at):
-    points = points[:at] + [bad] + points[at:]
-    cols = columns(points)
-    for scalar, array in ((hagan_vol, hagan_vols), (features, features_array)):
-        expected = first_failure(scalar, points)
-        if expected is None:
-            array(*cols)
-        else:
-            with pytest.raises(expected):
-                array(*cols)
-
-
 def test_failing_points_fail_in_scalar_form():
-    with pytest.raises(NegativeVol):
-        hagan_vol(NEGATIVE_ATM)
-    with pytest.raises(NegativeVol):
-        hagan_vol(NEGATIVE_WING)
-    with pytest.raises(DomainError):
-        features(ZERO_GEODESIC)
+    # The class each point above raises in the scalar form, the one form
+    # that names one.
+    for fn, p, error in (
+        (hagan_vol, NEGATIVE_ATM, NegativeVol),
+        (hagan_vol, NEGATIVE_WING, NegativeVol),
+        (features, ZERO_GEODESIC, DomainError),
+        (hagan_vol, UNDERFLOWING_ATM, ZeroDivisionError),
+        (features, HUGE_FORWARD, NonFinite),
+        (features, OVERFLOWING_ATM, NonFinite),
+        (hagan_vol, F0_OVER_K_UNDERFLOWS, NonFinite),
+        (features, F0_OVER_K_UNDERFLOWS, NonFinite),
+        (hagan_vol, K_OVER_F0_UNDERFLOWS, NonFinite),
+        (features, K_OVER_F0_UNDERFLOWS, NonFinite),
+        (hagan_vol, INFINITE_ATM, NonFinite),
+        (hagan_vol, INFINITE_WING, NonFinite),
+        (hagan_vol, UNDERFLOWING_PRODUCT, ZeroDivisionError),
+    ):
+        with pytest.raises(error):
+            fn(p)
 
 
 def test_vanishing_alpha_overflows_silently():
     # z ~ 1e290 beside the money, so z*z overflows to inf as in the scalar
-    # form, z/x(z) comes out 0 and both forms raise NegativeVol, as far
-    # from the money. At the money z = 0 and the vol stays finite.
+    # form and z/x(z) comes out 0: the scalar form raises NegativeVol and
+    # the array form gives NaN, as far from the money. At the money z = 0
+    # and the vol stays finite, the same bits in both forms.
     atm = SabrPoint(T=1.0, F0=1.0, K=1.0, alpha=1e-300, beta=0.5, rho=0.0, nu=0.1)
     near, off = (SabrPoint(T=1.0, F0=1.0, K=K, alpha=1e-300, beta=0.5, rho=0.0, nu=0.1)
                  for K in (math.exp(5e-9), 0.9))
+    for p in (near, off):
+        with pytest.raises(NegativeVol):
+            hagan_vol(p)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(hagan_vols(*columns([atm])), [hagan_vol(atm)])
-        assert math.isfinite(hagan_vol(atm))
-        for p in (near, off):
-            for fn in (hagan_vol, lambda p: hagan_vols(*columns([p]))):
-                with pytest.raises(NegativeVol):
-                    fn(p)
+        got = hagan_vols(*columns([atm, near, off]))
+    assert math.isfinite(hagan_vol(atm)) and got[0] == hagan_vol(atm)
+    assert np.isnan(got[1:]).all()
 
 
-def test_non_finite_result_raises_in_both_forms():
-    # Valid points at which the result overflows to inf, at and off the
-    # money: the bracket's alpha^2 / (F0*K)^(1-b) term is huge at tiny
-    # forwards. Smaller still, F0*K underflows to 0 and the bracket divides
-    # by zero.
-    atm = SabrPoint(T=1.0, F0=1e-158, K=1e-158, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
-    wing = SabrPoint(T=1.0, F0=1e-150, K=2e-150, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
-    underflow = SabrPoint(T=1.0, F0=1e-310, K=1e-310, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
-    good = SabrPoint(T=1.0, F0=1.0, K=1.1, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for bad, error in ((atm, NonFinite), (wing, NonFinite), (underflow, ZeroDivisionError)):
-            with pytest.raises(error):
-                hagan_vol(bad)
-            with pytest.raises(error, match="point 1"):
-                hagan_vols(*columns([good, bad, good]))
+@pytest.mark.parametrize("arch, bad, part", [
+    ("resnn", NEGATIVE_ATM, "closed form"),
+    ("geonn", ZERO_GEODESIC, "feature quadruple"),
+    ("georesnn", NEGATIVE_ATM, "closed form"),
+    ("georesnn", ZERO_GEODESIC, "feature quadruple"),
+])
+def test_served_batch_raises_domain_error_at_first_failing_point(arch, bad, part):
+    # The residual archs fail on the closed form, the geometry archs on the
+    # features; ndn reads neither and serves the same batch.
+    batch = [GOOD, bad, GOOD, bad]
+    with pytest.raises(DomainError, match=f"^{part} fails at point 1$"):
+        predict_vols(zero_output(init_bundle(arch, seed=0)), batch)
+    assert np.isfinite(predict_vols(init_bundle("ndn", seed=0), batch)).all()

@@ -381,7 +381,9 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--models", *map(str, models), "--dataset", str(small_dataset),
                      "--stress", "--paths", "2000", "--out", str(out)]) == 0
         assert len(calls) == 11
-        a, b = (json.loads(next(out.glob(f"metrics_{arch}_*.json")).read_text())["stress"]
+        # Strict JSON: a NaN, Infinity or -Infinity token fails to load.
+        a, b = (json.loads(next(out.glob(f"metrics_{arch}_*.json")).read_text(),
+                           parse_constant=pytest.fail)["stress"]
                 for arch in ("georesnn", "resnn"))
         assert [r["error"] for r in a + b] == [None] * 22
         for key in ("sigma_mc", "sigma_hagan"):

@@ -501,7 +501,7 @@ class TestPersistence:
         # A row whose closed form fails, flagged as build_dataset flags it.
         ds.samples.append(Sample(NEGATIVE_ATM, math.nan, math.nan, nan_feats, 2.5,
                                  config_index=3))
-        for i, _ in _closed_form_failures(ds.samples):
+        for i in _closed_form_failures(ds.samples).tolist():
             ds.samples[i].valid = False
         assert not ds.samples[-1].valid
         filter_outliers(ds)
@@ -514,6 +514,22 @@ class TestPersistence:
         raw = (tmp_path / "a.csv").read_bytes()
         assert b",nan," in raw
         assert (tmp_path / "b.csv").read_bytes() == raw
+
+    def test_valid_row_outside_the_domain_is_refused_with_file_and_line(self, tmp_path):
+        # NEGATIVE_ATM's closed form is NaN (its scalar form raises
+        # NegativeVol); the message names the file and the line.
+        path = tmp_path / "d.csv"
+        fields = ",".join(map(str, sabr_values(NEGATIVE_ATM)))
+        path.write_text(",".join(datagen.CSV_HEADER) + f"\n{fields},0.2,0,train,true\n")
+        with pytest.raises(ConfigError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: line 2: valid row lies outside the closed form's domain"
+
+    def test_json_is_strict_with_null_for_non_finite_floats(self, tmp_path):
+        payload = {"a": [1.5, math.nan, (math.inf, -math.inf)], "b": {"c": np.float64("nan")}}
+        datagen.write_json(tmp_path / "r.json", payload)
+        loaded = json.loads((tmp_path / "r.json").read_text(), parse_constant=pytest.fail)
+        assert loaded == {"a": [1.5, None, [None, None]], "b": {"c": None}}
 
     @pytest.mark.parametrize("fields", [
         # The closed form overflows to inf at the money (NonFinite).
