@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, NonFinite, NoConvergence, PriceOutOfBounds
 # hagan_vol and features never run here: perfbench's INTERNAL table rebinds them by name.
 from .geometry import GeomFeatures, features, features_array
-from .hagan import HAGAN_BRACKET, SABR_FIELDS, SabrPoint, hagan_vol, hagan_vols, sabr_values
+from .hagan import HAGAN_BRACKET, SABR_FIELDS, SabrPoint, check_positive, hagan_vol, hagan_vols, sabr_values
 from .mc import McConfig, implied_vol_from_estimate, price_from_terminals, simulate_terminals, usable_cores
 
 __all__ = [
@@ -140,9 +140,7 @@ def strike_grid(F0: float, alpha: float, T: float) -> np.ndarray:
     The middle strike is F0 exactly. Raises ConfigError unless T, F0 and
     alpha are finite and > 0.
     """
-    for name, v in (("T", T), ("F0", F0), ("alpha", alpha)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise ConfigError(f"{name} must be finite and positive, got {v!r}")
+    check_positive(T=T, F0=F0, alpha=alpha)
     n = np.array(GRID_INDICES)
     return F0 * np.exp(n * alpha * math.sqrt(T))
 

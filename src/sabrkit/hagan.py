@@ -64,13 +64,20 @@ def checked(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
+def check_positive(**values) -> None:
+    """Raise ConfigError at the first named value that is not finite and > 0."""
+    for name, v in values.items():
+        if not (math.isfinite(v) and v > 0.0):
+            raise ConfigError(f"{name} must be finite and positive, got {v!r}")
+
+
 def check_params(T, F0, alpha, beta, rho, nu, K=None) -> None:
     """Raise ConfigError outside the SABR domain (Hagan et al. 2002): T, F0,
     alpha and K (if given) finite and > 0, 0 <= beta <= 1, |rho| <= 0.95,
     nu finite and >= 0. NaN fails every bound."""
-    for name, v in (("T", T), ("F0", F0), ("alpha", alpha), ("K", 1.0 if K is None else K)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise ConfigError(f"{name} must be finite and positive, got {v!r}")
+    check_positive(T=T, F0=F0, alpha=alpha)
+    if K is not None:
+        check_positive(K=K)
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"beta must lie in [0, 1], got {beta!r}")
     if not abs(rho) <= 0.95:

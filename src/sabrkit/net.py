@@ -31,16 +31,15 @@ after the first layer each layer is one matrix product and a ReLU.
 :func:`load_model` and :func:`train` fold once and keep the result on the
 bundle.
 
-While :func:`train` runs, the bundle carries a :class:`Workspace` of
-training caches and gradients only: the gradient views and, per batch size
-(the full and the last partial batch), the arrays that a training
-:func:`forward` and :func:`backward` write with ``out=`` or in place, in
-the operations and order of a call without one, so each step computes the
-same bits. Those caches stay valid until the next training forward at that
-size. Nothing else is kept, as nothing else makes a whole training run
-faster: :func:`backward` reads the ReLU's mask off the kept activation,
-and Adam keeps only its moments. Eval mode, the validation pass included,
-runs in blocks of 128 rows and keeps no state; outputs are always new arrays.
+:func:`train` owns the arrays it reuses from step to step, and the bundle
+holds no training state: the views of one gradient vector, and the caches
+(:func:`_training_caches`) of the full and the last partial batch, which a
+training :func:`forward` and :func:`backward` write with ``out=`` or in
+place, in the operations and order of a call given none, so the bits are
+the same. Adam keeps only its moments, and :func:`backward` reads the
+ReLU's mask off the kept activation. Eval mode, the validation pass
+included, runs in blocks of 128 rows and keeps no state; outputs are always
+new arrays.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import attrgetter
 from typing import Sequence
 
@@ -150,9 +150,6 @@ class ModelBundle:
     # on every call.
     folded: tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]] | None = field(
         default=None, repr=False, compare=False)
-    # The arrays train reuses from step to step, set while train runs; None
-    # means forward and backward write new arrays.
-    workspace: Workspace | None = field(default=None, repr=False, compare=False)
 
     @property
     def target_mode(self) -> str:
@@ -167,28 +164,7 @@ class ModelBundle:
         return [self.layers[0].w.shape[0]] + [lay.w.shape[1] for lay in self.layers]
 
 
-@dataclass
-class Workspace:
-    """The arrays :func:`train` reuses from step to step: only training
-    caches and gradients, as an eval-mode :func:`forward` keeps no state.
-
-    ``grads`` are reshaped views of train's one gradient vector, in
-    :func:`trainable_params` order, which :func:`backward` fills. ``kept``
-    maps a batch size to the :func:`_training_caches` that a training
-    :func:`forward` writes at that size, made on first use: the only
-    buffers whose reuse makes a whole ``train`` run faster.
-    """
-
-    grads: list[np.ndarray]
-    kept: dict[int, list[dict]] = field(default_factory=dict)
-
-    def buffers(self, bundle: ModelBundle, n: int) -> list[dict]:
-        if n not in self.kept:
-            self.kept[n] = _training_caches(bundle, n)
-        return self.kept[n]
-
-
-def _training_caches(bundle: ModelBundle, n: int) -> list[dict]:
+def _training_caches(bundle: ModelBundle, n: int, grads=None) -> list[dict]:
     """Unfilled caches for a training forward of ``n`` rows, one per layer.
 
     A hidden layer's cache holds its input ``x`` (the standardized rows, or
@@ -197,16 +173,21 @@ def _training_caches(bundle: ModelBundle, n: int) -> list[dict]:
     activation that :func:`backward` receives; its activation is the next
     cache's ``x``, whose positive entries are the ReLU's mask, and
     :func:`forward` adds the batch's ``inv_std``. The output layer's cache
-    holds only its input.
+    holds its input. Each cache's ``grads``, which :func:`backward` fills,
+    are its layer's arrays of ``grads`` (in :func:`trainable_params` order),
+    or new arrays.
     """
+    if grads is None:
+        grads = [np.empty_like(p) for p in trainable_params(bundle)]
+    grads = iter(grads)
     x = np.empty((n, bundle.layers[0].w.shape[0]))
     caches = []
     for layer in bundle.layers[:-1]:
         shape = (n, layer.w.shape[1])
         caches.append({"x": x, "z_hat": np.empty(shape), "tmp": np.empty(shape),
-                       "d_a": np.empty(shape)})
+                       "d_a": np.empty(shape), "grads": list(islice(grads, 3))})
         x = np.empty(shape)
-    caches.append({"x": x})
+    caches.append({"x": x, "grads": list(islice(grads, 2))})
     return caches
 
 
@@ -297,23 +278,20 @@ def fold_layers(bundle: ModelBundle) -> tuple[np.ndarray, np.ndarray, tuple[np.n
     return mats[0][:-1], mats[0][-1], tuple(mats[1:])
 
 
-def forward(bundle: ModelBundle, x: np.ndarray, training: bool = False):
+def forward(bundle: ModelBundle, x: np.ndarray, training: bool = False, caches=None):
     """Network output for a batch of raw (unstandardized) feature rows.
 
-    Returns ``(outputs, caches)``. Training mode normalizes with batch
-    statistics, updates the running ones, drops the bundle's folded network
-    and returns the intermediates :func:`backward` needs. Eval mode runs
-    the folded network (:func:`fold_layers`), the bundle's stored one when
-    it has one: a matrix product and bias add for the first layer, then a
-    ReLU and one matrix product for each later layer, in blocks of 128
-    rows from row 0 (a lone last row joins the block before it), so it
-    keeps no state and its memory does not grow with the batch. It returns
-    None for the caches.
-
-    With a :class:`Workspace` on the bundle (while :func:`train` runs),
-    training mode writes its full-batch arrays into the workspace's caches
-    for this batch size, valid until the next training forward at that
-    size; without one, they are new arrays. Outputs are always new arrays.
+    Returns ``(outputs, caches)``; outputs are always new arrays. Training
+    mode normalizes with batch statistics, updates the running ones, drops
+    the bundle's folded network and writes the intermediates
+    :func:`backward` needs into ``caches`` (:func:`_training_caches` of this
+    batch size, which :func:`train` reuses from step to step), or into new
+    ones if None. Eval mode runs the folded network (:func:`fold_layers`),
+    the bundle's stored one when it has one: a matrix product and bias add
+    for the first layer, then a ReLU and one matrix product for each later
+    layer, in blocks of 128 rows from row 0 (a lone last row joins the
+    block before it), so it keeps no state and its memory does not grow
+    with the batch. It returns None for the caches.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -334,8 +312,8 @@ def forward(bundle: ModelBundle, x: np.ndarray, training: bool = False):
             y[start:end] = _eval_chain(x[start:end], w0, b0, rest)
         return y, None
     bundle.folded = None
-    ws = bundle.workspace
-    caches = _training_caches(bundle, n) if ws is None else ws.buffers(bundle, n)
+    if caches is None:
+        caches = _training_caches(bundle, n)
     a = np.subtract(x, bundle.x_mean, out=caches[0]["x"])
     a /= bundle.x_std
     for layer, cache, after in zip(bundle.layers[:-1], caches, caches[1:]):
@@ -362,33 +340,28 @@ def forward(bundle: ModelBundle, x: np.ndarray, training: bool = False):
 def backward(bundle: ModelBundle, caches: list, d_out: np.ndarray) -> list[np.ndarray]:
     """Gradients of a scalar objective wrt every trainable array.
 
-    ``d_out`` is the objective's gradient per output row. The returned list
-    matches :func:`trainable_params` element by element; while :func:`train`
-    runs, its arrays are the workspace's views of one gradient vector, which
-    each call overwrites. The full-batch intermediates go into the caches'
-    ``d_a`` and ``tmp`` arrays, so the caches of a training :func:`forward`
-    serve one backward. The gradient wrt the network's input is not formed.
+    ``d_out`` is the objective's gradient per output row. Each call
+    overwrites the caches' ``grads`` and returns them in
+    :func:`trainable_params` order. The full-batch intermediates go into the
+    caches' ``d_a`` and ``tmp`` arrays, so the caches of a training
+    :func:`forward` serve one backward. The gradient wrt the network's input
+    is not formed.
     """
-    ws = bundle.workspace
-    grads = [np.empty_like(p) for p in trainable_params(bundle)] if ws is None else ws.grads
-    k = len(grads)
     d_a = d_out[:, None]
     for i in range(len(bundle.layers) - 1, -1, -1):
         layer, cache = bundle.layers[i], caches[i]
-        bn = layer.bn
+        bn, grads = layer.bn, cache["grads"]
         if bn is None:
-            k -= 2
             d_z = d_a
-            d_z.sum(axis=0, out=grads[k + 1])
+            d_z.sum(axis=0, out=grads[1])
         else:
-            k -= 3
             # d_a becomes d_pre, then d_zhat, in place; tmp takes each
             # full-batch product, then d_z.
             z_hat, d_z = cache["z_hat"], cache["tmp"]
             # The activation is > 0 exactly where the pre-activation is.
             d_a *= caches[i + 1]["x"] > 0.0
-            np.multiply(d_a, z_hat, out=d_z).sum(axis=0, out=grads[k + 1])
-            d_a.sum(axis=0, out=grads[k + 2])
+            np.multiply(d_a, z_hat, out=d_z).sum(axis=0, out=grads[1])
+            d_a.sum(axis=0, out=grads[2])
             d_a *= bn.scale
             n = d_a.shape[0]
             # d_z = (inv_std / n) * (n * d_zhat - d_zhat.sum(axis=0)
@@ -399,10 +372,10 @@ def backward(bundle: ModelBundle, caches: list, d_out: np.ndarray) -> list[np.nd
             d_z -= col_sum
             d_z -= np.multiply(z_hat, proj, out=d_a)
             np.multiply(cache["inv_std"] / n, d_z, out=d_z)
-        np.matmul(cache["x"].T, d_z, out=grads[k])
+        np.matmul(cache["x"].T, d_z, out=grads[0])
         if i:
             d_a = np.matmul(d_z, layer.w.T, out=caches[i - 1]["d_a"])
-    return grads
+    return [g for cache in caches for g in cache["grads"]]
 
 
 def trainable_params(bundle: ModelBundle) -> list[np.ndarray]:
@@ -412,15 +385,12 @@ def trainable_params(bundle: ModelBundle) -> list[np.ndarray]:
         (layer.w, layer.b) if layer.bn is None else (layer.w, layer.bn.scale, layer.bn.shift))]
 
 
-def _flatten_params(bundle: ModelBundle) -> tuple[np.ndarray, np.ndarray]:
+def _flatten_params(bundle: ModelBundle) -> np.ndarray:
     """Copy the trainable arrays into one vector, in :func:`trainable_params`
     order, and rebind each as a reshaped view of it, so that one Adam update
-    of the vector updates them all. Returns that vector and a gradient
-    vector of the same layout, whose views are the grads of the bundle's new
-    :class:`Workspace`."""
+    of the vector updates them all. Returns that vector."""
     params = trainable_params(bundle)
     theta = np.concatenate([p.reshape(-1) for p in params])
-    grad = np.empty_like(theta)
     theta_views = iter(_views(theta, params))
     for layer in bundle.layers:
         layer.w = next(theta_views)
@@ -428,8 +398,7 @@ def _flatten_params(bundle: ModelBundle) -> tuple[np.ndarray, np.ndarray]:
             layer.b = next(theta_views)
         else:
             layer.bn.scale, layer.bn.shift = next(theta_views), next(theta_views)
-    bundle.workspace = Workspace(grads=_views(grad, params))
-    return theta, grad
+    return theta
 
 
 def _views(flat: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
@@ -545,9 +514,8 @@ def train(
     Standardization is fitted on the training split only; a feature constant
     there keeps a unit scale. Batches are reshuffled each epoch from a
     dedicated seeded generator and the last partial batch is kept, so runs
-    are reproducible given the config seed. The bundle carries a
-    :class:`Workspace` while the call runs, and none after it returns or
-    raises.
+    are reproducible given the config seed. Its gradient views and the
+    caches of its full and last partial batch are its own.
     """
     if not train_samples or not val_samples:
         raise ConfigError("train and validation splits must be non-empty")
@@ -562,7 +530,8 @@ def train(
     x_std = x_train.std(axis=0)
     bundle.x_std = np.where(x_std > 1e-12, x_std, 1.0)
 
-    theta, grad = _flatten_params(bundle)
+    theta = _flatten_params(bundle)
+    grad = np.empty_like(theta)
     adam = AdamState.for_params(theta)
     scheduler = PlateauScheduler(lr=cfg.lr0)
     shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
@@ -572,34 +541,34 @@ def train(
     best_epoch = 0
     best_layers = copy.deepcopy(bundle.layers)
     n = len(train_samples)
+    grads = _views(grad, trainable_params(bundle))
+    kept = {rows: _training_caches(bundle, rows, grads)
+            for rows in {min(cfg.batch_size, n), (n - 1) % cfg.batch_size + 1}}
     lr = cfg.lr0
-    try:
-        for epoch in range(1, cfg.epochs + 1):
-            order = shuffle_rng.permutation(n)
-            sq_sum = 0.0
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                pred, caches = forward(bundle, x_train[idx], training=True)
-                err = pred - y_train[idx]
-                sq_sum += float(err @ err)
-                backward(bundle, caches, 2.0 * err / err.size)
-                adam_step(adam, theta, grad, lr)
-            train_loss = sq_sum / n
-            val_pred, _ = forward(bundle, x_val, training=False)
-            # Overflow to inf is the divergence signal, not a numerics bug.
-            with np.errstate(over="ignore"):
-                val_loss = float(np.mean((val_pred - y_val) ** 2))
-            if not math.isfinite(val_loss):
-                raise Diverged(f"validation loss became {val_loss!r} at epoch {epoch}")
-            lr = scheduler.step(val_loss)
-            history.append(EpochRecord(epoch=epoch, train_loss=train_loss,
-                                       val_loss=val_loss, lr=lr))
-            if val_loss < best_val:
-                best_val = val_loss
-                best_epoch = epoch
-                best_layers = copy.deepcopy(bundle.layers)
-    finally:
-        bundle.workspace = None
+    for epoch in range(1, cfg.epochs + 1):
+        order = shuffle_rng.permutation(n)
+        sq_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            pred, caches = forward(bundle, x_train[idx], training=True, caches=kept[idx.size])
+            err = pred - y_train[idx]
+            sq_sum += float(err @ err)
+            backward(bundle, caches, 2.0 * err / err.size)
+            adam_step(adam, theta, grad, lr)
+        train_loss = sq_sum / n
+        val_pred, _ = forward(bundle, x_val, training=False)
+        # Overflow to inf is the divergence signal, not a numerics bug.
+        with np.errstate(over="ignore"):
+            val_loss = float(np.mean((val_pred - y_val) ** 2))
+        if not math.isfinite(val_loss):
+            raise Diverged(f"validation loss became {val_loss!r} at epoch {epoch}")
+        lr = scheduler.step(val_loss)
+        history.append(EpochRecord(epoch=epoch, train_loss=train_loss,
+                                   val_loss=val_loss, lr=lr))
+        if val_loss < best_val:
+            best_val = val_loss
+            best_epoch = epoch
+            best_layers = copy.deepcopy(bundle.layers)
     bundle.layers = best_layers
     bundle.manifest.update({
         "train_seed": cfg.seed,

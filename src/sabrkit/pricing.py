@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 from .errors import NoConvergence, PriceOutOfBounds
+from .hagan import check_positive
 
 __all__ = [
     "black_price",
@@ -44,15 +45,9 @@ def norm_pdf(x: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
-def _validate_tfk(T: float, F0: float, K: float) -> None:
-    for name, v in (("T", T), ("F0", F0), ("K", K)):
-        if not math.isfinite(v) or v <= 0.0:
-            raise ValueError(f"{name} must be finite and positive, got {v!r}")
-
-
 def black_price(T: float, F0: float, K: float, sigma: float) -> float:
     """Undiscounted Black call price F0*N(d1) - K*N(d2)."""
-    _validate_tfk(T, F0, K)
+    check_positive(T=T, F0=F0, K=K)
     if not math.isfinite(sigma) or sigma < 0.0:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     vol = sigma * math.sqrt(T)
@@ -83,7 +78,7 @@ def implied_vol(price: float, T: float, F0: float, K: float) -> float:
     Raises PriceOutOfBounds for non-invertible prices and NoConvergence if
     the iteration budget is exhausted (pathological input).
     """
-    _validate_tfk(T, F0, K)
+    check_positive(T=T, F0=F0, K=K)
     if not math.isfinite(price):
         raise PriceOutOfBounds(f"price must be finite, got {price!r}")
     intrinsic = max(F0 - K, 0.0)

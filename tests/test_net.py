@@ -24,7 +24,6 @@ from sabrkit.net import (
     AdamState,
     PlateauScheduler,
     TrainConfig,
-    Workspace,
     adam_step,
     backward,
     design_matrix,
@@ -611,55 +610,47 @@ class TestTrainOracle:
         assert np.array_equal(caches[0]["z_hat"], z_hat)
 
 
-class TestWorkspace:
-    """While train runs, a training forward and backward write into the
-    bundle's workspace; they compute the bits of calls without one. The
-    eval-mode validation pass keeps nothing there."""
+class TestTrainingCaches:
+    """A training forward writes into the caches it is given and backward
+    into their gradient arrays, as train does with the caches and gradient
+    views it owns; they compute the bits of new arrays. The eval-mode
+    validation pass keeps nothing."""
 
-    def test_reused_caches_give_the_same_gradients(self):
+    def test_given_caches_give_the_bits_of_new_ones(self):
         rng = np.random.default_rng(81)
         kept, fresh = init_bundle("georesnn", seed=81), init_bundle("georesnn", seed=81)
-        kept.workspace = Workspace(grads=[np.empty_like(p) for p in trainable_params(kept)])
+        grads = [np.empty_like(p) for p in trainable_params(kept)]
         # A full batch, then a partial last batch.
         for n in (128, 44):
+            given = net._training_caches(kept, n, grads)
             x1, x2 = rng.normal(size=(2, n, 11))
             d_out = rng.normal(size=n)
             results, caches = [], []
-            for bundle in (kept, fresh):
-                y1, first = forward(bundle, x1, training=True)
-                y2, second = forward(bundle, x2, training=True)
+            for bundle, arg in ((kept, given), (fresh, None)):
+                y1, first = forward(bundle, x1, training=True, caches=arg)
+                y2, second = forward(bundle, x2, training=True, caches=arg)
                 results.append([y1, y2, *backward(bundle, second, d_out)])
                 caches.append((first, second))
             (kept_first, kept_second), (fresh_first, fresh_second) = caches
-            assert kept_first is kept_second is kept.workspace.kept[n]
+            assert kept_first is kept_second is given
             assert fresh_first is not fresh_second
-            assert results[0][2] is kept.workspace.grads[0]
-            for a, b in zip(*results):
+            assert all(a is b for a, b in zip(results[0][2:], grads, strict=True))
+            for a, b in zip(*results, strict=True):
                 assert a.tobytes() == b.tobytes()
-
-    def test_train_drops_the_workspace(self, trained_rows):
-        assert all(b.workspace is None for b in trained_rows[0].values())
-        rows, val = synthetic_rows(84, seed=27), synthetic_rows(12, seed=28)
-        for s in val:
-            s.sigma_mc = 1e200
-        bundle = init_bundle("ndn", seed=27)
-        with pytest.raises(Diverged):
-            train(bundle, rows, val, TrainConfig(epochs=1, seed=27))
-        assert bundle.workspace is None
 
     def test_eval_output_outlives_the_next_call(self, monkeypatch):
         rows = synthetic_rows(200, seed=82)
         x1, x2 = (design_matrix([s.point for s in part], "georesnn")
                   for part in (rows[:60], rows[60:120]))
         bundle = init_bundle("georesnn", seed=82)
-        kept = []
+        checks = []
 
         def check():
             y1, _ = forward(bundle, x1)
             before = y1.copy()
             forward(bundle, x2)
             assert np.array_equal(y1, before)
-            kept.append(bundle.workspace is not None)
+            checks.append(True)
 
         check()
         step = net.adam_step
@@ -670,7 +661,8 @@ class TestWorkspace:
 
         monkeypatch.setattr(net, "adam_step", checked_step)
         train(bundle, rows[:140], rows[140:], TrainConfig(epochs=1, seed=82))
-        assert kept == [False, True, True]
+        # Once before train, then once per step: a full and a partial batch.
+        assert len(checks) == 3
 
 
 class TestPredict:
