@@ -17,7 +17,8 @@ file, so a command that fails before it leaves none. Every command writes
 its files before it prints, so one whose stdout closes early (``| head``)
 still leaves them whole; the broken pipe is not reported as an error.
 
-Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
+Exit codes: 0 success, 2 usage or validation error (a ConfigError or a plain
+ValueError), 3 numerical failure (any other SabrkitError, or an ArithmeticError).
 """
 
 from __future__ import annotations
@@ -33,24 +34,9 @@ import sys
 import numpy as np
 
 from . import datagen, evaluation, net
-from .errors import (
-    ConfigError,
-    Diverged,
-    DomainError,
-    NegativeVol,
-    NoConvergence,
-    NonFinite,
-    PriceOutOfBounds,
-    ShapeMismatch,
-)
+from .errors import ConfigError, NegativeVol, NonFinite, SabrkitError
 from .hagan import SabrPoint, hagan_vol
 from .mc import McConfig
-
-# ArithmeticError: NonFinite, and the closed form's ZeroDivisionError or
-# OverflowError at tiny valid forwards.
-_NUMERICAL_ERRORS = (PriceOutOfBounds, NoConvergence, DomainError, NegativeVol,
-                     ArithmeticError, Diverged)
-_VALIDATION_ERRORS = (ConfigError, ShapeMismatch, ValueError)
 
 
 def _add_mc_flags(parser: argparse.ArgumentParser, default_paths: int) -> None:
@@ -322,12 +308,10 @@ def main(argv=None) -> int:
         # Every file is written before anything is printed, so the run is
         # whole; the unread output goes to devnull at exit.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except _VALIDATION_ERRORS as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
+    except (SabrkitError, ArithmeticError, ValueError) as exc:
+        invalid = isinstance(exc, ConfigError) or not isinstance(exc, (SabrkitError, ArithmeticError))
+        print(f"{'invalid input' if invalid else 'numerical failure'}: {exc}", file=sys.stderr)
+        return 2 if invalid else 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

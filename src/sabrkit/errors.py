@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit. The command line exits 2 on
+a :class:`ConfigError` (bad input) and 3 on any other :class:`SabrkitError`."""
 
 
 class SabrkitError(Exception):
@@ -14,11 +15,11 @@ class NoConvergence(SabrkitError, RuntimeError):
 
 
 class DomainError(SabrkitError, ValueError):
-    """Input left the mathematical validity domain of a formula."""
+    """A valid point left the band where the closed form or the features are finite."""
 
 
 class NegativeVol(SabrkitError, ValueError):
-    """Closed-form volatility came out nonpositive (outside validity domain)."""
+    """A model served a nonpositive volatility."""
 
 
 class ConfigError(SabrkitError, ValueError):
@@ -29,7 +30,7 @@ class NonFinite(SabrkitError, ArithmeticError):
     """A computation produced NaN or infinity."""
 
 
-class ShapeMismatch(SabrkitError, ValueError):
+class ShapeMismatch(ConfigError):
     """Array shapes inconsistent with the network architecture."""
 
 
@@ -37,9 +38,9 @@ class Diverged(SabrkitError, RuntimeError):
     """Training produced a non-finite validation loss."""
 
 
-class DegenerateReference(SabrkitError, ValueError):
+class DegenerateReference(ConfigError):
     """Reference series has no variance; R^2 undefined."""
 
 
-class EmptyRegion(SabrkitError, ValueError):
+class EmptyRegion(ConfigError):
     """A requested evaluation region contains no rows."""

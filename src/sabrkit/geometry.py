@@ -16,7 +16,8 @@ ln(K/F0)/d_h = alpha*(zeta/x(zeta))/s stays finite through the money.
 :func:`features` takes one point; :func:`features_array` takes columns of
 them at once with numpy's ufuncs, and agrees with it to 1e-12 relative.
 Both run one formula body; the array form gives a NaN row where the
-scalar form raises. The helpers take the values of a valid :class:`SabrPoint`.
+scalar form raises DomainError, under the rule of :mod:`~sabrkit.hagan`.
+The helpers take the values of a valid :class:`SabrPoint`.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import DomainError, NonFinite
-from .hagan import SabrPoint, log_or_nan, logs_or_nan, zx_ratio, zx_ratios
+from .errors import DomainError
+from .hagan import SabrPoint, logs_or_nan, zx_ratio, zx_ratios
 
 __all__ = [
     "GEOM_FIELDS",
@@ -73,8 +74,8 @@ def _expm1_ratios(u: np.ndarray) -> np.ndarray:
 def _quadruple(F0, K, alpha, beta, rho, log, pow, expm1_ratio, sqrt, zx):
     """The feature formulas for floats or 1-d columns, given the scalar or
     the array ``log``, ``pow``, ``expm1_ratio``, ``sqrt`` and ``zx``:
-    (q, sigma_min, zeta, z/x(zeta), s), whence d_h = zeta/(z/x) and sigma0
-    = alpha*(z/x)/s, divided by the caller once z/x is checked."""
+    (q, sigma_min, zeta, z/x(zeta), s), whence the caller divides out d_h
+    = zeta/(z/x) and sigma0 = alpha*(z/x)/s."""
     log_kf = log(K / F0)
     omb = 1.0 - beta
     s = pow(F0, omb) * expm1_ratio(omb * log_kf)
@@ -94,21 +95,19 @@ def features(p: SabrPoint) -> GeomFeatures:
     ((1+rho)*alpha)) is x(zeta) of :func:`~sabrkit.hagan.zx_ratio` at
     zeta = q/alpha and correlation -rho; ``sigma0`` = ln(K/F0)/d_h =
     alpha*(zeta/x(zeta))/s is alpha*F0^(beta-1) at the money. Raises
-    NonFinite where a value comes out inf or NaN, as at forwards so large
-    that q^2 overflows, and DomainError where the geodesic distance
-    overflows: at a vanishing alpha, zeta^2 overflows inside x(zeta) and
-    z/x(z) comes out 0. :func:`features_array` gives a NaN row there.
+    DomainError where a value is not finite, as where q^2 overflows at huge
+    forwards, or zeta^2 inside x(zeta) at a vanishing alpha, so that z/x(z)
+    is 0; :func:`features_array` gives a NaN row there.
     """
-    q, smin, zeta, ratio, s = _quadruple(p.F0, p.K, p.alpha, p.beta, p.rho, log_or_nan,
-                                         math.pow, _expm1_ratio, math.sqrt, zx_ratio)
-    if not math.isfinite(smin):
-        raise NonFinite(f"features returned q={q!r}, sigma_min={smin!r}")
-    if ratio == 0.0:
-        raise DomainError(f"geodesic distance overflows at q/alpha={zeta!r}")
-    d_h, sigma0 = zeta / ratio, p.alpha * ratio / s
-    if not (math.isfinite(d_h) and math.isfinite(sigma0)):
-        raise NonFinite(f"features returned d_h={d_h!r}, sigma0={sigma0!r}")
-    return GeomFeatures(q=q, sigma_min=smin, d_h=d_h, sigma0=sigma0)
+    try:
+        q, smin, zeta, ratio, s = _quadruple(p.F0, p.K, p.alpha, p.beta, p.rho, math.log,
+                                             math.pow, _expm1_ratio, math.sqrt, zx_ratio)
+        quad = (q, smin, zeta / ratio, p.alpha * ratio / s)
+    except (ArithmeticError, ValueError):
+        quad = (math.nan,) * 4
+    if not all(map(math.isfinite, quad)):
+        raise DomainError(f"feature quadruple fails: {quad!r}")
+    return GeomFeatures(*quad)
 
 
 @np.errstate(all="ignore")

@@ -12,8 +12,8 @@ other functions take the values of a valid :class:`SabrPoint`.
 :func:`hagan_vols` prices columns of them at once with numpy's ufuncs, and
 agrees with it to 1e-12 relative. Both run one formula body. Where a valid
 point leaves the band where the formula is finite and positive (tiny
-forwards, or F0/K underflowing to 0), the scalar form raises and the
-array form gives NaN; :func:`checked` raises DomainError at the first NaN.
+forwards, or F0/K underflowing to 0), the array form gives NaN and the
+scalar form raises DomainError, as :func:`checked` does at a batch's NaN.
 The factor z/x(z) is one expression, free of cancellation at every z, the
 money included; :func:`zx_ratio` at -rho also gives the geodesic distance.
 """
@@ -26,7 +26,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NegativeVol, NonFinite
+from .errors import ConfigError, DomainError
 
 __all__ = [
     "HAGAN_BRACKET",
@@ -44,14 +44,9 @@ __all__ = [
 HAGAN_BRACKET = "numerator"
 
 
-def log_or_nan(x: float) -> float:
-    """``math.log``, NaN where ``x <= 0``: a ratio that underflows to 0
-    fails the caller's result check."""
-    return math.log(x) if x > 0.0 else math.nan
-
-
 def logs_or_nan(x: np.ndarray) -> np.ndarray:
-    """``np.log``, NaN where ``x <= 0``, as :func:`log_or_nan` element-wise."""
+    """``np.log``, NaN where ``x <= 0``, where ``math.log`` raises: a ratio
+    that underflows to 0 fails as the scalar form does."""
     return np.log(x, out=np.full_like(x, np.nan), where=x > 0.0)
 
 
@@ -136,8 +131,7 @@ def zx_ratios(z: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _smile(T, F0, K, alpha, beta, rho, nu, log, pow, zx):
     """The closed form, for floats or 1-d columns: ``log``, ``pow`` and
-    ``zx`` are the scalar or the array helpers. The operation order sets
-    which exception a scalar point outside the finite band raises."""
+    ``zx`` are the scalar or the array helpers."""
     log_fk = log(F0 / K)
     omb = 1.0 - beta
     fk = F0 * K
@@ -162,14 +156,15 @@ def hagan_vol(p: SabrPoint) -> float:
     1 and the moneyness bracket is 1, so the result is the at-the-money
     formula alpha/F0^(1-b) times the maturity bracket (Hagan et al. 2002),
     and near the money it varies with K as the smile does. Raises
-    NegativeVol, NonFinite, ZeroDivisionError or OverflowError where the
-    result is not finite and positive; :func:`hagan_vols` is NaN there.
+    DomainError where the result is not finite and positive, as where F0*K
+    underflows or the bracket goes negative; :func:`hagan_vols` is NaN there.
     """
-    sigma = _smile(p.T, p.F0, p.K, p.alpha, p.beta, p.rho, p.nu, log_or_nan, math.pow, zx_ratio)
-    if sigma <= 0.0:
-        raise NegativeVol(f"smile formula returned nonpositive vol {sigma!r}")
-    if not math.isfinite(sigma):
-        raise NonFinite(f"smile formula returned {sigma!r}")
+    try:
+        sigma = _smile(p.T, p.F0, p.K, p.alpha, p.beta, p.rho, p.nu, math.log, math.pow, zx_ratio)
+    except (ArithmeticError, ValueError):
+        sigma = math.nan
+    if not 0.0 < sigma < math.inf:
+        raise DomainError(f"closed form fails: vol {sigma!r}")
     return sigma
 
 

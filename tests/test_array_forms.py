@@ -1,9 +1,10 @@
 """The array forms of the smile and the feature quadruple against the
 scalar forms, which are their reference. Point by point, an array form is
-NaN exactly where its scalar form raises, with neither an exception nor a
-warning, and within 1e-12 relative of it elsewhere (numpy's ufuncs and the
-C library differ by about an ulp). A served batch fails as a whole:
-predict_vols raises DomainError naming the first point that fails."""
+NaN exactly where its scalar form raises DomainError, with neither an
+exception nor a warning, and within 1e-12 relative of it elsewhere (numpy's
+ufuncs and the C library differ by about an ulp). A served batch fails as a
+whole: predict_vols raises DomainError naming the first point that fails,
+and predict_vol raises it at that point alone."""
 
 import math
 import warnings
@@ -14,16 +15,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sabrkit.datagen import GRID_INDICES, sample_config, strike_grid
-from sabrkit.errors import DomainError, NegativeVol, NonFinite
+from sabrkit.errors import DomainError
 from sabrkit.geometry import features, features_array
 from sabrkit.hagan import SabrPoint, hagan_vol, hagan_vols
-from sabrkit.net import init_bundle, predict_vols
+from sabrkit.net import init_bundle, predict_vol, predict_vols
 
 from bundles import zero_output
 
 GOOD = SabrPoint(T=1.0, F0=1.0, K=1.1, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
 
-# Points outside the formulas' domain; the scalar calls raise on them.
+# Points outside the formulas' domain; the scalar calls raise DomainError on
+# them.
 NEGATIVE_ATM = SabrPoint(T=2.0, F0=1.0, K=1.0, alpha=0.5, beta=1.0, rho=-0.95, nu=3.0)
 NEGATIVE_WING = SabrPoint(T=2.0, F0=1.0, K=1.05, alpha=0.5, beta=1.0, rho=-0.95, nu=3.0)
 # A vanishing alpha far from the money: zeta = q/alpha is so large that
@@ -31,7 +33,7 @@ NEGATIVE_WING = SabrPoint(T=2.0, F0=1.0, K=1.05, alpha=0.5, beta=1.0, rho=-0.95,
 ZERO_GEODESIC = SabrPoint(T=1.0, F0=1.0, K=0.5, alpha=1e-300, beta=0.0, rho=0.0, nu=0.0)
 OUT_OF_DOMAIN = (NEGATIVE_ATM, NEGATIVE_WING, ZERO_GEODESIC)
 
-# F0^(2(1-b)) underflows to 0 in the ATM bracket: ZeroDivisionError.
+# F0^(2(1-b)) underflows to 0 in the ATM bracket, which divides by zero.
 UNDERFLOWING_ATM = SabrPoint(T=1.0, F0=1e-170, K=1e-170, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
 # z = -4.6e23, where (sqrt(1-2*rho*z+z^2)+z-rho)/(1-rho), the textbook x(z)
 # log's argument, cancels to -3; the closed form's cancellation-free x(z)
@@ -39,18 +41,18 @@ UNDERFLOWING_ATM = SabrPoint(T=1.0, F0=1e-170, K=1e-170, alpha=0.2, beta=0.0, rh
 # test_hagan.py does.
 CANCELLED_LOG = SabrPoint(T=1.0, F0=1e22, K=2.5e22, alpha=0.05, beta=0.0, rho=0.75, nu=1.6)
 
-# q^2 overflows in sigma_min: NonFinite from features.
+# q^2 overflows in sigma_min, so features fail.
 HUGE_FORWARD = SabrPoint(T=1.0, F0=1e300, K=2e300, alpha=0.2, beta=0.0, rho=-0.3, nu=0.4)
-# alpha/F0^(1-beta) overflows at the money: NonFinite from features.
+# alpha/F0^(1-beta) overflows at the money, so features fail.
 OVERFLOWING_ATM = SabrPoint(T=1.0, F0=1e-310, K=1e-310, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
 
-# F0/K, then K/F0, underflows to 0, so its log is NaN: NonFinite.
+# F0/K, then K/F0, underflows to 0, whose log fails.
 F0_OVER_K_UNDERFLOWS = SabrPoint(T=1.0, F0=1e-200, K=1e200, alpha=0.2, beta=0.5, rho=-0.2, nu=0.3)
 K_OVER_F0_UNDERFLOWS = SabrPoint(T=1.0, F0=1e200, K=1e-200, alpha=0.2, beta=0.5, rho=-0.2, nu=0.3)
 
 # The bracket's alpha^2 / (F0*K)^(1-b) term overflows the smile to inf at
-# tiny forwards, at and off the money (NonFinite); smaller still, F0*K
-# underflows to 0 and the bracket divides by zero (ZeroDivisionError).
+# tiny forwards, at and off the money; smaller still, F0*K underflows to 0
+# and the bracket divides by zero.
 INFINITE_ATM = SabrPoint(T=1.0, F0=1e-158, K=1e-158, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
 INFINITE_WING = SabrPoint(T=1.0, F0=1e-150, K=2e-150, alpha=0.2, beta=0.0, rho=-0.8, nu=1.2)
 UNDERFLOWING_PRODUCT = SabrPoint(T=1.0, F0=1e-310, K=1e-310, alpha=0.2, beta=0.5, rho=-0.8, nu=1.2)
@@ -102,15 +104,15 @@ GENERATOR_BATCHES = st.lists(
 
 def assert_nan_where_scalar_raises(scalar, array, points):
     """At every point, the array form's row is NaN where the scalar form
-    raises, and finite within 1e-12 times each |scalar value| elsewhere;
-    the array form itself neither raises nor warns."""
+    raises DomainError, and finite within 1e-12 times each |scalar value|
+    elsewhere; the array form itself neither raises nor warns."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = array(*columns(points)).reshape(len(points), -1)
     for i, (p, row) in enumerate(zip(points, got)):
         try:
             want = np.atleast_1d(scalar(p))
-        except (ArithmeticError, ValueError):
+        except DomainError:
             assert np.isnan(row).all(), (scalar.__name__, i, row)
         else:
             assert np.isfinite(row).all(), (scalar.__name__, i, row)
@@ -162,10 +164,10 @@ def test_forms_agree_at_every_magnitude(points):
 @given(log_uniform_points())
 def test_features_are_finite_or_raise(p):
     # An inf or NaN feature, as where q^2 overflows at huge forwards,
-    # raises NonFinite; no quadruple holds a non-finite value.
+    # raises DomainError; no quadruple holds a non-finite value.
     try:
         got = quadruple(p)
-    except (ArithmeticError, ValueError):
+    except DomainError:
         return
     assert all(map(math.isfinite, got))
 
@@ -180,44 +182,65 @@ def test_log_edges_sit_on_both_sides():
         assert (abs(math.log(F0 / p.K)) < 1e-8) == (side < 1.0)
 
 
+# Each failing point above with the scalar form that fails on it.
+FAILING = (
+    (hagan_vol, NEGATIVE_ATM),
+    (hagan_vol, NEGATIVE_WING),
+    (features, ZERO_GEODESIC),
+    (hagan_vol, UNDERFLOWING_ATM),
+    (features, HUGE_FORWARD),
+    (features, OVERFLOWING_ATM),
+    (hagan_vol, F0_OVER_K_UNDERFLOWS),
+    (features, F0_OVER_K_UNDERFLOWS),
+    (hagan_vol, K_OVER_F0_UNDERFLOWS),
+    (features, K_OVER_F0_UNDERFLOWS),
+    (hagan_vol, INFINITE_ATM),
+    (hagan_vol, INFINITE_WING),
+    (hagan_vol, UNDERFLOWING_PRODUCT),
+)
+
+
 def test_failing_points_fail_in_scalar_form():
-    # The class each point above raises in the scalar form, the one form
-    # that names one.
-    for fn, p, error in (
-        (hagan_vol, NEGATIVE_ATM, NegativeVol),
-        (hagan_vol, NEGATIVE_WING, NegativeVol),
-        (features, ZERO_GEODESIC, DomainError),
-        (hagan_vol, UNDERFLOWING_ATM, ZeroDivisionError),
-        (features, HUGE_FORWARD, NonFinite),
-        (features, OVERFLOWING_ATM, NonFinite),
-        (hagan_vol, F0_OVER_K_UNDERFLOWS, NonFinite),
-        (features, F0_OVER_K_UNDERFLOWS, NonFinite),
-        (hagan_vol, K_OVER_F0_UNDERFLOWS, NonFinite),
-        (features, K_OVER_F0_UNDERFLOWS, NonFinite),
-        (hagan_vol, INFINITE_ATM, NonFinite),
-        (hagan_vol, INFINITE_WING, NonFinite),
-        (hagan_vol, UNDERFLOWING_PRODUCT, ZeroDivisionError),
-    ):
-        with pytest.raises(error):
+    # Whatever step leaves the finite band, a negative bracket, an overflow,
+    # a division by zero or the log of an underflowed ratio, the scalar
+    # form raises one class, with its part's name.
+    for fn, p in FAILING:
+        part = "closed form" if fn is hagan_vol else "feature quadruple"
+        with pytest.raises(DomainError, match=f"^{part} fails: "):
             fn(p)
 
 
 def test_vanishing_alpha_overflows_silently():
     # z ~ 1e290 beside the money, so z*z overflows to inf as in the scalar
-    # form and z/x(z) comes out 0: the scalar form raises NegativeVol and
+    # form and z/x(z) comes out 0: the scalar form raises DomainError and
     # the array form gives NaN, as far from the money. At the money z = 0
     # and the vol stays finite, the same bits in both forms.
     atm = SabrPoint(T=1.0, F0=1.0, K=1.0, alpha=1e-300, beta=0.5, rho=0.0, nu=0.1)
     near, off = (SabrPoint(T=1.0, F0=1.0, K=K, alpha=1e-300, beta=0.5, rho=0.0, nu=0.1)
                  for K in (math.exp(5e-9), 0.9))
     for p in (near, off):
-        with pytest.raises(NegativeVol):
+        with pytest.raises(DomainError, match="^closed form fails: vol 0.0$"):
             hagan_vol(p)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = hagan_vols(*columns([atm, near, off]))
     assert math.isfinite(hagan_vol(atm)) and got[0] == hagan_vol(atm)
     assert np.isnan(got[1:]).all()
+
+
+@pytest.mark.parametrize("fn, p", FAILING,
+                         ids=[f"{fn.__name__}-F0={p.F0:g}-K={p.K:g}" for fn, p in FAILING])
+def test_point_and_batch_fail_alike(fn, p):
+    # Every arch that reads the failing part, the closed form on the
+    # residual archs and the features on the geometry archs, raises
+    # DomainError for the point alone and for a batch of it.
+    archs = ("resnn", "georesnn") if fn is hagan_vol else ("geonn", "georesnn")
+    for arch in archs:
+        bundle = zero_output(init_bundle(arch, seed=0))
+        with pytest.raises(DomainError):
+            predict_vol(bundle, p)
+        with pytest.raises(DomainError, match=" fails at point 0$"):
+            predict_vols(bundle, [p])
 
 
 @pytest.mark.parametrize("arch, bad, part", [

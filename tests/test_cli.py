@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sabrkit import datagen, evaluation
+from sabrkit import cli, datagen, errors, evaluation
 from sabrkit.cli import main
 from sabrkit.datagen import CSV_HEADER, load_dataset
 from sabrkit.errors import ConfigError, NonFinite, PriceOutOfBounds
@@ -81,13 +81,13 @@ class TestSmile:
 
     def test_tiny_forward_exit_3_one_line(self, tmp_path, capsys):
         # A valid point whose F0*K underflows: the closed form divides by
-        # zero before the simulation starts.
+        # zero, and fails, before the simulation starts.
         out = tmp_path / "out"
         assert main(["smile", "--F0", "1e-170", "--beta", "0", "--paths", "1000",
                      "--out", str(out)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "numerical failure: float division by zero\n"
+        assert captured.err == "numerical failure: closed form fails: vol nan\n"
         assert not out.exists()
 
     def test_closed_stdout_still_writes_the_file(self, tmp_path):
@@ -472,10 +472,10 @@ BROKEN_ROWS = {
     "rho out of domain": with_fields(rho="0.99"),
     # Longer than the csv module's field size limit (131072 characters).
     "over-long field": with_fields(alpha="1" * 200_000),
-    # The maturity bracket goes negative: NegativeVol on a valid row.
+    # The maturity bracket goes negative on a valid row.
     "valid row outside the closed form's domain": with_fields(T="5", rho="-0.95", nu="10",
                                                               valid="true"),
-    # F0/K underflows to 0: NonFinite on a valid row.
+    # F0/K underflows to 0 on a valid row.
     "valid row whose F0/K underflows": with_fields(F0="1e-200", K="1e200", valid="true"),
     # Written as the byte 0xff, which UTF-8 cannot decode; no line is known.
     "non-UTF-8 byte": with_fields(alpha="0.2\xff"),
@@ -575,8 +575,8 @@ class TestPrice:
 
     @pytest.mark.parametrize("forward", ["1e-170", "1e-310"])
     def test_tiny_forward_exit_3_one_line(self, tmp_path, capsys, forward):
-        # Valid points at which F0*K underflows (ZeroDivisionError) or
-        # alpha/F0^(1-beta) overflows (NonFinite).
+        # Valid points at which F0*K underflows or alpha/F0^(1-beta)
+        # overflows.
         model = zero_model(tmp_path)
         assert main(["price", "--model", str(model), "--F0", forward, "--K", forward,
                      "--beta", "0"]) == 3
@@ -591,13 +591,13 @@ class TestPrice:
                      "--beta", "0"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "numerical failure: smile formula returned inf\n"
+        assert captured.err == "numerical failure: closed form fails: vol inf\n"
 
     @pytest.mark.parametrize("arch, forward, strike", [("resnn", "1e-200", "1e200"),
                                                        ("georesnn", "1e200", "1e-200")])
     def test_underflowing_ratio_exit_3_one_line(self, tmp_path, capsys, arch, forward, strike):
         # Valid points at which F0/K (in the closed form) or K/F0 (in the
-        # features) underflows to 0, so its log is NaN: NonFinite.
+        # features) underflows to 0, so its log fails.
         model = zero_model(tmp_path, arch=arch)
         assert main(["price", "--model", str(model), "--T", "1", "--F0", forward, "--K", strike,
                      "--alpha", "0.2", "--beta", "0.5", "--rho", "-0.2", "--nu", "0.3"]) == 3
@@ -634,6 +634,46 @@ class TestPrice:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("numerical failure:")
+
+
+# The exit code and the stderr line's prefix that each exception class ends
+# a command with: a ConfigError or a plain ValueError is bad input, any
+# other toolkit or arithmetic failure is numerical.
+EXITS = {
+    errors.SabrkitError: (3, "numerical failure:"),
+    errors.PriceOutOfBounds: (3, "numerical failure:"),
+    errors.NoConvergence: (3, "numerical failure:"),
+    errors.DomainError: (3, "numerical failure:"),
+    errors.NegativeVol: (3, "numerical failure:"),
+    errors.NonFinite: (3, "numerical failure:"),
+    errors.Diverged: (3, "numerical failure:"),
+    errors.ConfigError: (2, "invalid input:"),
+    errors.ShapeMismatch: (2, "invalid input:"),
+    errors.DegenerateReference: (2, "invalid input:"),
+    errors.EmptyRegion: (2, "invalid input:"),
+    ValueError: (2, "invalid input:"),
+    ZeroDivisionError: (3, "numerical failure:"),
+    OSError: (2, "io error:"),
+    MemoryError: (2, "out of memory:"),
+}
+
+
+def test_exit_table_names_every_error_class():
+    classes = {v for v in vars(errors).values() if isinstance(v, type)}
+    assert classes <= EXITS.keys()
+
+
+@pytest.mark.parametrize("error", EXITS, ids=lambda error: error.__name__)
+def test_exit_code_follows_the_exception_class(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("what went wrong")
+
+    monkeypatch.setattr(cli, "cmd_price", fail)
+    code, prefix = EXITS[error]
+    assert main(["price", "--model", "model.json", "--K", "1"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{prefix} what went wrong\n"
 
 
 @pytest.mark.parametrize("argv", [

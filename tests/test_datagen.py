@@ -33,7 +33,7 @@ from sabrkit.datagen import (
     _closed_form_failures,
     _largest_remainder,
 )
-from sabrkit.errors import ConfigError, NegativeVol, NoConvergence, NonFinite, PriceOutOfBounds
+from sabrkit.errors import ConfigError, DomainError, NoConvergence, NonFinite, PriceOutOfBounds
 from sabrkit.geometry import GeomFeatures, features, features_array, geom_values
 from sabrkit.hagan import SabrPoint, hagan_vol, hagan_vols, sabr_values
 from sabrkit.mc import McConfig, implied_vol_from_estimate, price_from_terminals, simulate_terminals
@@ -203,7 +203,7 @@ class TestBuildDataset:
         for s in ds.samples:
             try:
                 hagan_vol(s.point)
-            except NegativeVol:
+            except DomainError:
                 failing.append(s)
                 # The reference is finite: only the closed form flags the row.
                 assert math.isfinite(s.sigma_mc)
@@ -517,7 +517,7 @@ class TestPersistence:
 
     def test_valid_row_outside_the_domain_is_refused_with_file_and_line(self, tmp_path):
         # NEGATIVE_ATM's closed form is NaN (its scalar form raises
-        # NegativeVol); the message names the file and the line.
+        # DomainError); the message names the file and the line.
         path = tmp_path / "d.csv"
         fields = ",".join(map(str, sabr_values(NEGATIVE_ATM)))
         path.write_text(",".join(datagen.CSV_HEADER) + f"\n{fields},0.2,0,train,true\n")
@@ -532,9 +532,9 @@ class TestPersistence:
         assert loaded == {"a": [1.5, None, [None, None]], "b": {"c": None}}
 
     @pytest.mark.parametrize("fields", [
-        # The closed form overflows to inf at the money (NonFinite).
+        # The closed form overflows to inf at the money.
         "1,1e-158,1e-158,0.2,0,-0.8,1.2",
-        # F0/K underflows to 0, so its log is NaN (NonFinite).
+        # F0/K underflows to 0, so its log is NaN.
         "1,1e-200,1e200,0.2,0.5,-0.2,0.3",
     ])
     def test_row_flagged_invalid_loads_whatever_its_closed_form_does(self, tmp_path, fields):

@@ -134,6 +134,21 @@ class TestStress:
             assert [(r.T, r.error, r.sigma_mc, r.sigma_hagan, r.sigma_model, r.failed_strikes)
                     for r in records] == expected
 
+    def test_failing_closed_form_is_recorded(self, monkeypatch):
+        # F0*K underflows at a tiny forward: the closed form fails on a
+        # valid point after the reference is simulated, and every model's
+        # record holds the error in place of its vols.
+        tiny = evaluation.StressScenario("tiny_forward", 1.0, 1e-170, 0.2, 0.0, -0.8, 1.2,
+                                         (1e-170, 2e-170))
+        monkeypatch.setattr(evaluation, "default_stress_scenarios", lambda: [tiny])
+        suites = stress_suite([init_bundle("ndn", seed=6), init_bundle("resnn", seed=6)],
+                              McConfig(paths=1000))
+        for [record] in suites:
+            assert (record.scenario_id, record.error) == ("tiny_forward",
+                                                          "closed form fails: vol nan")
+            assert (record.sigma_mc, record.sigma_hagan, record.sigma_model) == ([], [], [])
+            assert record.failed_strikes == 2
+
     def test_reference_is_shared_and_a_failed_prediction_stays_in_its_model(self, monkeypatch):
         calls = []
         reference_smile = evaluation.reference_smile

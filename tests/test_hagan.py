@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sabrkit.errors import NegativeVol
+from sabrkit.errors import DomainError
 from sabrkit.hagan import SabrPoint, hagan_vol, hagan_vols, sabr_values, zx_ratio, zx_ratios
 
 from atm import atm_vol
@@ -108,7 +108,7 @@ class TestAtm:
     def test_negative_bracket_raises(self):
         p = SabrPoint(T=2.0, F0=1.0, K=1.0, alpha=0.5, beta=1.0, rho=-0.95, nu=3.0)
         assert atm_vol(p) <= 0.0
-        with pytest.raises(NegativeVol):
+        with pytest.raises(DomainError, match="^closed form fails: vol -"):
             hagan_vol(p)
 
 
