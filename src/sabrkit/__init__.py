@@ -8,16 +8,12 @@ and from-scratch residual neural correctors with an evaluation harness.
 from . import datagen, evaluation, net
 from .errors import (
     ConfigError,
-    DegenerateReference,
-    Diverged,
     DomainError,
-    EmptyRegion,
     NegativeVol,
     NoConvergence,
     NonFinite,
     PriceOutOfBounds,
     SabrkitError,
-    ShapeMismatch,
 )
 from .geometry import GeomFeatures, features
 from .hagan import SabrPoint, check_params, hagan_vol, zx_ratio

@@ -6,13 +6,14 @@ used to produce them, the Monte Carlo settings as
 :meth:`~sabrkit.mc.McConfig.record` gives them. Every subcommand uses the
 one Hagan baseline, :func:`~sabrkit.hagan.hagan_vol`, so ``price`` and
 ``evaluate`` correct the same closed form. A JSON config file can pre-set
-any long flag (--config file); explicitly passed flags win over file
-values. Flags are spelled in full; argparse's prefix matching is off.
-``evaluate --stress`` runs the eleven-scenario stress suite once for all
-``--models``: each report holds its model's records, and each model gets
-one CSV per scenario (``T,K,sigma_mc,sigma_hagan,sigma_model``), none for
-a scenario that failed. The
-:mod:`~sabrkit.datagen` writers make ``--out`` with a command's first
+any long flag (--config file); explicitly passed flags win over file values.
+Flags are spelled in full; argparse's prefix matching is off. A flag that
+argparse rejects is invalid input, one stderr line with exit 2; ``--help``
+prints the usage on stdout and exits 0. ``evaluate --stress`` runs the
+eleven-scenario stress suite once for all ``--models``: each report holds
+its model's records, and each model gets one CSV per scenario
+(``T,K,sigma_mc,sigma_hagan,sigma_model``), none for a scenario that failed.
+The :mod:`~sabrkit.datagen` writers make ``--out`` with a command's first
 file, so a command that fails before it leaves none. Every command writes
 its files before it prints, so one whose stdout closes early (``| head``)
 still leaves them whole; the broken pipe is not reported as an error.
@@ -24,9 +25,7 @@ ValueError), 3 numerical failure (any other SabrkitError, or an ArithmeticError)
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -64,16 +63,24 @@ def _mc_config(args: argparse.Namespace, seed: int) -> McConfig:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises ConfigError where it would print usage, and takes
+    no abbreviated flag: the config-file overlay finds explicit flags by name."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    # No abbreviated flags: the config-file overlay finds the explicit ones
-    # by their full spelling.
-    parser = argparse.ArgumentParser(prog="sabrkit", allow_abbrev=False)
+    parser = _Parser(prog="sabrkit")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file of flag defaults; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("smile", allow_abbrev=False,
-                       help="analytic vs Monte Carlo smile for one configuration")
+    p = sub.add_parser("smile", help="analytic vs Monte Carlo smile for one configuration")
     _add_sabr_flags(p)
     _add_mc_flags(p, default_paths=1_000_000)
     p.add_argument("--k-min", type=float, default=None, help="default 0.5*F0")
@@ -85,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # Options marked required are validated after the config-file overlay,
     # so a config file may supply them too.
-    p = sub.add_parser("generate", allow_abbrev=False, help="build a supervised dataset")
+    p = sub.add_parser("generate", help="build a supervised dataset")
     _add_mc_flags(p, default_paths=100_000)
     p.add_argument("--configs", type=int, default=None)
     p.add_argument("--seed", type=int, default=42)
@@ -95,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_generate, required=("configs", "out"))
 
-    p = sub.add_parser("train", allow_abbrev=False, help="train one architecture on a dataset")
+    p = sub.add_parser("train", help="train one architecture on a dataset")
     p.add_argument("--dataset", type=str, default=None)
     p.add_argument("--arch", choices=sorted(net.ARCHS), default=None)
     p.add_argument("--epochs", type=int, default=100)
@@ -105,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_train, required=("dataset", "arch", "out"))
 
-    p = sub.add_parser("evaluate", allow_abbrev=False, help="metrics report for trained models")
+    p = sub.add_parser("evaluate", help="metrics report for trained models")
     p.add_argument("--models", type=str, nargs="+", default=None)
     p.add_argument("--dataset", type=str, default=None)
     _add_mc_flags(p, default_paths=200_000)
@@ -115,14 +122,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_evaluate, required=("models", "dataset", "out"))
 
-    p = sub.add_parser("price", allow_abbrev=False, help="one corrected implied vol to stdout")
+    p = sub.add_parser("price", help="one corrected implied vol to stdout")
     p.add_argument("--model", type=str, default=None)
     _add_sabr_flags(p)
     p.add_argument("--K", type=float, default=None)
     p.set_defaults(func=cmd_price, required=("model", "K"))
 
-    p = sub.add_parser("bench", allow_abbrev=False,
-                       help="inference latency and speed-up vs Monte Carlo")
+    p = sub.add_parser("bench", help="inference latency and speed-up vs Monte Carlo")
     p.add_argument("--model", type=str, default=None)
     p.add_argument("--points", type=int, default=10_000)
     _add_mc_flags(p, default_paths=100_000)
@@ -152,13 +158,10 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
             tokens += ([flag] if value is True else [flag, *map(str, value)]
                        if isinstance(value, list) else [f"{flag}={value}"])
         # The file's values go through each flag's own type and choices.
-        err = io.StringIO()
         try:
-            with contextlib.redirect_stderr(err):
-                from_file = _build_parser().parse_args([args.command, *tokens])
-        except SystemExit:
-            reason = err.getvalue().split("error: ")[-1].strip()
-            raise ConfigError(f"{args.config}: {reason}") from None
+            from_file = _build_parser().parse_args([args.command, *tokens])
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from None
         for key in keys:
             setattr(args, key, getattr(from_file, key))
     missing = [name for name in getattr(args, "required", ()) if getattr(args, name) is None]
@@ -290,13 +293,9 @@ def cmd_bench(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     code = 0
     try:
+        args = _build_parser().parse_args(argv)
         _apply_config_file(args, argv)
         # A failing command writes one stderr line, and no numpy warning.
         with np.errstate(all="ignore"):
@@ -308,9 +307,13 @@ def main(argv=None) -> int:
         # Every file is written before anything is printed, so the run is
         # whole; the unread output goes to devnull at exit.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except SystemExit:  # --help printed the usage on stdout
+        return 0
     except (SabrkitError, ArithmeticError, ValueError) as exc:
         invalid = isinstance(exc, ConfigError) or not isinstance(exc, (SabrkitError, ArithmeticError))
-        print(f"{'invalid input' if invalid else 'numerical failure'}: {exc}", file=sys.stderr)
+        # One line, whatever the message holds: a path or a token may hold a line break.
+        message = "\\n".join(str(exc).splitlines())
+        print(f"{'invalid input' if invalid else 'numerical failure'}: {message}", file=sys.stderr)
         return 2 if invalid else 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

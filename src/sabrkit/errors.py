@@ -1,5 +1,10 @@
 """Exception types shared across the toolkit. The command line exits 2 on
-a :class:`ConfigError` (bad input) and 3 on any other :class:`SabrkitError`."""
+a :class:`ConfigError` (bad input) and 3 on any other :class:`SabrkitError`.
+A class stays only while code tells it apart: ``load_dataset`` and
+``load_model`` re-raise ``ConfigError`` with the file name; ``reference_smile``
+catches ``PriceOutOfBounds``, ``NoConvergence`` and ``NonFinite``, perfbench
+counts the first two and ``DomainError`` and imports ``NegativeVol``, and
+``stress_suite`` and the command line catch ``SabrkitError``."""
 
 
 class SabrkitError(Exception):
@@ -23,24 +28,8 @@ class NegativeVol(SabrkitError, ValueError):
 
 
 class ConfigError(SabrkitError, ValueError):
-    """Invalid engine or pipeline configuration."""
+    """Invalid input: a flag, a configuration, a file or an array shape."""
 
 
 class NonFinite(SabrkitError, ArithmeticError):
     """A computation produced NaN or infinity."""
-
-
-class ShapeMismatch(ConfigError):
-    """Array shapes inconsistent with the network architecture."""
-
-
-class Diverged(SabrkitError, RuntimeError):
-    """Training produced a non-finite validation loss."""
-
-
-class DegenerateReference(ConfigError):
-    """Reference series has no variance; R^2 undefined."""
-
-
-class EmptyRegion(ConfigError):
-    """A requested evaluation region contains no rows."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import GRID_INDICES, reference_smile, sample_config, strike_grid
-from .errors import DegenerateReference, EmptyRegion, SabrkitError
+from .errors import ConfigError, SabrkitError
 from .hagan import SabrPoint, hagan_vol
 from .mc import McConfig
 from .net import ModelBundle, predict_from_rows, predict_vol, predict_vols
@@ -58,7 +58,7 @@ def r2(predicted, reference) -> float:
         raise ValueError("predicted and reference must be equal-length, non-empty")
     ss_tot = float(np.sum((reference - reference.mean()) ** 2))
     if ss_tot / reference.size < 1e-18:
-        raise DegenerateReference("reference variance below 1e-18")
+        raise ConfigError("reference variance below 1e-18")
     ss_res = float(np.sum((predicted - reference) ** 2))
     return 1.0 - ss_res / ss_tot
 
@@ -92,7 +92,7 @@ def _regions(predictions, reference, test_samples) -> dict[str, RegionMetrics]:
     out: dict[str, RegionMetrics] = {}
     for name, mask in zip(REGION_NAMES, (grid < 0.0, grid == 0.0, grid > 0.0)):
         if not mask.any():
-            raise EmptyRegion(f"region {name!r} has no test rows")
+            raise ConfigError(f"region {name!r} has no test rows")
         out[name] = RegionMetrics(
             r2=r2(predictions[mask], reference[mask]),
             rmse_rel=rmse_rel(predictions[mask], reference[mask]),
@@ -103,7 +103,7 @@ def _regions(predictions, reference, test_samples) -> dict[str, RegionMetrics]:
 
 def evaluate_model(bundle: ModelBundle, test_samples) -> ModelMetrics:
     """Global and per-region metrics for one trained bundle on a test split;
-    raises EmptyRegion when a strike region has no rows."""
+    raises ConfigError when a strike region has no rows."""
     predictions = predict_from_rows(bundle, test_samples)
     reference = np.array([s.sigma_mc for s in test_samples])
     return ModelMetrics(

@@ -55,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .datagen import write_json
-from .errors import ConfigError, Diverged, NonFinite, ShapeMismatch
+from .errors import ConfigError, NonFinite
 from .geometry import GEOM_FIELDS, features, features_array, geom_values
 from .hagan import HAGAN_BRACKET, SABR_FIELDS, SabrPoint, checked, hagan_vol, hagan_vols, sabr_values
 
@@ -295,10 +295,10 @@ def forward(bundle: ModelBundle, x: np.ndarray, training: bool = False, caches=N
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
-        raise ShapeMismatch(f"expected a (batch, features) matrix, got {x.shape!r}")
+        raise ConfigError(f"expected a (batch, features) matrix, got {x.shape!r}")
     n_inputs = bundle.layers[0].w.shape[0]
     if x.shape[1] != n_inputs:
-        raise ShapeMismatch(f"arch {bundle.arch!r} expects {n_inputs} features, got {x.shape[1]}")
+        raise ConfigError(f"arch {bundle.arch!r} expects {n_inputs} features, got {x.shape[1]}")
     n = x.shape[0]
     if not training:
         w0, b0, rest = bundle.folded if bundle.folded is not None else fold_layers(bundle)
@@ -561,7 +561,7 @@ def train(
         with np.errstate(over="ignore"):
             val_loss = float(np.mean((val_pred - y_val) ** 2))
         if not math.isfinite(val_loss):
-            raise Diverged(f"validation loss became {val_loss!r} at epoch {epoch}")
+            raise NonFinite(f"validation loss became {val_loss!r} at epoch {epoch}")
         lr = scheduler.step(val_loss)
         history.append(EpochRecord(epoch=epoch, train_loss=train_loss,
                                    val_loss=val_loss, lr=lr))

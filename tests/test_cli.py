@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sabrkit import cli, datagen, errors, evaluation
 from sabrkit.cli import main
@@ -646,11 +650,7 @@ EXITS = {
     errors.DomainError: (3, "numerical failure:"),
     errors.NegativeVol: (3, "numerical failure:"),
     errors.NonFinite: (3, "numerical failure:"),
-    errors.Diverged: (3, "numerical failure:"),
     errors.ConfigError: (2, "invalid input:"),
-    errors.ShapeMismatch: (2, "invalid input:"),
-    errors.DegenerateReference: (2, "invalid input:"),
-    errors.EmptyRegion: (2, "invalid input:"),
     ValueError: (2, "invalid input:"),
     ZeroDivisionError: (3, "numerical failure:"),
     OSError: (2, "io error:"),
@@ -699,7 +699,107 @@ def test_removed_flag_exit_2(small_dataset, tmp_path, capsys, argv):
     out = tmp_path / "out"
     names = {"OUT": str(out), "DATA": str(small_dataset), "MODEL": str(zero_model(tmp_path))}
     assert main([names.get(a, a) for a in argv]) == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("invalid input: unrecognized arguments")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["smile", "--help"]], ids=["top level", "smile"])
+def test_help_exit_0(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: sabrkit") and captured.err == ""
+
+
+def test_line_break_in_a_token_one_line(capsys):
+    assert main(["smile", "--a\nb"]) == 2
+    assert capsys.readouterr().err == "invalid input: unrecognized arguments: --a\\nb\n"
+
+
+def test_line_break_in_a_dataset_path_one_line(small_dataset, tmp_path, capsys):
+    rows = read_csv(small_dataset)
+    rows[1] = rows[1][:-1]
+    bad = tmp_path / "data\nset.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    out = tmp_path / "out"
+    assert main(["train", "--dataset", str(bad), "--arch", "ndn", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"invalid input: {tmp_path}/data\\nset.csv: line 2: ")
+    assert not out.exists()
+
+
+# One valid argv per subcommand; a mutation makes each fail while parsing,
+# so no example simulates, trains or opens a file.
+BASE_ARGVS = {
+    "smile": ["smile", "--paths", "1000", "--out", "OUT"],
+    "generate": ["generate", "--configs", "2", "--paths", "1000", "--out", "OUT"],
+    "train": ["train", "--dataset", "data.csv", "--arch", "ndn", "--epochs", "1",
+              "--out", "OUT"],
+    "evaluate": ["evaluate", "--models", "model.json", "--dataset", "data.csv",
+                 "--paths", "1000", "--out", "OUT"],
+    "price": ["price", "--model", "model.json", "--K", "1"],
+    "bench": ["bench", "--model", "model.json", "--points", "150", "--paths", "1000"],
+}
+SUBCOMMANDS = next(a for a in cli._build_parser()._actions if a.dest == "command").choices
+ONE_LINE_TEXT = st.text(st.characters(exclude_categories=("C", "Zl", "Zp")), max_size=12)
+
+
+def _type_accepts(convert, text):
+    try:
+        convert(text)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def rejected_argvs(draw):
+    """A valid argv with one mutation that argparse rejects."""
+    command = draw(st.sampled_from(sorted(BASE_ARGVS)))
+    argv = list(BASE_ARGVS[command])
+    actions = {flag: a for a in SUBCOMMANDS[command]._actions for flag in a.option_strings}
+    typed = sorted(f for f, a in actions.items() if a.type in (int, float))
+    chosen = sorted(f for f, a in actions.items() if a.choices)
+    kinds = ["type", "unknown flag", "prefix", "no value", "command"] + ["choices"] * bool(chosen)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "type":
+        flag = draw(st.sampled_from(typed))
+        convert = actions[flag].type
+        argv += [flag, draw(ONE_LINE_TEXT.filter(lambda t: not _type_accepts(convert, t)))]
+    elif kind == "choices":
+        flag = draw(st.sampled_from(chosen))
+        argv += [flag, draw(ONE_LINE_TEXT.filter(lambda t: t not in actions[flag].choices))]
+    elif kind == "unknown flag":
+        name = draw(ONE_LINE_TEXT.filter(bool))
+        assume(("--" + name).split("=", 1)[0] not in actions)
+        argv.append("--" + name)
+    elif kind == "prefix":
+        flag = draw(st.sampled_from([f for f in actions if len(f) > 3]))
+        prefix = flag[:draw(st.integers(3, len(flag) - 1))]
+        assume(prefix not in actions)
+        argv.append(prefix)
+    elif kind == "no value":
+        del argv[draw(st.sampled_from(range(2, len(argv), 2)))]
+    else:
+        name = draw(st.one_of(st.none(), ONE_LINE_TEXT.filter(
+            lambda t: not t.startswith("-") and t not in SUBCOMMANDS)))
+        argv = argv[1:] if name is None else [name, *argv[1:]]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=rejected_argvs())
+def test_rejected_flag_exit_2_one_line(tmp_path_factory, argv):
+    out = tmp_path_factory.getbasetemp() / "fuzz-out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([str(out) if a == "OUT" else a for a in argv])
+    err = stderr.getvalue()
+    assert (code, stdout.getvalue()) == (2, "")
+    assert err.count("\n") == 1 and len(err.splitlines()) == 1
+    assert err.startswith("invalid input:")
     assert not out.exists()
 
 
@@ -719,13 +819,15 @@ class TestConfigOverlay:
         ["--config", "CFG", "generate", "--path", "3000", "--configs", "2", "--out", "OUT"],
         ["--conf", "CFG", "generate", "--paths", "3000", "--configs", "2", "--out", "OUT"],
     ], ids=["subcommand flag", "top-level flag"])
-    def test_abbreviated_flag_exit_2(self, tmp_path, argv):
+    def test_abbreviated_flag_exit_2(self, tmp_path, capsys, argv):
         # Flags are spelled in full: an abbreviated one would not count as
         # explicit, and the file's value would win over it.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"paths": 2000}))
         out = tmp_path / "out"
         assert main([{"CFG": str(cfg), "OUT": str(out)}.get(a, a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("invalid input:")
         assert not out.exists()
 
     @pytest.mark.parametrize("text, argv", [
