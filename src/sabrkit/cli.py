@@ -8,7 +8,8 @@ one Hagan baseline, :func:`~sabrkit.hagan.hagan_vol`, so ``price`` and
 ``evaluate`` correct the same closed form. A JSON config file can pre-set
 any long flag (--config file); explicitly passed flags win over file values.
 Flags are spelled in full; argparse's prefix matching is off. A flag that
-argparse rejects is invalid input, one stderr line with exit 2; ``--help``
+argparse rejects is invalid input, one stderr line with exit 2, and an
+unknown flag before the subcommand is the one it names; ``--help``
 prints the usage on stdout and exits 0. ``evaluate --stress`` runs the
 eleven-scenario stress suite once for all ``--models``: each report holds
 its model's records, and each model gets one CSV per scenario
@@ -135,6 +136,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench, required=("model",))
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    try:
+        return _build_parser().parse_args(argv)
+    except ConfigError:
+        # argparse takes the token after a top-level flag it does not know
+        # for the command, and names that token: "--conf cfg.json generate"
+        # reads "invalid choice: 'cfg.json'". Name the flag instead.
+        i = 0
+        while i < len(argv) and argv[i].startswith("-") and argv[i] != "--":
+            if argv[i] != "--config" and not argv[i].startswith("--config="):
+                raise ConfigError(f"unrecognized arguments: {argv[i]}") from None
+            i += 2 if argv[i] == "--config" else 1
+        raise
 
 
 def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
@@ -295,7 +311,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     code = 0
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
         _apply_config_file(args, argv)
         # A failing command writes one stderr line, and no numpy warning.
         with np.errstate(all="ignore"):

@@ -14,12 +14,14 @@ single option.
 Paths are generated in fixed-size blocks, each with its own stream spawned
 from (base_seed, config_index, block_index) and its own slice of the
 output. The blocks of one configuration run on up to one thread per usable
-core; the results are bit-identical whatever the thread count. Each thread
-reuses one array of n_steps * block_size float64 forward draws, about 49 MB
-per thread at T = 30 years (1500 steps), and draws the vol factor's normals
-16 steps at a time into a 557 KB chunk. A T = 30, 20k-path call on two
-threads peaks at 133 MB of RSS, against 226 MB when both draw arrays were
-held whole.
+core; the results are bit-identical whatever the thread count. A block
+draws both factors' normals 16 steps at a time, and steps the vol path, the
+forward and the control leg over each chunk before it draws the next. So
+each thread holds one 16 x 4096 float64 chunk of forward draws, one
+17 x 4096 chunk of vols and one scratch row, about 1.1 MB whatever the
+maturity. One 20k-path call on two threads of a 2-vCPU VM grows the peak RSS
+by about 2 MiB at T = 1, 5 and 30 years alike, where holding the forward's
+draws whole grew it by 4, 17 and 95 MiB.
 
 :func:`sabrkit.datagen.reference_smile` turns one simulation into a
 reference vol and its standard error per strike.
@@ -59,13 +61,16 @@ class McConfig:
     alpha*F0^(beta-1) which matches the at-the-money lognormal level and
     couples better when beta < 1 and F0 is far from 1. Every maturity gets
     at least ``min_steps`` steps, and paths are drawn in blocks of
-    ``block_size``, each block from its own stream. The vol factor is
-    always stepped in log space; ``sigma_scheme`` names that scheme in the
-    record.
+    ``block_size``, each block from its own stream. A block's stream holds
+    ``chunk_steps`` steps of forward normals, then the same steps of vol
+    factor normals, chunk after chunk; the record names that layout. The
+    vol factor is always stepped in log space; ``sigma_scheme`` names that
+    scheme in the record.
     """
 
     min_steps: ClassVar[int] = 10
     block_size: ClassVar[int] = 4096
+    chunk_steps: ClassVar[int] = 16
     sigma_scheme: ClassVar[str] = "log_exact"
 
     paths: int = 100_000
@@ -93,7 +98,8 @@ class McConfig:
         """Every setting, the fixed ones included, as dataset manifests and
         evaluation reports store them."""
         return {**asdict(self), "sigma_scheme": self.sigma_scheme,
-                "min_steps": self.min_steps, "block_size": self.block_size}
+                "min_steps": self.min_steps, "block_size": self.block_size,
+                "chunk_steps": self.chunk_steps}
 
 
 @dataclass(frozen=True)
@@ -113,11 +119,6 @@ class Terminals:
 # thread saves: on a 2-vCPU VM, 10-step calls at 20k paths ran up to 30%
 # slower on two threads, while calls of 1M path-steps and more gained.
 _MIN_THREAD_PATH_STEPS = 500_000
-
-# Steps of vol factor draws a thread holds at once: (16 + 1) * 4096 float64
-# is 557 KB, which stays in cache while a chunk's vol rows are built and
-# stepped over.
-_VOL_CHUNK_STEPS = 16
 
 
 def usable_cores() -> int:
@@ -156,11 +157,13 @@ def simulate_terminals(
     takes blocks i, i + threads, ...; the calling thread is thread 0, and
     the others belong to a pool that ends before the call returns. Each
     block draws from its own stream and writes its own slice of the
-    output, so the result does not depend on the thread count. Each thread
-    reuses one array of n_steps * block_size forward draws and one chunk of
-    (_VOL_CHUNK_STEPS + 1) * block_size vols: the vol factor's normals
-    follow the forward's in the block's stream and are drawn a chunk at a
-    time, so the draws are the same as in one fill of both arrays.
+    output, so the result does not depend on the thread count. A block
+    draws cfg.chunk_steps steps of forward normals and then the same steps
+    of vol factor normals, and steps over them before it draws the next
+    chunk. Each thread reuses 2 * chunk_steps + 2 rows of block_size
+    float64: a chunk of forward increments, a chunk of vols led by the
+    previous chunk's last, and a scratch row, so a call's draws take the
+    same memory at every maturity.
     """
     check_params(T, F0, alpha, beta, rho, nu)
     n_steps = cfg.n_steps(T)
@@ -174,9 +177,14 @@ def simulate_terminals(
     n_blocks = -(-cfg.paths // cfg.block_size)
     threads = _thread_count(n_blocks, cfg.paths * n_steps)
     max_width = min(cfg.block_size, cfg.paths)
-    draws = np.empty((threads, n_steps * max_width))
-    chunks = np.empty((threads, (_VOL_CHUNK_STEPS + 1) * max_width))
-    scratch = np.empty((threads, max_width))
+    chunk_steps = cfg.chunk_steps
+    # Per thread: chunk_steps rows of dw, chunk_steps + 1 rows of vols and
+    # a scratch row. In one allocation they stay on the heap from call to
+    # call; as three, glibc trimmed the heap after each call and the next
+    # one faulted them back in (2,877 page faults a perfbench generate
+    # round, against 7).
+    rows_per_thread = 2 * chunk_steps + 2
+    work = np.empty((threads, rows_per_thread * max_width))
     f_sabr = np.empty(cfg.paths)
     f_black = np.empty(cfg.paths)
 
@@ -187,28 +195,27 @@ def simulate_terminals(
             width = stop - start
             seq = np.random.SeedSequence(cfg.base_seed, spawn_key=(config_index, block_index))
             rng = np.random.Generator(np.random.PCG64(seq))
-            dw = draws[thread, : n_steps * width].reshape(n_steps, width)
-            rng.standard_normal(out=dw)
-            dw *= sqrt_dt
-            chunk = chunks[thread, : (_VOL_CHUNK_STEPS + 1) * width].reshape(-1, width)
+            rows = work[thread, : rows_per_thread * width].reshape(rows_per_thread, width)
+            dw, chunk, t = rows[:chunk_steps], rows[chunk_steps:-1], rows[-1]
             chunk[0] = alpha
-            t = scratch[thread, :width]
 
             f = f_sabr[start:stop]
             fb = f_black[start:stop]
             f.fill(F0)
             fb.fill(F0)
-            for k0 in range(0, n_steps, _VOL_CHUNK_STEPS):
-                steps = dw[k0 : k0 + _VOL_CHUNK_STEPS]
-                c = len(steps)
-                # The vol factor's normals follow the dw normals in the
-                # block's stream; drawing them c steps at a time draws the
-                # same numbers. Row j + 1 becomes the vol after step
+            for k0 in range(0, n_steps, chunk_steps):
+                c = min(chunk_steps, n_steps - k0)
+                # The chunk's c rows of dw normals come first in the
+                # block's stream, then its c rows of vol factor normals.
+                # Row j + 1 of the vol chunk becomes the vol after step
                 # k0 + j: the increment dz = rho dw + rho_perp dw_perp,
                 # the factor exp(nu dz - nu^2 dt / 2), multiplied onto
                 # row j, which holds alpha or the previous chunk's last
                 # vol. The product runs row by row: np.multiply.accumulate
                 # along the steps is about ten times slower.
+                steps = dw[:c]
+                rng.standard_normal(out=steps)
+                steps *= sqrt_dt
                 vol = chunk[1 : c + 1]
                 rng.standard_normal(out=vol)
                 vol *= sqrt_dt

@@ -73,8 +73,13 @@ def serial_terminals(
         width = min(cfg.block_size, cfg.paths - done)
         seq = np.random.SeedSequence(cfg.base_seed, spawn_key=(config_index, block_index))
         rng = np.random.Generator(np.random.PCG64(seq))
-        dw = rng.standard_normal((n_steps, width)) * sqrt_dt
-        dw_perp = rng.standard_normal((n_steps, width)) * sqrt_dt
+        # Chunk by chunk, the dw normals and then the vol factor's.
+        dw = np.empty((n_steps, width))
+        dw_perp = np.empty((n_steps, width))
+        for k0 in range(0, n_steps, cfg.chunk_steps):
+            rows = slice(k0, min(k0 + cfg.chunk_steps, n_steps))
+            dw[rows] = rng.standard_normal(dw[rows].shape) * sqrt_dt
+            dw_perp[rows] = rng.standard_normal(dw_perp[rows].shape) * sqrt_dt
 
         f = np.full(width, F0, dtype=float)
         fb = np.full(width, F0, dtype=float)

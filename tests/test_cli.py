@@ -136,9 +136,10 @@ class TestGenerate:
         # The fixed Monte Carlo constants stay in the dataset's record.
         mc_config = manifest["mc_config"]
         assert set(mc_config) == {"paths", "steps_per_year", "min_steps", "cv_vol_mode",
-                                  "sigma_scheme", "base_seed", "block_size"}
+                                  "sigma_scheme", "base_seed", "block_size", "chunk_steps"}
         assert mc_config["min_steps"] == 10
         assert mc_config["block_size"] == 4096
+        assert mc_config["chunk_steps"] == 16
 
     def test_same_seed_same_hash(self, tmp_path):
         main(["generate", "--configs", "5", "--paths", "2000", "--seed", "3",
@@ -317,7 +318,8 @@ class TestTrainEvaluate:
         report = json.loads(next(tmp_path.glob("metrics_georesnn_*.json")).read_text())
         assert report["mc_config"] == {
             "paths": 2000, "steps_per_year": 50, "min_steps": 10, "cv_vol_mode": "effective_atm",
-            "sigma_scheme": "log_exact", "base_seed": 42, "block_size": 4096}
+            "sigma_scheme": "log_exact", "base_seed": 42, "block_size": 4096,
+            "chunk_steps": 16}
 
     def test_stress_outputs_carry_scenario_T(self, small_dataset, tmp_path):
         model = zero_model(tmp_path)
@@ -828,6 +830,20 @@ class TestConfigOverlay:
         assert main([{"CFG": str(cfg), "OUT": str(out)}.get(a, a) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("invalid input:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--conf", "CFG", "generate", "--configs", "2", "--out", "OUT"],
+        ["--config", "CFG", "--conf", "CFG", "generate", "--configs", "2", "--out", "OUT"],
+        ["--conf", "generate", "--configs", "2", "--out", "OUT"],
+    ], ids=["before the command", "after --config", "no value"])
+    def test_unknown_top_level_flag_named(self, tmp_path, capsys, argv):
+        # The token after the flag is not taken for the command and named.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"paths": 2000}))
+        out = tmp_path / "out"
+        assert main([{"CFG": str(cfg), "OUT": str(out)}.get(a, a) for a in argv]) == 2
+        assert capsys.readouterr().err == "invalid input: unrecognized arguments: --conf\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("text, argv", [

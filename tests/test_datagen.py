@@ -194,11 +194,14 @@ class TestBuildDataset:
 
     def test_rows_whose_closed_form_fails_stay_invalid(self, monkeypatch):
         # The second configuration is NEGATIVE_ATM's, where the closed form
-        # is negative at every grid strike.
+        # is negative at every grid strike. At nu = 3 a 1,000-path reference
+        # fails at some strikes for many streams; base seed 1 is one whose
+        # references are finite at all 11, so the closed form alone flags
+        # the rows.
         p, calls, sample = NEGATIVE_ATM, itertools.count(), datagen.sample_config
         monkeypatch.setattr(datagen, "sample_config", lambda rng: (
             (p.T, p.F0, p.alpha, p.beta, p.rho, p.nu) if next(calls) == 1 else sample(rng)))
-        ds = build_dataset(3, McConfig(paths=1000), seed=7)
+        ds = build_dataset(3, McConfig(paths=1000, base_seed=1), seed=7)
         failing = []
         for s in ds.samples:
             try:

@@ -273,12 +273,25 @@ class TestThreadedBlocks:
         assert threading.active_count() == before
 
 
-CHUNK = mc._VOL_CHUNK_STEPS
+CHUNK = McConfig.chunk_steps
+
+
+def peak_traced_bytes(T, cfg):
+    """tracemalloc's peak over one simulate_terminals call."""
+    # A first call in the process imports modules worth about 1 MB.
+    simulate_terminals(0.1, 0.03, 0.02, 0.5, -0.3, 0.6, McConfig(paths=1000))
+    tracemalloc.start()
+    try:
+        simulate_terminals(T, 0.03, 0.02, 0.5, -0.3, 0.6, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestVolChunks:
-    """A block draws its dw normals whole and the vol factor's normals
-    CHUNK steps at a time; the terminals still equal the serial oracle's."""
+    """A block draws CHUNK steps of dw normals, then CHUNK steps of the vol
+    factor's normals, chunk after chunk; the terminals still equal the
+    serial oracle's, and a call's memory does not grow with maturity."""
 
     @pytest.mark.parametrize("n_steps", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1])
     @pytest.mark.parametrize("beta", [0.0, 0.37, 1.0])
@@ -295,22 +308,21 @@ class TestVolChunks:
         assert_same_terminals(got, want)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_peak_memory_holds_one_draw_array_per_thread(self, monkeypatch, threads):
-        # The dw array, n_steps x 4096 float64, is the one draw array a
-        # thread holds whole; the chunk, scratch row and terminals fit in
-        # the other quarter. Holding the vol draws whole doubles the peak.
+    def test_peak_memory_holds_one_chunk_per_factor_per_thread(self, monkeypatch, threads):
+        # Per thread: CHUNK rows of dw, CHUNK + 1 rows of vols and a
+        # scratch row, each BLOCK float64, and the thread's block of the
+        # two terminal arrays. Holding the dw draws of all 1500 steps whole
+        # would take 48 MB a thread.
         monkeypatch.setattr(mc, "_thread_count", lambda n_blocks, path_steps: threads)
         cfg = McConfig(paths=threads * BLOCK)
-        n_steps = cfg.n_steps(5.0)
-        # A first call in the process imports modules worth about 1 MB.
-        simulate_terminals(0.1, 0.03, 0.02, 0.5, -0.3, 0.6, McConfig(paths=1000))
-        tracemalloc.start()
-        try:
-            simulate_terminals(5.0, 0.03, 0.02, 0.5, -0.3, 0.6, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * threads * n_steps * BLOCK * 8
+        rows = CHUNK + (CHUNK + 1) + 1 + 2
+        assert peak_traced_bytes(30.0, cfg) <= 1.25 * threads * rows * BLOCK * 8
+
+    def test_peak_memory_flat_in_maturity(self, monkeypatch):
+        # 1500 steps hold what 50 do, to within one scratch row.
+        monkeypatch.setattr(mc, "_thread_count", lambda n_blocks, path_steps: 2)
+        cfg = McConfig(paths=2 * BLOCK)
+        assert peak_traced_bytes(30.0, cfg) <= peak_traced_bytes(1.0, cfg) + BLOCK * 8
 
 
 class TestSchemes:
